@@ -14,6 +14,8 @@ Subpackage map:
 * :mod:`fhjm.cli`         -- JSON-config command-line frontend
 """
 
+__version__ = "0.1.0"
+
 from .kernels import (
     FracOrder,
     HurstParam,
@@ -98,5 +100,3 @@ from .consistency import (
     nelson_siegel_family,
     tangent_residual,
 )
-
-__version__ = "0.1.0"

@@ -50,6 +50,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def _write_manifest(out: str, command: str, cfg: ExperimentConfig, outputs: list) -> None:
     import scipy
 
+    from . import __version__
+
     manifest = {
         "command": command,
         "config_sha256": cfg.sha256(),
@@ -61,7 +63,7 @@ def _write_manifest(out: str, command: str, cfg: ExperimentConfig, outputs: list
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "fhjm": "0.1.0",
+            "fhjm": __version__,
         },
     }
     with open(os.path.join(out, "manifest.json"), "w") as fh:
@@ -211,15 +213,15 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
     init = cfg.build_initial_curve()
 
     if pairs:
+        maturities = sorted({T for _, T in pairs})
         gap = max(
             drift_identity_check(cfg.model, cfg.hurst, drift, T, theta_cells=cfg.theta_cells)
-            for _, T in pairs
+            for T in maturities
         )
         report["drift_identity_max_gap"] = gap
         report["drift_identity_pass"] = bool(gap <= 1e-6)
         ok = ok and report["drift_identity_pass"]
 
-        maturities = sorted({T for _, T in pairs})
         batches = simulate_discounted_batches(
             cfg.model, cfg.hurst, drift, init, tg, xg,
             n_paths=cfg.n_paths, seed=cfg.seed, maturities=maturities,
@@ -227,7 +229,9 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
         )
         qm = check_quasi_martingale(batches, cfg.model, cfg.hurst, pairs, drift=drift)
         report["quasi_martingale"] = json.loads(qm.to_json())
-        report["quasi_martingale_pass"] = bool(qm.n_exceeding(3.0) <= 1)
+        report["quasi_martingale_pass"] = bool(
+            np.all(np.isfinite(qm.z_scores)) and qm.n_exceeding(3.0) <= 1
+        )
         ok = ok and report["quasi_martingale_pass"]
 
     if osc:

@@ -13,7 +13,7 @@ A config drives one reproducible experiment.  Shape:
                      | {"type": "table", "x": [...], "value": [...]},
       "mc": {"n_paths": 1000, "seed": 42, "method": "cholesky", "batch_size": 2000},
       "drift": {"theta_cells": 512},
-      "check": {"pairs": [[t, T], ...],
+      "check": {"pairs": [[t, T], ...],        # 0 <= t <= min(T, t_star), T <= x_max
                  "oscillation": {"thresholds": [...], "taus": [...]}},
       "strategies": [{"name": "...", "legs": [{"from": 0.0, "to": 1.0,
                        "atoms": [{"T": 1.0, "w": 1.0}],
@@ -136,8 +136,12 @@ class ExperimentConfig:
         _require(theta_cells >= 16, "drift.theta_cells must be >= 16")
 
         check_block = raw.get("check", {})
+        # the panel target P(0, T) is read off the t = 0 curve, which ends at x_max
         for t, T in check_block.get("pairs", []):
-            _require(0.0 <= t <= T <= t_star + x_max, f"bad check pair ({t}, {T})")
+            _require(
+                0.0 <= t <= min(T, t_star) and T <= x_max,
+                f"check.pairs: ({t}, {T}) needs 0 <= t <= min(T, t_star) and T <= x_max",
+            )
 
         strategies = raw.get("strategies", [])
         for s in strategies:

@@ -8,8 +8,10 @@ in time / time-to-maturity coordinates.  Built-ins:
 * ``TabulatedVol``               -- bilinear interpolation of a value table
 
 The built-ins are time-homogeneous; the table allows time dependence.
-``integrated_vol`` returns integral_0^{T-s} sigma_j(s, x) dx, closed form
-for the built-ins and composite trapezoid for tables.
+``integrated_vol`` returns integral_0^{T-s} sigma_j(s, x) dx through each
+factor's ``integral_in_x``: closed form for the built-ins, and for tables
+exact for the piecewise-linear interpolant (a cumulative trapezoid per
+table row plus one partial cell, interpolated linearly in t).
 
 ``validate_regularity`` is a report-only diagnostic that evaluates the
 four growth integrals a Gaussian forward-rate model needs for bond prices
@@ -125,11 +127,32 @@ class TabulatedVol:
             raise ValueError("values must have shape (len(t_grid), len(x_grid))")
         if not (np.all(np.diff(t_grid) > 0) and np.all(np.diff(x_grid) > 0)):
             raise ValueError("table grids must be strictly increasing")
+        if t_grid.size < 2 or x_grid.size < 2:
+            raise ValueError("table grids need at least two points each")
         if not np.all(np.isfinite(values)):
             raise ValueError("tabulated volatility values must be finite")
         self.t_grid = t_grid
         self.x_grid = x_grid
         self.values = values
+        # Each row is piecewise linear in x (flat outside the table), so its
+        # integral from 0 is exact from a cumulative trapezoid over the knots
+        # at 0 and at the table's positive x-points.  Starting the knots at 0
+        # keeps every partial cell on [0, x] free of cancellation.
+        knots = np.concatenate(([0.0], x_grid[x_grid > 0.0]))
+        if knots.size == 1:  # the whole table lies at x <= 0: flat from 0 on
+            knots = np.array([0.0, 1.0])
+        self._knots = knots
+        self._knot_values = self(t_grid[:, None], knots[None, :], extrapolate="flat")
+        cells = 0.5 * np.diff(knots) * (self._knot_values[:, 1:] + self._knot_values[:, :-1])
+        self._knot_integrals = np.zeros_like(self._knot_values)
+        np.cumsum(cells, axis=1, out=self._knot_integrals[:, 1:])
+
+    def _t_cell(self, t):
+        """Bracketing row index and linear weight of each t, clamped to the table."""
+        t = np.clip(t, self.t_grid[0], self.t_grid[-1])
+        it = np.clip(np.searchsorted(self.t_grid, t, side="right") - 1, 0, self.t_grid.size - 2)
+        wt = (t - self.t_grid[it]) / (self.t_grid[it + 1] - self.t_grid[it])
+        return it, wt
 
     def __call__(self, t, x, extrapolate: str = "error"):
         t = np.asarray(t, dtype=float)
@@ -142,10 +165,8 @@ class TabulatedVol:
             x = np.clip(x, self.x_grid[0], self.x_grid[-1])
         else:
             raise ValueError("extrapolate must be 'error' or 'flat'")
-        t = np.clip(t, self.t_grid[0], self.t_grid[-1])
-        it = np.clip(np.searchsorted(self.t_grid, t, side="right") - 1, 0, self.t_grid.size - 2)
+        it, wt = self._t_cell(t)
         ix = np.clip(np.searchsorted(self.x_grid, x, side="right") - 1, 0, self.x_grid.size - 2)
-        wt = (t - self.t_grid[it]) / (self.t_grid[it + 1] - self.t_grid[it])
         wx = (x - self.x_grid[ix]) / (self.x_grid[ix + 1] - self.x_grid[ix])
         v00 = self.values[it, ix]
         v01 = self.values[it, ix + 1]
@@ -155,13 +176,32 @@ class TabulatedVol:
         return out if out.ndim else float(out)
 
     def integral_in_x(self, t, x):
-        """Composite trapezoid of the interpolant from 0 to x (scalar x)."""
-        x = float(x)
-        lo = float(self.x_grid[0])
-        nodes = self.x_grid[(self.x_grid > lo) & (self.x_grid < x)]
-        pts = np.concatenate(([max(lo, 0.0)], nodes, [x])) if x > lo else np.array([lo, lo])
-        vals = self(np.full(pts.shape, t), pts, extrapolate="flat")
-        return float(np.trapezoid(vals, pts))
+        """integral_0^x sigma(t, y) dy for x >= 0, broadcasting t and x.
+
+        Exact for the interpolant: flat in x outside the table (below the
+        first column as well as beyond the last), linear in t between rows
+        and clamped outside them.  Scalar inputs give a float.
+        """
+        t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+        if np.any(x < 0.0):
+            raise ValueError("maturity integral needs x >= 0")
+        knots = self._knots
+        it, wt = self._t_cell(t)
+        inside = np.minimum(x, knots[-1])
+        k = np.minimum(np.searchsorted(knots, inside, side="right") - 1, knots.size - 2)
+        dx = inside - knots[k]
+        frac = dx / (knots[k + 1] - knots[k])
+        tail = np.maximum(x - knots[-1], 0.0)
+
+        def row_integral(r):
+            v0 = self._knot_values[r, k]
+            v1 = self._knot_values[r, k + 1]
+            partial = dx * (v0 + 0.5 * frac * (v1 - v0))
+            return self._knot_integrals[r, k] + partial + self._knot_values[r, -1] * tail
+
+        lower = row_integral(it)
+        out = lower + wt * (row_integral(it + 1) - lower)
+        return out if out.ndim else float(out)
 
 
 Factor = FlatVol | ExpDecayVol | TabulatedVol
@@ -208,8 +248,8 @@ def eval_vol(spec: VolatilitySpec, j: int, t, x, extrapolate: str = "error"):
 def integrated_vol(spec: VolatilitySpec, j: int, s, maturity):
     """integral_0^{T-s} sigma_j(s, x) dx for 0 <= s <= T.
 
-    Closed form for the built-in factors, composite trapezoid for tables.
-    Vanishes at s = T.
+    Closed form for the built-in factors; for tables exact for the
+    interpolant, which is piecewise linear in x.  Vanishes at s = T.
     """
     if not (1 <= j <= spec.dims):
         raise ValueError(f"factor index {j} outside 1..{spec.dims}")
@@ -219,13 +259,7 @@ def integrated_vol(spec: VolatilitySpec, j: int, s, maturity):
     if np.any(T_arr - s_arr < -1e-12):
         raise ValueError("need s <= T")
     span = np.maximum(T_arr - s_arr, 0.0)
-    if isinstance(factor, TabulatedVol):
-        s_b, span_b = np.broadcast_arrays(s_arr, span)
-        flat = [factor.integral_in_x(float(si), float(xi)) for si, xi in
-                zip(s_b.ravel(), span_b.ravel())]
-        out = np.array(flat).reshape(s_b.shape)
-        return out if out.ndim else float(out)
-    out = factor.integral_in_x(s_arr, span)
+    out = np.asarray(factor.integral_in_x(s_arr, span))
     return out if out.ndim else float(out)
 
 

@@ -130,6 +130,32 @@ def test_check_command(tmp_path, tmp_config):
     assert report["oscillation"]["frequencies"][0][1] == 1.0  # huge band
 
 
+def test_check_pairs_past_maturity_range_rejected(tmp_path, tmp_config):
+    # P(0, T) comes from the t = 0 curve, which ends at x_max = 1
+    cfg = smoke_config(check={"pairs": [[0.5, 1.5]]})
+    r = run_cli("check", str(tmp_config(cfg)), "--out", str(tmp_path / "c"), cwd=tmp_path)
+    assert r.returncode == 1
+    assert "config error" in r.stderr and "check.pairs" in r.stderr
+    assert not (tmp_path / "c" / "check_report.json").exists()
+
+
+def test_check_fails_on_non_finite_z(tmp_path):
+    from fhjm.cli import cmd_check
+    from fhjm.config import ExperimentConfig
+
+    cfg = ExperimentConfig.from_dict(smoke_config(
+        grids={"t_star": 1.0, "n_steps": 16, "x_max": 1.0, "m_steps": 16},
+        mc={"n_paths": 20, "seed": 3, "method": "cholesky", "batch_size": 20},
+        drift={"theta_cells": 32},
+    ))
+    # bypass validation: the target P(0, 1.5) lies past the t = 0 curve
+    cfg.check_block = {"pairs": [[0.5, 1.5]]}
+    _, ok = cmd_check(cfg, str(tmp_path))
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert not ok
+    assert report["quasi_martingale_pass"] is False
+
+
 def test_check_command_empty_block(tmp_path, tmp_config):
     cfg = smoke_config(check={})
     r = run_cli("check", str(tmp_config(cfg)), "--out", str(tmp_path / "c"), cwd=tmp_path)

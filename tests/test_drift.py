@@ -171,3 +171,20 @@ def test_market_price_of_risk_unspanned_target():
     shifted = DriftField(field.t_points, field.x_points, field.values + xg[None, :])
     _, residual, _ = solve_market_price_of_risk(spec, H75, shifted, 8, theta_cells=128)
     assert residual > 0.01
+
+
+def test_constant_table_drift_matches_flat_model():
+    # A constant table must reproduce the Ho-Lee field; the table covers
+    # neither t = 0 nor x = 0 nor the far maturities, so the clamped rows
+    # and both flat x-tails enter the maturity integrals.
+    from fhjm.hjm import drift_for_simulation, simulation_grids
+    from fhjm.vol import TabulatedVol
+
+    sigma = 0.013
+    tg, xg = simulation_grids(2.0, 16, 2.0, 16)
+    table = TabulatedVol([0.5, 1.0, 1.5], [0.25, 1.0, 2.5], np.full((3, 3), sigma))
+    with pytest.warns(RuntimeWarning, match="extrapolated flat"):
+        tab_field = drift_for_simulation(VolatilitySpec((table,)), H70, tg, xg, theta_cells=64)
+    flat_field = drift_for_simulation(ho_lee(sigma), H70, tg, xg, theta_cells=64)
+    assert tab_field.values[0].tolist() == [0.0] * tab_field.x_points.size
+    np.testing.assert_allclose(tab_field.values, flat_field.values, rtol=1e-12, atol=0)
