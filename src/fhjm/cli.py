@@ -8,12 +8,12 @@ Subcommands:
     fhjm consistency <config>   curve-family tangency verdicts (exit 0 either way)
     fhjm portfolio   <config>   strategy ledgers and summary statistics
 
-Common flags: ``--out DIR`` (or env FHJM_OUT_DIR), ``--seed``, ``--paths``,
-``--threads`` overrides.  Exit status: 0 on success, 1 on config errors,
+Common flags: ``--out DIR`` (or env FHJM_OUT_DIR), ``--seed`` and
+``--paths`` overrides.  Exit status: 0 on success, 1 on config errors,
 2 on runtime failures.  Every command writes ``manifest.json`` capturing
 the resolved config, its hash, the seed and library versions; rerunning
-the same config byte-reproduces every CSV regardless of ``--threads``
-(worker capping never reorders the fixed batch reduction).
+the same config byte-reproduces every output, whatever the batch size or
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import json
 import os
 import platform
 import sys
+from contextlib import ExitStack
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,105 +76,47 @@ def _build_drift(cfg: ExperimentConfig):
     from .hjm import drift_for_simulation
 
     tg, xg = cfg.grids()
-    return tg, xg, drift_for_simulation(
-        cfg.model, cfg.hurst, tg, xg, theta_cells=cfg.theta_cells
+    return drift_for_simulation(cfg.model, cfg.hurst, tg, xg, theta_cells=cfg.theta_cells)
+
+
+def _run(pipeline, cfg: ExperimentConfig, drift, maturities=None):
+    """The config's Monte Carlo batches from ``pipeline``.
+
+    ``pipeline`` is ``hjm.simulate_batches`` or its discounted projection
+    ``noarb.simulate_discounted_batches``.
+    """
+    tg, xg = cfg.grids()
+    return pipeline(
+        cfg.model, cfg.hurst, drift, cfg.build_initial_curve(), tg, xg,
+        n_paths=cfg.n_paths, seed=cfg.seed, maturities=maturities,
+        batch_size=cfg.batch_size, method=cfg.method,
     )
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: str) -> list:
-    from .fbm import BrownianDriver, generate_cholesky, generate_volterra, write_paths_csv
-    from .hjm import bond_surface, discounted_surface, money_account, simulate_forward
+    from .fbm import write_paths_csv
+    from .hjm import simulate_batches, write_bond_csv, write_forward_csv
 
-    tg, xg, drift = _build_drift(cfg)
-    init = cfg.build_initial_curve()
-    outputs = ["paths.csv", "forward.csv", "bonds.csv"]
-    fh_paths = open(os.path.join(out, "paths.csv"), "w")
-    fh_fwd = open(os.path.join(out, "forward.csv"), "w")
-    fh_bond = open(os.path.join(out, "bonds.csv"), "w")
-    try:
-        done = 0
-        first = True
-        while done < cfg.n_paths:
-            take = min(cfg.batch_size, cfg.n_paths - done)
-            if cfg.method == "cholesky":
-                paths = generate_cholesky(tg, cfg.model.dims, take, cfg.hurst,
-                                          cfg.seed, path_offset=done)
-            else:
-                driver = BrownianDriver.generate(tg, cfg.model.dims, take,
-                                                 cfg.seed, path_offset=done)
-                paths = generate_volterra(driver, cfg.hurst)
-            surface = simulate_forward(cfg.model, cfg.hurst, drift, init, paths, xg)
-            bonds = bond_surface(surface)
-            account = money_account(surface)
-            disc = discounted_surface(bonds, account)
-            if first:
-                write_paths_csv(paths, fh_paths)
-            else:
-                _append_paths(paths, fh_paths, done)
-            _write_forward_batch(surface, fh_fwd, done, header=first)
-            _write_bond_batch(disc, fh_bond, done, header=first)
-            first = False
-            done += take
-    finally:
-        fh_paths.close()
-        fh_fwd.close()
-        fh_bond.close()
-    return outputs
-
-
-def _append_paths(paths, fileobj, offset: int) -> None:
-    import csv
-
-    writer = csv.writer(fileobj, lineterminator="\n")
-    pts = paths.grid.points
-    for p in range(paths.n_paths):
-        for j in range(paths.dims):
-            for k, t in enumerate(pts):
-                writer.writerow(
-                    [offset + p, j + 1, f"{t:.17g}", f"{paths.samples[p, j, k]:.17g}"]
-                )
-
-
-def _write_forward_batch(surface, fileobj, offset: int, header: bool) -> None:
-    import csv
-
-    writer = csv.writer(fileobj, lineterminator="\n")
-    if header:
-        writer.writerow(["path_id", "t", "x", "r"])
-    tp = surface.t_grid.points
-    xp = surface.x_grid.points
-    for p in range(surface.n_paths):
-        for i, t in enumerate(tp):
-            for k, x in enumerate(xp):
-                writer.writerow(
-                    [offset + p, f"{t:.17g}", f"{x:.17g}", f"{surface.rates[p, i, k]:.17g}"]
-                )
-
-
-def _write_bond_batch(bonds, fileobj, offset: int, header: bool) -> None:
-    import csv
-
-    writer = csv.writer(fileobj, lineterminator="\n")
-    if header:
-        writer.writerow(["path_id", "t", "T", "P", "Z"])
-    tp = bonds.t_grid.points
-    for p in range(bonds.n_paths):
-        for i, t in enumerate(tp):
-            for m_i, mat in enumerate(bonds.maturities):
-                price = bonds.prices[p, i, m_i]
-                if np.isnan(price):
-                    continue
-                z = f"{bonds.discounted[p, i, m_i]:.17g}"
-                writer.writerow(
-                    [offset + p, f"{t:.17g}", f"{mat:.17g}", f"{price:.17g}", z]
-                )
+    batches = _run(simulate_batches, cfg, _build_drift(cfg))
+    with (
+        open(os.path.join(out, "paths.csv"), "w") as fh_paths,
+        open(os.path.join(out, "forward.csv"), "w") as fh_fwd,
+        open(os.path.join(out, "bonds.csv"), "w") as fh_bond,
+    ):
+        for offset, paths, surface, discounted in batches:
+            first = offset == 0
+            write_paths_csv(paths, fh_paths, offset=offset, header=first)
+            write_forward_csv(surface, fh_fwd, offset=offset, header=first)
+            write_bond_csv(discounted, fh_bond, offset=offset, header=first)
+            del paths, surface, discounted  # freed before the next batch is built
+    return ["paths.csv", "forward.csv", "bonds.csv"]
 
 
 def cmd_drift(cfg: ExperimentConfig, out: str) -> list:
     from .drift import ho_lee_drift, hull_white_drift, write_drift_csv
     from .vol import ExpDecayVol, FlatVol
 
-    tg, xg, drift = _build_drift(cfg)
+    drift = _build_drift(cfg)
     with open(os.path.join(out, "drift.csv"), "w") as fh:
         write_drift_csv(drift, fh)
     summary = {"rows": int(drift.values.shape[0]), "columns": int(drift.values.shape[1])}
@@ -209,8 +153,7 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
             json.dump({}, fh, indent=2)
         return ["check_report.json"], True
 
-    tg, xg, drift = _build_drift(cfg)
-    init = cfg.build_initial_curve()
+    drift = _build_drift(cfg)
 
     if pairs:
         maturities = sorted({T for _, T in pairs})
@@ -222,12 +165,10 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
         report["drift_identity_pass"] = bool(gap <= 1e-6)
         ok = ok and report["drift_identity_pass"]
 
-        batches = simulate_discounted_batches(
-            cfg.model, cfg.hurst, drift, init, tg, xg,
-            n_paths=cfg.n_paths, seed=cfg.seed, maturities=maturities,
-            batch_size=cfg.batch_size, method=cfg.method,
+        qm = check_quasi_martingale(
+            _run(simulate_discounted_batches, cfg, drift, maturities),
+            cfg.model, cfg.hurst, pairs, drift=drift,
         )
-        qm = check_quasi_martingale(batches, cfg.model, cfg.hurst, pairs, drift=drift)
         report["quasi_martingale"] = json.loads(qm.to_json())
         report["quasi_martingale_pass"] = bool(
             np.all(np.isfinite(qm.z_scores)) and qm.n_exceeding(3.0) <= 1
@@ -237,12 +178,9 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
     if osc:
         taus = [float(t) for t in osc.get("taus", [0.0])]
         thresholds = [float(k) for k in osc.get("thresholds", [0.05])]
-        batches = simulate_discounted_batches(
-            cfg.model, cfg.hurst, drift, init, tg, xg,
-            n_paths=cfg.n_paths, seed=cfg.seed, maturities=None,
-            batch_size=cfg.batch_size, method=cfg.method,
+        probe = oscillation_probe(
+            _run(simulate_discounted_batches, cfg, drift), thresholds, taus
         )
-        probe = oscillation_probe(batches, thresholds, taus)
         report["oscillation"] = json.loads(probe.to_json())
 
     with open(os.path.join(out, "check_report.json"), "w") as fh:
@@ -292,90 +230,63 @@ def cmd_consistency(cfg: ExperimentConfig, out: str) -> list:
 
 
 def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
+    from .hjm import simulate_batches
     from .ledger import (
         integration_by_parts_check,
         liquidation_value,
         total_variation,
         write_ledger_csv,
     )
-    from .noarb import simulate_discounted_batches
 
     if not cfg.strategies:
         raise ConfigError("portfolio command needs a 'strategies' block")
-    tg, xg, drift = _build_drift(cfg)
-    init = cfg.build_initial_curve()
-    surfaces = list(
-        simulate_discounted_batches(
-            cfg.model, cfg.hurst, drift, init, tg, xg,
-            n_paths=cfg.n_paths, seed=cfg.seed, maturities=None,
-            batch_size=cfg.batch_size, method=cfg.method,
-        )
-    )
-    outputs = []
-    summary = {}
-    for s_i, block in enumerate(cfg.strategies):
-        strategy = cfg.build_strategy(block)
-        name = block.get("name", f"strategy_{s_i}")
-        fname = f"ledger_{name}.csv"
-        outputs.append(fname)
-        finals = {f"{k:g}": [] for k in cfg.cost_levels}
-        residuals = []
-        floors = []
-        with open(os.path.join(out, fname), "w") as fh:
-            wrote_header = False
-            offset = 0
-            for surface in surfaces:
+    names = [block.get("name", f"strategy_{s_i}") for s_i, block in enumerate(cfg.strategies)]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"strategies need distinct names, got {names}")
+    strategies = [cfg.build_strategy(block) for block in cfg.strategies]
+    finals = [{f"{k:g}": [] for k in cfg.cost_levels} for _ in names]
+    residuals = [[] for _ in names]
+    floors = [[] for _ in names]
+    outputs = [f"ledger_{name}.csv" for name in names]
+    # only the offset and the discounted surface are kept while the next batch is built
+    batches = map(itemgetter(0, 3), _run(simulate_batches, cfg, _build_drift(cfg)))
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(os.path.join(out, f), "w")) for f in outputs]
+        for offset, surface in batches:
+            for s_i, (strategy, fh) in enumerate(zip(strategies, files)):
                 for p in range(surface.n_paths):
-                    residuals.append(integration_by_parts_check(strategy, surface, path=p))
+                    residuals[s_i].append(integration_by_parts_check(strategy, surface, path=p))
                     for k in cfg.cost_levels:
                         res = liquidation_value(strategy, surface, k=k, path=p)
-                        finals[f"{k:g}"].append(float(res.final_values()[0]))
+                        finals[s_i][f"{k:g}"].append(float(res.final_values()[0]))
                         if k == cfg.cost_levels[-1]:
-                            floors.append(float(res.admissibility_floor()[0]))
-                            if not wrote_header:
-                                write_ledger_csv(res, fh, path_id=offset + p)
-                                wrote_header = True
-                            else:
-                                _append_ledger(res, fh, offset + p)
-                offset += surface.n_paths
-        finals_np = {k: np.array(v) for k, v in finals.items()}
+                            floors[s_i].append(float(res.admissibility_floor()[0]))
+                            write_ledger_csv(
+                                res, fh, offset=offset + p, header=offset + p == 0
+                            )
+            del surface  # freed before the next batch is built
+    summary = {}
+    for s_i, name in enumerate(names):
         summary[name] = {
-            "total_variation": total_variation(strategy),
-            "ibp_residual_max": float(np.max(residuals)),
+            "total_variation": total_variation(strategies[s_i]),
+            "ibp_residual_max": float(np.max(residuals[s_i])),
             "admissibility_violations": int(
-                np.sum(np.array(floors) < -cfg.admissibility_bound)
+                np.sum(np.array(floors[s_i]) < -cfg.admissibility_bound)
             ),
             "final_value": {
                 k: {
-                    "mean": float(v.mean()),
+                    "mean": float(np.mean(v)),
                     "q05": float(np.quantile(v, 0.05)),
                     "q50": float(np.quantile(v, 0.50)),
                     "q95": float(np.quantile(v, 0.95)),
                 }
-                for k, v in finals_np.items()
+                for k, v in finals[s_i].items()
             },
         }
     with open(os.path.join(out, "portfolio_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     outputs.append("portfolio_summary.json")
     return outputs
-
-
-def _append_ledger(result, fileobj, path_id: int) -> None:
-    import csv
-
-    writer = csv.writer(fileobj, lineterminator="\n")
-    for i, t in enumerate(result.times):
-        writer.writerow(
-            [
-                path_id,
-                f"{t:.17g}",
-                f"{result.gains[0, i]:.17g}",
-                f"{result.k * result.costs[0, i]:.17g}",
-                f"{result.k * result.liquidation[0, i]:.17g}",
-                f"{result.value[0, i]:.17g}",
-            ]
-        )
 
 
 def main(argv=None) -> int:
@@ -390,10 +301,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory (or env FHJM_OUT_DIR)")
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
         p.add_argument("--paths", type=int, default=None, help="override mc.n_paths")
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="cap worker threads (results are identical for any value)",
-        )
     args = parser.parse_args(argv)
 
     try:

@@ -35,6 +35,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from .hjm import simulation_grids
 from .kernels import HurstParam
 from .ledger import DiscreteMeasure, Gate, Strategy, StrategyLeg
 from .vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec
@@ -49,6 +50,14 @@ class ConfigError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _coerce(kind, value, key: str):
+    """``kind(value)`` (``int`` or ``float``), or a ConfigError naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
 def _build_factor(obj: dict):
@@ -94,7 +103,7 @@ class ExperimentConfig:
         _require(isinstance(raw, dict), "config root must be a JSON object")
         _require("model" in raw, "config needs a 'model' block")
         _require("hurst" in raw, "config needs 'hurst'")
-        h = float(raw["hurst"])
+        h = _coerce(float, raw["hurst"], "hurst")
         _require(0.5 < h < 1.0, f"hurst must lie in (0.5, 1), got {h}")
 
         model_block = raw["model"]
@@ -105,16 +114,14 @@ class ExperimentConfig:
         model = VolatilitySpec(factors=factors)
 
         grids = raw.get("grids", {})
-        t_star = float(grids.get("t_star", 1.0))
-        n_steps = int(grids.get("n_steps", 64))
-        x_max = float(grids.get("x_max", t_star))
-        m_steps = int(grids.get("m_steps", n_steps))
-        _require(t_star > 0 and x_max > 0, "grid horizons must be positive")
-        _require(n_steps >= 1 and m_steps >= 1, "grid steps must be >= 1")
-        _require(
-            abs(t_star / n_steps - x_max / m_steps) < 1e-9 * (t_star / n_steps),
-            "grids must be aligned: t_star/n_steps == x_max/m_steps",
-        )
+        t_star = _coerce(float, grids.get("t_star", 1.0), "grids.t_star")
+        n_steps = _coerce(int, grids.get("n_steps", 64), "grids.n_steps")
+        x_max = _coerce(float, grids.get("x_max", t_star), "grids.x_max")
+        m_steps = _coerce(int, grids.get("m_steps", n_steps), "grids.m_steps")
+        try:
+            simulation_grids(t_star, n_steps, x_max, m_steps)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
         init = raw.get("initial_curve", {"type": "flat", "rate": 0.0})
         _require(init.get("type") in ("flat", "table"), "initial_curve type must be flat|table")
@@ -124,15 +131,17 @@ class ExperimentConfig:
             _require("x" in init and "value" in init, "table initial curve needs x/value")
 
         mc = raw.get("mc", {})
-        n_paths = int(mc.get("n_paths", 100))
+        n_paths = _coerce(int, mc.get("n_paths", 100), "mc.n_paths")
         _require(n_paths >= 1, "mc.n_paths must be >= 1")
-        seed = int(mc.get("seed", 0))
+        seed = _coerce(int, mc.get("seed", 0), "mc.seed")
         method = str(mc.get("method", "cholesky"))
         _require(method in ("cholesky", "volterra"), "mc.method must be cholesky|volterra")
-        batch_size = int(mc.get("batch_size", 2000))
+        batch_size = _coerce(int, mc.get("batch_size", 2000), "mc.batch_size")
         _require(batch_size >= 1, "mc.batch_size must be >= 1")
 
-        theta_cells = int(raw.get("drift", {}).get("theta_cells", 512))
+        theta_cells = _coerce(
+            int, raw.get("drift", {}).get("theta_cells", 512), "drift.theta_cells"
+        )
         _require(theta_cells >= 16, "drift.theta_cells must be >= 16")
 
         check_block = raw.get("check", {})
@@ -147,9 +156,11 @@ class ExperimentConfig:
         for s in strategies:
             _require("legs" in s and s["legs"], "each strategy needs non-empty 'legs'")
         costs = raw.get("costs", {})
-        cost_levels = [float(k) for k in costs.get("k", [0.01])]
+        cost_levels = [_coerce(float, k, "costs.k") for k in costs.get("k", [0.01])]
         _require(all(k >= 0 for k in cost_levels), "cost levels must be nonnegative")
-        admissibility = float(costs.get("admissibility_bound", 10.0))
+        admissibility = _coerce(
+            float, costs.get("admissibility_bound", 10.0), "costs.admissibility_bound"
+        )
 
         consistency_block = raw.get("consistency", {})
         if consistency_block:
@@ -182,8 +193,6 @@ class ExperimentConfig:
     # -- derived objects ---------------------------------------------------
 
     def grids(self):
-        from .hjm import simulation_grids
-
         return simulation_grids(self.t_star, self.n_steps, self.x_max, self.m_steps)
 
     def build_initial_curve(self):

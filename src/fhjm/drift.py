@@ -27,11 +27,11 @@ least-squares market-price-of-risk inversion.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_rows
 from .kernels import (
     HurstParam,
     cov_segment_integral,
@@ -132,8 +132,8 @@ def drift_field(
     x_points = np.asarray(x_points, dtype=float)
     n = t_points.size - 1
     values = np.zeros((n + 1, x_points.size))
-    warned = any(isinstance(f, TabulatedVol) for f in spec.factors)
-    if warned:
+    reach = x_points[-1] + t_points[-1]  # largest maturity argument, x + t
+    if any(isinstance(f, TabulatedVol) and reach > f.x_grid[-1] + 1e-12 for f in spec.factors):
         import warnings
 
         warnings.warn(
@@ -378,8 +378,4 @@ def solve_market_price_of_risk(
 
 def write_drift_csv(field: DriftField, fileobj) -> None:
     """Rows (t, x, value), fixed order, 17 significant digits."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["t", "x", "value"])
-    for i, t in enumerate(field.t_points):
-        for k, x in enumerate(field.x_points):
-            writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{field.values[i, k]:.17g}"])
+    write_rows(fileobj, ["t", "x", "value"], field.t_points, (field.x_points,), [field.values])

@@ -17,17 +17,17 @@ seed reproducibility):
 Per-path randomness comes from counter-keyed substreams: path ``p`` draws
 from ``default_rng(SeedSequence((seed, p)))``, so a given path is identical
 no matter how many paths are requested, in what order, or how work is
-batched across workers.
+batched.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import write_rows
 from .kernels import (
     HurstParam,
     calibrate_kernel_scale,
@@ -196,10 +196,13 @@ def generate_cholesky(
     gram = _increment_gram(grid, hurst)
     lower = _cholesky_with_jitter(gram)
     n = grid.n_steps
-    samples = np.zeros((n_paths, dims, n + 1))
+    z = np.empty((n_paths, dims, n))
     for p in range(n_paths):
-        z = _path_rng(seed, path_offset + p).standard_normal((dims, n))
-        samples[p, :, 1:] = np.cumsum(z @ lower.T, axis=1)
+        z[p] = _path_rng(seed, path_offset + p).standard_normal((dims, n))
+    samples = np.zeros((n_paths, dims, n + 1))
+    # a stacked product, not one flat GEMM, keeps every path bitwise equal to
+    # its own (dims, n) product whatever the batch
+    samples[:, :, 1:] = np.cumsum(z @ lower.T, axis=2)
     return FbmPathSet(
         grid=grid, dims=int(dims), n_paths=int(n_paths), samples=samples,
         seed=int(seed), method="cholesky",
@@ -275,12 +278,13 @@ def generate_polygonal(
     )
 
 
-def write_paths_csv(paths: FbmPathSet, fileobj) -> None:
-    """Write paths as rows (path_id, component, t, value), 17 significant digits."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["path_id", "component", "t", "value"])
-    pts = paths.grid.points
-    for p in range(paths.n_paths):
-        for j in range(paths.dims):
-            for k, t in enumerate(pts):
-                writer.writerow([p, j + 1, f"{t:.17g}", f"{paths.samples[p, j, k]:.17g}"])
+def write_paths_csv(paths: FbmPathSet, fileobj, offset: int = 0, header: bool = True) -> None:
+    """Write paths as rows (path_id, component, t, value), 17 significant digits.
+
+    Path ids start at ``offset``; ``header=False`` appends a later batch.
+    """
+    write_rows(
+        fileobj, ["path_id", "component", "t", "value"], range(offset, offset + paths.n_paths),
+        (range(1, paths.dims + 1), paths.grid.points),
+        [paths.samples.reshape(paths.n_paths, -1)], write_header=header,
+    )

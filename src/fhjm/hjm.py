@@ -31,13 +31,13 @@ an independent oracle for the surface-integration route.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_rows
 from .drift import DriftField
-from .fbm import FbmPathSet, TimeGrid
+from .fbm import BrownianDriver, FbmPathSet, TimeGrid, generate_cholesky, generate_volterra
 from .kernels import HurstParam
 from .vol import MaturityGrid, VolatilitySpec, eval_vol, integrated_vol
 
@@ -51,6 +51,7 @@ __all__ = [
     "bond_surface",
     "money_account",
     "discounted_surface",
+    "simulate_batches",
     "closed_form_bond",
     "write_forward_csv",
     "write_bond_csv",
@@ -161,8 +162,7 @@ def drift_for_simulation(
 def _check_sim_inputs(spec, drift, init, paths, x_grid):
     tg = paths.grid
     n, m = tg.n_steps, x_grid.m_steps
-    if abs(tg.dt - x_grid.dx) > 1e-9 * tg.dt:
-        raise ValueError("time and maturity grids must share their spacing")
+    simulation_grids(tg.t_star, n, x_grid.x_max, m)  # raises unless the grids align
     if drift.values.shape[0] != n + 1 or drift.values.shape[1] < n + m + 1:
         raise ValueError(
             "drift field must cover the t-grid and the extended maturity range"
@@ -295,6 +295,43 @@ def discounted_surface(bonds: BondSurface, account: np.ndarray) -> BondSurface:
     )
 
 
+def simulate_batches(
+    spec: VolatilitySpec,
+    hurst: HurstParam,
+    drift: DriftField,
+    init: InitialCurve,
+    t_grid: TimeGrid,
+    x_grid: MaturityGrid,
+    n_paths: int,
+    seed: int,
+    maturities=None,
+    batch_size: int = 1000,
+    method: str = "cholesky",
+):
+    """Generator of ``(offset, paths, surface, discounted)`` batches.
+
+    Each batch runs generate -> simulate -> bond prices -> money account ->
+    discount; ``offset`` is the global number of its first path and
+    ``method`` picks the path generator (``cholesky`` or ``volterra``).
+    Per-path substreams are indexed by the global path number, so the
+    yielded paths are identical for any batch size.  Memory stays bounded
+    by the batch, which is what makes 1e5-path panels feasible, provided
+    the caller drops a batch before asking for the next one.
+    """
+    for offset in range(0, n_paths, batch_size):
+        take = min(batch_size, n_paths - offset)
+        if method == "cholesky":
+            paths = generate_cholesky(t_grid, spec.dims, take, hurst, seed, path_offset=offset)
+        elif method == "volterra":
+            driver = BrownianDriver.generate(t_grid, spec.dims, take, seed, path_offset=offset)
+            paths = generate_volterra(driver, hurst)
+        else:
+            raise ValueError(f"unknown generation method {method!r}")
+        surface = simulate_forward(spec, hurst, drift, init, paths, x_grid)
+        bonds = bond_surface(surface, maturities=maturities)
+        yield offset, paths, surface, discounted_surface(bonds, money_account(surface))
+
+
 def closed_form_bond(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -373,30 +410,31 @@ def closed_form_bond(
     return BondSurface(t_grid=tg, maturities=mats, prices=prices)
 
 
-def write_forward_csv(surface: ForwardSurface, fileobj) -> None:
-    """Rows (path_id, t, x, r), 17 significant digits."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["path_id", "t", "x", "r"])
-    tp = surface.t_grid.points
-    xp = surface.x_grid.points
-    for p in range(surface.n_paths):
-        for i, t in enumerate(tp):
-            for k, x in enumerate(xp):
-                writer.writerow(
-                    [p, f"{t:.17g}", f"{x:.17g}", f"{surface.rates[p, i, k]:.17g}"]
-                )
+def write_forward_csv(
+    surface: ForwardSurface, fileobj, offset: int = 0, header: bool = True
+) -> None:
+    """Rows (path_id, t, x, r), 17 significant digits.
+
+    Path ids start at ``offset``; ``header=False`` appends a later batch.
+    """
+    n = surface.n_paths
+    write_rows(
+        fileobj, ["path_id", "t", "x", "r"], range(offset, offset + n),
+        (surface.t_grid.points, surface.x_grid.points), [surface.rates.reshape(n, -1)],
+        write_header=header,
+    )
 
 
-def write_bond_csv(bonds: BondSurface, fileobj) -> None:
-    """Rows (path_id, t, T, P, Z); Z empty when no discounting was applied."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["path_id", "t", "T", "P", "Z"])
-    tp = bonds.t_grid.points
-    for p in range(bonds.n_paths):
-        for i, t in enumerate(tp):
-            for m_i, mat in enumerate(bonds.maturities):
-                price = bonds.prices[p, i, m_i]
-                if np.isnan(price):
-                    continue
-                z = "" if bonds.discounted is None else f"{bonds.discounted[p, i, m_i]:.17g}"
-                writer.writerow([p, f"{t:.17g}", f"{mat:.17g}", f"{price:.17g}", z])
+def write_bond_csv(bonds: BondSurface, fileobj, offset: int = 0, header: bool = True) -> None:
+    """Rows (path_id, t, T, P, Z); Z empty when no discounting was applied.
+
+    Only (t, T) cells priced on some path are written: t > T, and T - t
+    past the maturity grid, have no price.
+    """
+    n = bonds.n_paths
+    z = None if bonds.discounted is None else bonds.discounted.reshape(n, -1)
+    write_rows(
+        fileobj, ["path_id", "t", "T", "P", "Z"], range(offset, offset + n),
+        (bonds.t_grid.points, bonds.maturities), [bonds.prices.reshape(n, -1), z],
+        write_header=header, keep=~np.isnan(bonds.prices).all(axis=0).ravel(),
+    )

@@ -24,11 +24,11 @@ resolution).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import write_rows
 from .hjm import BondSurface
 
 __all__ = [
@@ -308,18 +308,14 @@ def integration_by_parts_check(
     return residual
 
 
-def write_ledger_csv(result: LedgerResult, fileobj, path_id: int = 0) -> None:
-    """Rows (path_id, t, gains, cost, liquidation, V), 17 significant digits."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["path_id", "t", "gains", "cost", "liquidation", "V"])
-    for i, t in enumerate(result.times):
-        writer.writerow(
-            [
-                path_id,
-                f"{t:.17g}",
-                f"{result.gains[0, i]:.17g}",
-                f"{result.k * result.costs[0, i]:.17g}",
-                f"{result.k * result.liquidation[0, i]:.17g}",
-                f"{result.value[0, i]:.17g}",
-            ]
-        )
+def write_ledger_csv(result: LedgerResult, fileobj, offset: int = 0, header: bool = True) -> None:
+    """Rows (path_id, t, gains, cost, liquidation, V), 17 significant digits.
+
+    Path ids start at ``offset``; ``header=False`` appends a later ledger.
+    """
+    write_rows(
+        fileobj, ["path_id", "t", "gains", "cost", "liquidation", "V"],
+        range(offset, offset + result.value.shape[0]), (result.times,),
+        [result.gains, result.k * result.costs, result.k * result.liquidation, result.value],
+        write_header=header,
+    )

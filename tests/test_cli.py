@@ -60,8 +60,9 @@ def test_simulate_smoke_under_ten_seconds(tmp_path, tmp_config):
 
 def test_simulate_byte_identical_and_thread_invariant(tmp_path, tmp_config):
     path = tmp_config(smoke_config())
-    for out, extra in (("a", []), ("b", []), ("c", ["--threads", "4"])):
-        r = run_cli("simulate", str(path), "--out", str(tmp_path / out), *extra, cwd=tmp_path)
+    for out, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+        r = run_cli("simulate", str(path), "--out", str(tmp_path / out), cwd=tmp_path,
+                    extra_env={"OPENBLAS_NUM_THREADS": threads})
         assert r.returncode == 0, r.stderr
     for name in ("paths.csv", "forward.csv", "bonds.csv"):
         a = (tmp_path / "a" / name).read_bytes()
@@ -87,6 +88,39 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config):
 
     r4 = run_cli("simulate", str(tmp_path / "missing.json"), "--out", str(tmp_path), cwd=tmp_path)
     assert r4.returncode == 1
+
+    # values of the wrong type name their key instead of ending in a traceback
+    typed = (
+        ("hurst", smoke_config(hurst="abc")),
+        ("mc.n_paths", smoke_config(mc={"n_paths": "x"})),
+        ("grids.n_steps", smoke_config(grids={"n_steps": None})),
+    )
+    for i, (key, cfg) in enumerate(typed):
+        r = run_cli("simulate", str(tmp_config(cfg, f"typed{i}.json")), "--out", str(tmp_path),
+                    cwd=tmp_path)
+        assert r.returncode == 1
+        assert "config error" in r.stderr and key in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_outputs_independent_of_batch_size(tmp_path):
+    config = json.loads((REPO / "demos" / "configs" / "smoke.json").read_text())
+    for batch in (7, 20):
+        config["mc"]["batch_size"] = batch
+        path = tmp_path / f"batch{batch}.json"
+        path.write_text(json.dumps(config))
+        for command in ("simulate", "check", "portfolio"):
+            r = run_cli(command, str(path), "--paths", "20",
+                        "--out", str(tmp_path / f"{command}{batch}"), cwd=tmp_path)
+            assert r.returncode == 0, r.stderr
+    for command in ("simulate", "check", "portfolio"):
+        small, whole = tmp_path / f"{command}7", tmp_path / f"{command}20"
+        names = sorted(p.name for p in whole.iterdir())
+        assert names == sorted(p.name for p in small.iterdir())
+        # manifest.json records the config, whose batch_size differs by design
+        for name in names:
+            if name != "manifest.json":
+                assert (small / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_drift_command_error_summaries(tmp_path, tmp_config):
@@ -217,6 +251,14 @@ def test_portfolio_requires_strategies(tmp_path, tmp_config):
     cfg = smoke_config()
     r = run_cli("portfolio", str(tmp_config(cfg)), "--out", str(tmp_path / "p"), cwd=tmp_path)
     assert r.returncode == 1
+
+    # every strategy's ledger file is open at once, so names must differ
+    leg = {"from": 0.0, "to": 1.0, "atoms": [{"T": 1.0, "w": 1.0}]}
+    cfg["strategies"] = [{"name": "a", "legs": [leg]}, {"name": "a", "legs": [leg]}]
+    r2 = run_cli("portfolio", str(tmp_config(cfg, "dup.json")), "--out", str(tmp_path / "p"),
+                 cwd=tmp_path)
+    assert r2.returncode == 1
+    assert "config error" in r2.stderr and "distinct names" in r2.stderr
 
 
 def test_output_directory_env_var(tmp_path, tmp_config):

@@ -188,3 +188,21 @@ def test_constant_table_drift_matches_flat_model():
     flat_field = drift_for_simulation(ho_lee(sigma), H70, tg, xg, theta_cells=64)
     assert tab_field.values[0].tolist() == [0.0] * tab_field.x_points.size
     np.testing.assert_allclose(tab_field.values, flat_field.values, rtol=1e-12, atol=0)
+
+
+def test_table_covering_every_argument_does_not_warn():
+    # shaped like a table that spans x <= x_max + 2 t_star, the largest x + t
+    # the simulation drift asks for: nothing is extrapolated, so no warning
+    import warnings
+
+    from fhjm.hjm import drift_for_simulation, simulation_grids
+    from fhjm.vol import TabulatedVol
+
+    tg, xg = simulation_grids(2.0, 16, 2.0, 16)
+    t_grid = [0.25 * i for i in range(9)]
+    x_grid = [0.375 * i for i in range(17)]
+    table = TabulatedVol(t_grid, x_grid, [[0.01 + 0.001 * t + 0.0005 * x for x in x_grid]
+                                          for t in t_grid])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drift_for_simulation(VolatilitySpec((table,)), H70, tg, xg, theta_cells=64)

@@ -61,14 +61,15 @@ def test_cholesky_statistics():
 
 def test_cholesky_determinism_and_substreams():
     grid = TimeGrid(1.0, 32)
-    one = generate_cholesky(grid, 1, 1, H75, seed=9)
-    again = generate_cholesky(grid, 1, 1, H75, seed=9)
-    many = generate_cholesky(grid, 1, 8, H75, seed=9)
-    assert np.array_equal(one.samples, again.samples)
-    assert np.array_equal(one.samples[0], many.samples[0])
-    # path_offset reproduces the tail of a larger draw
-    tail = generate_cholesky(grid, 1, 5, H75, seed=9, path_offset=3)
-    assert np.array_equal(many.samples[3:], tail.samples)
+    for dims in (1, 2):
+        one = generate_cholesky(grid, dims, 1, H75, seed=9)
+        again = generate_cholesky(grid, dims, 1, H75, seed=9)
+        many = generate_cholesky(grid, dims, 8, H75, seed=9)
+        assert np.array_equal(one.samples, again.samples)
+        assert np.array_equal(one.samples[0], many.samples[0])
+        # path_offset reproduces the tail of a larger draw
+        tail = generate_cholesky(grid, dims, 5, H75, seed=9, path_offset=3)
+        assert np.array_equal(many.samples[3:], tail.samples)
 
 
 def test_cholesky_step_budget():

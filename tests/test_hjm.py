@@ -200,3 +200,15 @@ def test_two_oracle_agreement_and_refinement():
         devs[n] = np.abs(direct.prices[mask] / cf.prices[mask] - 1).max()
     assert devs[512] < 1e-3
     assert devs[512] < devs[128]
+
+
+def test_forward_csv_rejects_non_finite_rates():
+    import io
+
+    from fhjm.hjm import ForwardSurface, write_forward_csv
+
+    rates = np.full((2, 3, 3), 0.03)
+    rates[1, 2, 1] = np.nan
+    surface = ForwardSurface(TimeGrid(1.0, 2), MaturityGrid(1.0, 2), rates)
+    with pytest.raises(ValueError, match="'r'"):
+        write_forward_csv(surface, io.StringIO())
