@@ -254,24 +254,21 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
         files = [stack.enter_context(open(os.path.join(out, f), "w")) for f in outputs]
         for offset, surface in batches:
             for s_i, (strategy, fh) in enumerate(zip(strategies, files)):
-                for p in range(surface.n_paths):
-                    residuals[s_i].append(integration_by_parts_check(strategy, surface, path=p))
-                    for k in cfg.cost_levels:
-                        res = liquidation_value(strategy, surface, k=k, path=p)
-                        finals[s_i][f"{k:g}"].append(float(res.final_values()[0]))
-                        if k == cfg.cost_levels[-1]:
-                            floors[s_i].append(float(res.admissibility_floor()[0]))
-                            write_ledger_csv(
-                                res, fh, offset=offset + p, header=offset + p == 0
-                            )
+                residuals[s_i].append(integration_by_parts_check(strategy, surface))
+                for k in cfg.cost_levels:
+                    res = liquidation_value(strategy, surface, k=k)
+                    finals[s_i][f"{k:g}"].append(res.final_values())
+                floors[s_i].append(res.admissibility_floor())
+                write_ledger_csv(res, fh, offset=offset, header=offset == 0)
             del surface  # freed before the next batch is built
     summary = {}
     for s_i, name in enumerate(names):
+        values = {k: np.concatenate(v) for k, v in finals[s_i].items()}
         summary[name] = {
             "total_variation": total_variation(strategies[s_i]),
-            "ibp_residual_max": float(np.max(residuals[s_i])),
+            "ibp_residual_max": float(np.max(np.concatenate(residuals[s_i]))),
             "admissibility_violations": int(
-                np.sum(np.array(floors[s_i]) < -cfg.admissibility_bound)
+                np.sum(np.concatenate(floors[s_i]) < -cfg.admissibility_bound)
             ),
             "final_value": {
                 k: {
@@ -280,7 +277,7 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
                     "q50": float(np.quantile(v, 0.50)),
                     "q95": float(np.quantile(v, 0.95)),
                 }
-                for k, v in finals[s_i].items()
+                for k, v in values.items()
             },
         }
     with open(os.path.join(out, "portfolio_summary.json"), "w") as fh:

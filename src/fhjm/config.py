@@ -60,6 +60,18 @@ def _coerce(kind, value, key: str):
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
+def _typed(value, kind: type, key: str):
+    """``value`` when it is a ``kind`` (dict or list), or a ConfigError naming ``key``."""
+    name = "an object" if kind is dict else "a list"
+    _require(isinstance(value, kind), f"{key} must be {name}, got {value!r}")
+    return value
+
+
+def _numbers(value, key: str) -> list:
+    """``value`` as a list of floats, or a ConfigError naming ``key``."""
+    return [_coerce(float, v, key) for v in _typed(value, list, key)]
+
+
 def _build_factor(obj: dict):
     _require(isinstance(obj, dict), "factor spec must be an object")
     kind = obj.get("type")
@@ -113,7 +125,7 @@ class ExperimentConfig:
             factors = (_build_factor(model_block),)
         model = VolatilitySpec(factors=factors)
 
-        grids = raw.get("grids", {})
+        grids = _typed(raw.get("grids", {}), dict, "grids")
         t_star = _coerce(float, grids.get("t_star", 1.0), "grids.t_star")
         n_steps = _coerce(int, grids.get("n_steps", 64), "grids.n_steps")
         x_max = _coerce(float, grids.get("x_max", t_star), "grids.x_max")
@@ -124,13 +136,17 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
         init = raw.get("initial_curve", {"type": "flat", "rate": 0.0})
+        _typed(init, dict, "initial_curve")
         _require(init.get("type") in ("flat", "table"), "initial_curve type must be flat|table")
         if init["type"] == "flat":
             _require("rate" in init, "flat initial curve needs 'rate'")
+            _coerce(float, init["rate"], "initial_curve.rate")
         else:
             _require("x" in init and "value" in init, "table initial curve needs x/value")
+            _numbers(init["x"], "initial_curve.x")
+            _numbers(init["value"], "initial_curve.value")
 
-        mc = raw.get("mc", {})
+        mc = _typed(raw.get("mc", {}), dict, "mc")
         n_paths = _coerce(int, mc.get("n_paths", 100), "mc.n_paths")
         _require(n_paths >= 1, "mc.n_paths must be >= 1")
         seed = _coerce(int, mc.get("seed", 0), "mc.seed")
@@ -140,29 +156,35 @@ class ExperimentConfig:
         _require(batch_size >= 1, "mc.batch_size must be >= 1")
 
         theta_cells = _coerce(
-            int, raw.get("drift", {}).get("theta_cells", 512), "drift.theta_cells"
+            int, _typed(raw.get("drift", {}), dict, "drift").get("theta_cells", 512),
+            "drift.theta_cells",
         )
         _require(theta_cells >= 16, "drift.theta_cells must be >= 16")
 
-        check_block = raw.get("check", {})
+        check_block = _typed(raw.get("check", {}), dict, "check")
         # the panel target P(0, T) is read off the t = 0 curve, which ends at x_max
-        for t, T in check_block.get("pairs", []):
+        for pair in _typed(check_block.get("pairs", []), list, "check.pairs"):
+            pair = _numbers(pair, "check.pairs")
             _require(
-                0.0 <= t <= min(T, t_star) and T <= x_max,
-                f"check.pairs: ({t}, {T}) needs 0 <= t <= min(T, t_star) and T <= x_max",
+                len(pair) == 2 and 0.0 <= pair[0] <= min(pair[1], t_star) and pair[1] <= x_max,
+                f"check.pairs: {pair} needs [t, T] with 0 <= t <= min(T, t_star) and T <= x_max",
             )
+        oscillation = _typed(check_block.get("oscillation", {}), dict, "check.oscillation")
+        for key in ("taus", "thresholds"):
+            _numbers(oscillation.get(key, []), f"check.oscillation.{key}")
 
-        strategies = raw.get("strategies", [])
+        strategies = _typed(raw.get("strategies", []), list, "strategies")
         for s in strategies:
-            _require("legs" in s and s["legs"], "each strategy needs non-empty 'legs'")
-        costs = raw.get("costs", {})
-        cost_levels = [_coerce(float, k, "costs.k") for k in costs.get("k", [0.01])]
+            _require(isinstance(s, dict) and s.get("legs"), "each strategy needs non-empty 'legs'")
+        costs = _typed(raw.get("costs", {}), dict, "costs")
+        cost_levels = _numbers(costs.get("k", [0.01]), "costs.k")
+        _require(cost_levels, "costs.k must list at least one cost level")
         _require(all(k >= 0 for k in cost_levels), "cost levels must be nonnegative")
         admissibility = _coerce(
             float, costs.get("admissibility_bound", 10.0), "costs.admissibility_bound"
         )
 
-        consistency_block = raw.get("consistency", {})
+        consistency_block = _typed(raw.get("consistency", {}), dict, "consistency")
         if consistency_block:
             _require(
                 consistency_block.get("family", "nelson-siegel") == "nelson-siegel",

@@ -305,8 +305,8 @@ def _bilinear_cov_moments(edges: np.ndarray, hurst: HurstParam):
 
 
 def log_expectation(
-    spec: VolatilitySpec, hurst: HurstParam, t: float, maturity: float, n_cells: int = 512
-) -> float:
+    spec: VolatilitySpec, hurst: HurstParam, t: float, maturity, n_cells: int = 512
+):
     """integral_0^t e(s, T) ds, evaluated as half the Gaussian variance.
 
     By symmetry of the covariance density the time integral of the
@@ -317,29 +317,32 @@ def log_expectation(
 
     which is computed with piecewise-linear factors integrated exactly
     against the density's bilinear cell moments -- exact for the flat
-    model, second order otherwise.
+    model, second order otherwise.  The moments depend only on t: several
+    maturities share one moment set and get an array of values back.
     """
     t = float(t)
-    maturity = float(maturity)
-    if not (0.0 <= t <= maturity):
+    mats = [float(T) for T in np.atleast_1d(maturity)]
+    if not all(0.0 <= t <= T for T in mats):
         raise ValueError("need 0 <= t <= T")
-    if t == 0.0:
-        return 0.0
-    edges = np.linspace(0.0, t, n_cells + 1)
-    q00, q10, q01, q11 = _bilinear_cov_moments(edges, hurst)
-    a, b = edges[:-1], edges[1:]
-    total = 0.0
-    for j in range(1, spec.dims + 1):
-        iv = np.asarray(integrated_vol(spec, j, edges, maturity), dtype=float)
-        slope = (iv[1:] - iv[:-1]) / (b - a)
-        intercept = iv[:-1] - slope * a
-        total += 0.5 * (
-            intercept @ q00 @ intercept
-            + intercept @ q01 @ slope
-            + slope @ q10 @ intercept
-            + slope @ q11 @ slope
-        )
-    return float(total)
+    out = np.zeros(len(mats))
+    if t > 0.0:
+        edges = np.linspace(0.0, t, n_cells + 1)
+        q00, q10, q01, q11 = _bilinear_cov_moments(edges, hurst)
+        a, b = edges[:-1], edges[1:]
+        for m, T in enumerate(mats):
+            total = 0.0
+            for j in range(1, spec.dims + 1):
+                iv = np.asarray(integrated_vol(spec, j, edges, T), dtype=float)
+                slope = (iv[1:] - iv[:-1]) / (b - a)
+                intercept = iv[:-1] - slope * a
+                total += 0.5 * (
+                    intercept @ q00 @ intercept
+                    + intercept @ q01 @ slope
+                    + slope @ q10 @ intercept
+                    + slope @ q11 @ slope
+                )
+            out[m] = total
+    return out if np.ndim(maturity) else float(out[0])
 
 
 def solve_market_price_of_risk(

@@ -316,9 +316,11 @@ def simulate_batches(
     Per-path substreams are indexed by the global path number, so the
     yielded paths are identical for any batch size.  Memory stays bounded
     by the batch, which is what makes 1e5-path panels feasible, provided
-    the caller drops a batch before asking for the next one.
+    the caller drops a batch before asking for the next one; the generator
+    holds no yielded batch, so the parts a caller drops are freed at once.
     """
-    for offset in range(0, n_paths, batch_size):
+
+    def batch(offset: int):
         take = min(batch_size, n_paths - offset)
         if method == "cholesky":
             paths = generate_cholesky(t_grid, spec.dims, take, hurst, seed, path_offset=offset)
@@ -329,7 +331,10 @@ def simulate_batches(
             raise ValueError(f"unknown generation method {method!r}")
         surface = simulate_forward(spec, hurst, drift, init, paths, x_grid)
         bonds = bond_surface(surface, maturities=maturities)
-        yield offset, paths, surface, discounted_surface(bonds, money_account(surface))
+        return offset, paths, surface, discounted_surface(bonds, money_account(surface))
+
+    for offset in range(0, n_paths, batch_size):
+        yield batch(offset)
 
 
 def closed_form_bond(

@@ -1,8 +1,9 @@
 """Measure-valued bond strategies and proportional-cost accounting.
 
 A strategy holds a signed measure on the maturity axis (finitely many
-atoms on traded maturities), constant between rebalance dates.  Against a
-discounted price path Z the liquidation value with proportional cost k is
+atoms on traded maturities), constant between rebalance dates.  Against
+the discounted prices Z of a bond surface the liquidation value with
+proportional cost k is
 
     V_t^k = gains - k * (cost of every rebalance) - k * (cost of final liquidation)
 
@@ -12,6 +13,9 @@ and liquidation charged on the absolute holdings at t.  Gates make an
 interval's holdings conditional on information available at its start;
 they are declarative (always-on or a threshold on an observed discounted
 price), so lookahead is impossible by construction.
+
+Every function takes the whole surface and computes the same sums on all
+its paths at once, over the maturity columns the strategy's atoms use.
 
 ``integration_by_parts_check`` verifies the discrete pairing identity
 
@@ -57,19 +61,6 @@ class DiscreteMeasure:
     def tv_norm(self) -> float:
         return float(sum(abs(w) for _, w in self.atoms))
 
-    def weights_on(self, maturities: np.ndarray) -> np.ndarray:
-        out = np.zeros(maturities.size)
-        for T, w in self.atoms:
-            hits = np.nonzero(np.abs(maturities - T) < 1e-9)[0]
-            if hits.size == 0:
-                raise ValueError(f"atom maturity {T} not on the bond grid")
-            out[hits[0]] += w
-        return out
-
-    @property
-    def max_maturity(self) -> float:
-        return max((T for T, _ in self.atoms), default=0.0)
-
     @property
     def min_maturity(self) -> float:
         return min((T for T, _ in self.atoms), default=0.0)
@@ -96,18 +87,6 @@ class Gate:
         if self.kind == "threshold":
             if self.maturity is None or self.level is None or self.op not in ("<=", ">="):
                 raise ValueError("threshold gate needs maturity, op in {<=, >=}, level")
-
-    def evaluate(self, surface: BondSurface, path: int, i: int) -> bool:
-        if self.kind == "always":
-            return True
-        mats = surface.maturities
-        hits = np.nonzero(np.abs(mats - self.maturity) < 1e-9)[0]
-        if hits.size == 0:
-            raise ValueError(f"gate maturity {self.maturity} not on the bond grid")
-        z = surface.discounted[path, i, hits[0]]
-        if np.isnan(z):
-            raise ValueError("gate maturity already expired at the rebalance time")
-        return bool(z <= self.level) if self.op == "<=" else bool(z >= self.level)
 
 
 @dataclass(frozen=True)
@@ -201,35 +180,57 @@ def total_variation(strategy: Strategy) -> float:
     return float(jumps)
 
 
-def _holdings_series(
-    strategy: Strategy, surface: BondSurface, path: int
-) -> np.ndarray:
-    """Effective (gated) holdings per maturity for every grid interval.
+def _column(maturities: np.ndarray, maturity: float, what: str) -> int:
+    """Index of ``maturity`` on the surface's maturity axis (within 1e-9)."""
+    hits = np.nonzero(np.abs(maturities - maturity) < 1e-9)[0]
+    if hits.size == 0:
+        raise ValueError(f"{what} maturity {maturity} not on the bond grid")
+    return int(hits[0])
 
-    Entry [i, m] is the weight on maturity m held over (t_i, t_{i+1}];
-    the row at the final time holds the position carried into the horizon.
+
+def _holdings_series(strategy: Strategy, surface: BondSurface):
+    """Gated holdings and discounted prices on the atoms' maturity columns.
+
+    Returns ``(held, z)``, both (n_paths, n + 1, C) over the C surface
+    columns that the strategy's atoms use, in surface order: ``held[p, i]``
+    is the position carried into t_i on path p (held over (t_{i-1}, t_i],
+    zero at t_0), and ``z`` the discounted prices with NaN read as 0.  A
+    threshold gate is one mask over paths, read off the discounted price
+    at its leg's start.
     """
-    tg = surface.t_grid
+    if surface.discounted is None:
+        raise ValueError("the ledger needs a discounted surface")
     mats = surface.maturities
-    n = tg.n_steps
-    hold = np.zeros((n + 1, mats.size))
-    dt = tg.dt
+    dt = surface.t_grid.dt
+    maturities = [T for leg in strategy.legs for T, _ in leg.measure.atoms]
+    cols = sorted({_column(mats, T, "atom") for T in maturities})
+    held = np.zeros((surface.n_paths, surface.t_grid.n_steps + 1, len(cols)))
     for leg in strategy.legs:
         i0 = int(round(leg.start / dt))
         i1 = int(round(leg.end / dt))
         if abs(i0 * dt - leg.start) > 1e-9 or abs(i1 * dt - leg.end) > 1e-9:
             raise ValueError("leg boundaries must sit on the surface time grid")
-        if not leg.gate.evaluate(surface, path, i0):
-            continue
-        weights = leg.measure.weights_on(mats)
-        hold[i0:i1, :] = weights[None, :]
-    return hold
+        weights = np.zeros(len(cols))
+        for T, w in leg.measure.atoms:
+            weights[cols.index(_column(mats, T, "atom"))] += w
+        gate = leg.gate
+        active = slice(None)
+        if gate.kind == "threshold":
+            z = surface.discounted[:, i0, _column(mats, gate.maturity, "gate")]
+            if np.isnan(z).any():
+                raise ValueError("gate maturity already expired at the rebalance time")
+            active = z <= gate.level if gate.op == "<=" else z >= gate.level
+        held[active, i0 + 1 : i1 + 1] = weights
+    return held, np.nan_to_num(surface.discounted[:, :, cols], nan=0.0)
 
 
-def liquidation_value(
-    strategy: Strategy, surface: BondSurface, k: float, path: int = 0
-) -> LedgerResult:
-    """Ledger of V_t^k along one discounted path, evaluated at every grid node.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching last-axis rows, each one BLAS dot as ``a[r] @ b[r]``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def liquidation_value(strategy: Strategy, surface: BondSurface, k: float) -> LedgerResult:
+    """Ledger of V_t^k on every discounted path, evaluated at every grid node.
 
     At node t_j (holdings over (t_i, t_{i+1}] are hold[i], so the position
     inherited into t_j is hold[j-1]):
@@ -240,72 +241,39 @@ def liquidation_value(
         V_j     = gains_j - k * costs_j - k * liq_j
 
     so V_0 = 0 and the opening trade is charged from the first step on.
+    The sums over l are one cumulative sum over [0, step_0, step_1, ...];
+    every array of the result is (n_paths, n + 1).
     """
     if k < 0:
         raise ValueError("transaction cost k must be nonnegative")
-    if surface.discounted is None:
-        raise ValueError("liquidation_value needs a discounted surface")
-    tg = surface.t_grid
-    n = tg.n_steps
-    z = np.nan_to_num(surface.discounted[path], nan=0.0)
-    hold = _holdings_series(strategy, surface, path)
-
-    gains = np.zeros(n + 1)
-    costs = np.zeros(n + 1)
-    liq = np.zeros(n + 1)
-    cum_gain = 0.0
-    cum_cost = 0.0
-    prev = np.zeros(hold.shape[1])
-    for j in range(n + 1):
-        gains[j] = cum_gain
-        costs[j] = cum_cost
-        liq[j] = float(np.abs(prev) @ z[j])
-        if j < n:
-            trade = hold[j] - prev
-            if np.any(trade != 0.0):
-                cum_cost += float(np.abs(trade) @ z[j])
-            cum_gain += float(hold[j] @ (z[j + 1] - z[j]))
-            prev = hold[j]
-    value = gains - k * costs - k * liq
+    held, z = _holdings_series(strategy, surface)
+    steps = np.zeros((2,) + held.shape[:2])
+    steps[0, :, 1:] = _row_dots(held[:, 1:], np.diff(z, axis=1))
+    steps[1, :, 1:] = _row_dots(np.abs(np.diff(held, axis=1)), z[:, :-1])
+    gains, costs = np.cumsum(steps, axis=2)
+    liq = _row_dots(np.abs(held), z)
     return LedgerResult(
-        times=tg.points, gains=gains[None, :], costs=costs[None, :],
-        liquidation=liq[None, :], value=value[None, :], k=float(k),
+        times=surface.t_grid.points, gains=gains, costs=costs, liquidation=liq,
+        value=gains - k * costs - k * liq, k=float(k),
     )
 
 
-def integration_by_parts_check(
-    strategy: Strategy, surface: BondSurface, path: int = 0, maturity: float | None = None
-) -> float:
-    """Residual of the discrete pairing identity along one maturity column.
+def integration_by_parts_check(strategy: Strategy, surface: BondSurface) -> np.ndarray:
+    """Per-path residual of the discrete pairing identity, shape (n_paths,).
 
-    With mu the (gated) holdings on maturity T and G the surface column
-    t -> G_t(T):  sum_i G_{t_{i+1}} (mu_{i+1} - mu_i) + sum_i mu_i
-    (G_{t_{i+1}} - G_{t_i}) - [G_N mu_N - G_0 mu_0] is an exact telescoping
-    zero for piecewise-constant mu; returns its absolute value (summed
-    over atoms' maturities).
+    With mu the (gated) holdings on one maturity T, mu_i the position held
+    into t_i, and G the surface column t -> G_t(T):
+    sum_i G_{t_{i+1}} (mu_{i+1} - mu_i) + sum_i mu_i (G_{t_{i+1}} - G_{t_i})
+    - [G_N mu_N - G_0 mu_0] is an exact telescoping zero for
+    piecewise-constant mu.  Returns its absolute value, summed over the
+    atoms' maturity columns in surface order.
     """
-    if surface.discounted is None:
-        raise ValueError("integration_by_parts_check needs a discounted surface")
-    tg = surface.t_grid
-    n = tg.n_steps
-    hold = _holdings_series(strategy, surface, path)
-    z = np.nan_to_num(surface.discounted[path], nan=0.0)
-    mats = surface.maturities
-    if maturity is None:
-        cols = range(mats.size)
-    else:
-        cols = [int(np.nonzero(np.abs(mats - maturity) < 1e-9)[0][0])]
-    residual = 0.0
-    for m in cols:
-        g = z[:, m]
-        mu = np.concatenate([[0.0], hold[:n, m]])  # mu at node i = holdings over (t_{i-1}, t_i]
-        d_mu = np.diff(mu)
-        d_g = np.diff(g)
-        int_g_dmu = float(g[1:] @ d_mu)
-        int_mu_dg = float(mu[:-1] @ d_g)
-        boundary = g[-1] * mu[-1] - g[0] * mu[0]
-        residual += abs(int_g_dmu + int_mu_dg - boundary)
-    return residual
+    held, z = _holdings_series(strategy, surface)
+    mu = np.ascontiguousarray(held.transpose(0, 2, 1))  # (n_paths, C, n + 1)
+    g = np.ascontiguousarray(z.transpose(0, 2, 1))
+    pairing = _row_dots(g[..., 1:], np.diff(mu)) + _row_dots(mu[..., :-1], np.diff(g))
+    boundary = g[..., -1] * mu[..., -1] - g[..., 0] * mu[..., 0]
+    return np.abs(pairing - boundary).sum(axis=-1)
 
 
 def write_ledger_csv(result: LedgerResult, fileobj, offset: int = 0, header: bool = True) -> None:

@@ -30,7 +30,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .drift import DriftField, expectation_kernel
+from .drift import DriftField, expectation_kernel, log_expectation
 from .hjm import BondSurface, simulate_batches
 from .kernels import HurstParam
 from .vol import VolatilitySpec
@@ -63,8 +63,8 @@ def simulate_discounted_batches(
         spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
         maturities=maturities, batch_size=batch_size, method=method,
     )
-    # map holds no earlier batch, so each forward surface is freed before
-    # the next one is built
+    # only the discounted surface outlives the yield: each batch's paths and
+    # forward surface are freed while the consumer works on it
     return map(itemgetter(3), batches)
 
 
@@ -228,8 +228,12 @@ def check_quasi_martingale(
 
     identity_gap = None
     if drift is not None:
-        from .drift import log_expectation
-
+        # one cell-moment set per distinct t, shared by its maturities
+        rhs = {}
+        for t in {float(t) for t, _ in pairs}:
+            mats = sorted({float(T) for s, T in pairs if float(s) == t})
+            values = log_expectation(spec, hurst, t, mats, n_cells=256)
+            rhs.update(((t, T), v) for T, v in zip(mats, values))
         gaps = []
         for t, maturity in pairs:
             i = int(round(t / drift.dt))
@@ -240,8 +244,7 @@ def check_quasi_martingale(
                      for l in range(i + 1)]
                 )
                 lhs = float(np.trapezoid(rows, dx=drift.dt))
-            rhs = log_expectation(spec, hurst, float(t), float(maturity), n_cells=256)
-            gaps.append(abs(lhs - rhs))
+            gaps.append(abs(lhs - rhs[float(t), float(maturity)]))
         identity_gap = float(max(gaps))
     return QuasiMartingaleReport(
         pairs=list(pairs), targets=targets, means=means, std_errors=std_errors,

@@ -311,7 +311,7 @@ def test_criterion_7_integration_by_parts_and_flat_ledger():
     worst = 0.0
     for seed in range(100):
         strategy, surface = _random_strategy_and_surface(seed)
-        worst = max(worst, integration_by_parts_check(strategy, surface, path=0))
+        worst = max(worst, integration_by_parts_check(strategy, surface)[0])
 
     # flat unit market: buy and hold costs exactly twice the friction
     n = 16

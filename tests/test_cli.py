@@ -94,6 +94,18 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config):
         ("hurst", smoke_config(hurst="abc")),
         ("mc.n_paths", smoke_config(mc={"n_paths": "x"})),
         ("grids.n_steps", smoke_config(grids={"n_steps": None})),
+        ("check.pairs", smoke_config(check={"pairs": [["a", 1.0]]})),
+        ("check.pairs", smoke_config(check={"pairs": [[0.1, 0.5, 0.7]]})),
+        ("costs.k", smoke_config(costs={"k": 0.01})),
+        ("costs.k", smoke_config(costs={"k": []})),
+        ("grids", smoke_config(grids=[1])),
+        ("mc", smoke_config(mc=[1])),
+        ("initial_curve", smoke_config(initial_curve=[1])),
+        # these once passed validation and failed only at runtime, with exit 2
+        ("initial_curve.rate", smoke_config(initial_curve={"type": "flat", "rate": "abc"})),
+        ("check.oscillation.taus", smoke_config(check={"oscillation": {"taus": "abc"}})),
+        ("check.oscillation.thresholds",
+         smoke_config(check={"oscillation": {"thresholds": ["x"]}})),
     )
     for i, (key, cfg) in enumerate(typed):
         r = run_cli("simulate", str(tmp_config(cfg, f"typed{i}.json")), "--out", str(tmp_path),

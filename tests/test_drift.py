@@ -105,6 +105,19 @@ def test_log_expectation_exact_flat_value():
     assert log_expectation(ho_lee(1.0), H75, 0.0, 2.0) == 0.0
 
 
+def test_log_expectation_shares_moments_across_maturities():
+    # several maturities reuse one moment set and give the scalar calls' values
+    spec = hull_white(0.8, 1.1)
+    mats = [0.9, 1.4, 2.0]
+    many = log_expectation(spec, H70, 0.9, mats, n_cells=64)
+    assert many.shape == (3,)
+    for T, value in zip(mats, many):
+        assert value == log_expectation(spec, H70, 0.9, T, n_cells=64)
+    assert np.all(log_expectation(spec, H70, 0.0, mats) == 0.0)
+    with pytest.raises(ValueError):
+        log_expectation(spec, H70, 1.0, [0.9, 1.4])
+
+
 def test_log_expectation_equals_time_integral_of_kernel():
     # independent oracle: adaptive quadrature of the expectation kernel in s
     spec = hull_white(0.8, 1.1)

@@ -12,6 +12,7 @@ from fhjm.hjm import (
     discounted_surface,
     drift_for_simulation,
     money_account,
+    simulate_batches,
     simulate_forward,
     simulation_grids,
 )
@@ -212,3 +213,20 @@ def test_forward_csv_rejects_non_finite_rates():
     surface = ForwardSurface(TimeGrid(1.0, 2), MaturityGrid(1.0, 2), rates)
     with pytest.raises(ValueError, match="'r'"):
         write_forward_csv(surface, io.StringIO())
+
+
+def test_simulate_batches_keeps_no_yielded_batch():
+    import weakref
+
+    tg, xg = simulation_grids(1.0, 8, 1.0, 8)
+    spec = ho_lee(0.01)
+    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 17)
+    batches = simulate_batches(spec, H75, drift, init, tg, xg, n_paths=4, seed=3, batch_size=2)
+    for expected in (0, 2):
+        offset, _, surface, _ = next(batches)
+        assert offset == expected
+        dead = weakref.ref(surface)
+        del surface
+        # the forward surface is freed before the next batch is requested
+        assert dead() is None

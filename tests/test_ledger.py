@@ -90,11 +90,11 @@ def test_flat_market_buy_hold_costs_twice():
 
 def test_value_scales_linearly_in_weights():
     market = _noisy_market()
-    a = liquidation_value(buy_hold(1.0), market, k=0.01, path=1)
-    b = liquidation_value(buy_hold(2.0), market, k=0.01, path=1)
-    assert b.final_values()[0] == pytest.approx(2 * a.final_values()[0], rel=1e-12)
-    assert np.allclose(b.gains, 2 * a.gains)
-    assert np.allclose(b.costs, 2 * a.costs)
+    a = liquidation_value(buy_hold(1.0), market, k=0.01)
+    b = liquidation_value(buy_hold(2.0), market, k=0.01)
+    assert b.final_values()[1] == pytest.approx(2 * a.final_values()[1], rel=1e-12)
+    assert np.allclose(b.gains[1], 2 * a.gains[1])
+    assert np.allclose(b.costs[1], 2 * a.costs[1])
 
 
 def test_value_nonincreasing_in_k():
@@ -107,7 +107,7 @@ def test_value_nonincreasing_in_k():
         horizon=1.0,
     )
     values = [
-        liquidation_value(strat, market, k=k, path=2).value for k in (0.0, 0.01, 0.05)
+        liquidation_value(strat, market, k=k).value[2] for k in (0.0, 0.01, 0.05)
     ]
     assert np.all(values[1] <= values[0] + 1e-15)
     assert np.all(values[2] <= values[1] + 1e-15)
@@ -116,7 +116,7 @@ def test_value_nonincreasing_in_k():
 def test_zero_cost_value_telescopes():
     market = _noisy_market()
     strat = buy_hold()
-    res = liquidation_value(strat, market, k=0.0, path=0)
+    res = liquidation_value(strat, market, k=0.0)
     z = market.discounted[0, :, -1]
     # V_t^0 is the telescoped left-point sum of holdings against increments
     expected = np.concatenate([[0.0], np.cumsum(np.diff(z))])
@@ -125,7 +125,7 @@ def test_zero_cost_value_telescopes():
 
 def test_admissibility_floor_reported():
     market = _noisy_market()
-    res = liquidation_value(buy_hold(), market, k=0.01, path=0)
+    res = liquidation_value(buy_hold(), market, k=0.01)
     floor = res.admissibility_floor()[0]
     assert floor <= 0.0
     assert floor >= -10.0  # default bound is configuration, sanity here
@@ -144,11 +144,11 @@ def test_gate_threshold_uses_information_at_start():
         legs=(StrategyLeg(0.0, 1.0, DiscreteMeasure(((1.0, 1.0),)), gate=inactive),),
         horizon=1.0,
     )
-    plain = liquidation_value(buy_hold(), market, k=0.01, path=0)
-    gated_on = liquidation_value(on, market, k=0.01, path=0)
-    gated_off = liquidation_value(off, market, k=0.01, path=0)
-    assert np.allclose(gated_on.value, plain.value)
-    assert np.all(gated_off.value == 0.0)
+    plain = liquidation_value(buy_hold(), market, k=0.01)
+    gated_on = liquidation_value(on, market, k=0.01)
+    gated_off = liquidation_value(off, market, k=0.01)
+    assert np.allclose(gated_on.value[0], plain.value[0])
+    assert np.all(gated_off.value[0] == 0.0)
 
 
 def test_strategy_validation():
@@ -185,10 +185,11 @@ def test_integration_by_parts_exact_on_grid():
         ),
         horizon=1.0,
     )
+    resid = integration_by_parts_check(strat, market)
     for p in range(market.n_paths):
-        assert integration_by_parts_check(strat, market, path=p) < 1e-12
+        assert resid[p] < 1e-12
     empty = Strategy(legs=(), horizon=1.0)
-    assert integration_by_parts_check(empty, market, path=0) == 0.0
+    assert integration_by_parts_check(empty, market)[0] == 0.0
 
 
 @given(data=st.data())
@@ -218,4 +219,90 @@ def test_integration_by_parts_randomized(data):
         w = float(rng.uniform(-3, 3))
         legs.append(StrategyLeg(tg.points[a], t_end, DiscreteMeasure(((T, w),))))
     strategy = Strategy(legs=tuple(legs), horizon=1.0)
-    assert integration_by_parts_check(strategy, surface, path=0) <= 1e-10
+    assert integration_by_parts_check(strategy, surface)[0] <= 1e-10
+
+
+def _reference_ledger(strategy, surface, k):
+    """Per-path, per-step ledger and pairing residual from the docstring formulas."""
+    tg = surface.t_grid
+    n, dt = tg.n_steps, tg.dt
+    mats = list(np.round(surface.maturities / dt).astype(int))
+    col = lambda T: mats.index(round(T / dt))  # noqa: E731
+    n_paths = surface.n_paths
+    gains, costs, liq, value = (np.zeros((n_paths, n + 1)) for _ in range(4))
+    resid = np.zeros(n_paths)
+    for p in range(n_paths):
+        z = np.nan_to_num(surface.discounted[p], nan=0.0)
+        hold = np.zeros((n + 1, len(mats)))  # held over (t_i, t_{i+1}]
+        for leg in strategy.legs:
+            i0, i1 = round(leg.start / dt), round(leg.end / dt)
+            gate = leg.gate
+            if gate.kind == "threshold":
+                zg = surface.discounted[p, i0, col(gate.maturity)]
+                if not (zg <= gate.level if gate.op == "<=" else zg >= gate.level):
+                    continue
+            for T, w in leg.measure.atoms:
+                hold[i0:i1, col(T)] += w
+        g_sum = c_sum = 0.0
+        for j in range(n + 1):
+            prev = hold[j - 1] if j > 0 else np.zeros(len(mats))
+            gains[p, j], costs[p, j] = g_sum, c_sum
+            liq[p, j] = sum(abs(prev[m]) * z[j, m] for m in range(len(mats)))
+            value[p, j] = g_sum - k * c_sum - k * liq[p, j]
+            if j < n:
+                for m in range(len(mats)):
+                    c_sum += abs(hold[j, m] - prev[m]) * z[j, m]
+                    g_sum += hold[j, m] * (z[j + 1, m] - z[j, m])
+        for m in range(len(mats)):
+            mu = np.concatenate([[0.0], hold[:n, m]])  # position held into t_i
+            g = z[:, m]
+            pairing = sum(g[i + 1] * (mu[i + 1] - mu[i]) + mu[i] * (g[i + 1] - g[i])
+                          for i in range(n))
+            resid[p] += abs(pairing - (g[n] * mu[n] - g[0] * mu[0]))
+    return gains, costs, liq, value, resid
+
+
+def test_array_ledger_matches_per_path_reference():
+    market = _noisy_market(n=16, n_paths=8, seed=5)
+    gate_t, gate_T = 0.5, 1.0
+    z_gate = market.discounted[:, round(gate_t * 16), -1]
+    gate = Gate(kind="threshold", maturity=gate_T, op="<=", level=float(np.median(z_gate)))
+    strat = Strategy(
+        legs=(
+            # multi-atom leg, one maturity named twice
+            StrategyLeg(0.0, 0.25, DiscreteMeasure(((1.0, 1.0), (0.5, -2.0), (1.0, 0.5)))),
+            # rebalance at 0.25
+            StrategyLeg(0.25, 0.5, DiscreteMeasure(((1.0, 3.0), (0.75, -1.0)))),
+            # gated leg, then an early exit at 0.75 before the horizon
+            StrategyLeg(gate_t, 0.75, DiscreteMeasure(((1.0, 1.0), (0.75, 2.0))), gate=gate),
+        ),
+        horizon=1.0,
+    )
+    on = z_gate <= gate.level
+    assert on.any() and not on.all()
+    for k in (0.0, 0.01):
+        res = liquidation_value(strat, market, k=k)
+        gains, costs, liq, value, resid = _reference_ledger(strat, market, k)
+        assert res.value.shape == (8, 17)
+        np.testing.assert_allclose(res.gains, gains, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(res.costs, costs, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(res.liquidation, liq, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(res.value, value, rtol=0, atol=1e-14)
+    array_resid = integration_by_parts_check(strat, market)
+    assert array_resid.shape == (8,)
+    np.testing.assert_allclose(array_resid, resid, rtol=0, atol=1e-14)
+    # paths whose gate is off hold nothing after 0.5
+    late = slice(round(gate_t * 16) + 1, None)
+    assert np.all(res.liquidation[~on, late] == 0.0)
+    assert np.all(res.liquidation[on, late.start:13] > 0.0)
+
+
+def test_gate_on_expired_maturity_rejected():
+    market = _noisy_market()
+    expired = Gate(kind="threshold", maturity=0.25, op="<=", level=1.0)
+    strat = Strategy(
+        legs=(StrategyLeg(0.5, 1.0, DiscreteMeasure(((1.0, 1.0),)), gate=expired),),
+        horizon=1.0,
+    )
+    with pytest.raises(ValueError, match="expired"):
+        liquidation_value(strat, market, k=0.01)
