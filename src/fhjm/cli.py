@@ -43,9 +43,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         cfg.seed = int(args.seed)
     if args.paths is not None:
-        if args.paths < 1:
-            raise ConfigError("--paths must be >= 1")
-        cfg.n_paths = int(args.paths)
+        cfg.set_paths(args.paths, "--paths")
     return cfg
 
 

@@ -22,11 +22,15 @@ A config drives one reproducible experiment.  Shape:
       "consistency": {"family": "nelson-siegel", "decay_fixed": null,
                        "t_samples": 8, "y_samples": 50,
                        "y_box": [[0.0, 0.06], [-0.03, 0.03], [-0.02, 0.02], [0.3, 3.0]],
-                       "seed": 7}
+                       "seed": 7, "zero_volatility": false, "x_nodes": 512}
     }
 
-Validation failures raise :class:`ConfigError`; the CLI maps those to
-exit status 1 and runtime failures to status 2.
+Keys outside this shape are rejected (only the model and strategy
+objects are open).  Oscillation times, leg boundaries, atom and gate
+maturities must be nodes of the time grid on [0, t_star], and a check
+panel needs at least two paths.  Validation failures raise
+:class:`ConfigError` naming the key; the CLI maps those to exit status 1
+and runtime failures to status 2.
 """
 
 from __future__ import annotations
@@ -72,6 +76,53 @@ def _numbers(value, key: str) -> list:
     return [_coerce(float, v, key) for v in _typed(value, list, key)]
 
 
+_TOP_KEYS = ("model", "hurst", "grids", "initial_curve", "mc", "drift", "check", "strategies",
+             "costs", "consistency")
+_BLOCK_KEYS = {
+    "grids": ("t_star", "n_steps", "x_max", "m_steps"),
+    "initial_curve": ("type", "rate", "x", "value"),
+    "mc": ("n_paths", "seed", "method", "batch_size"),
+    "drift": ("theta_cells",),
+    "check": ("pairs", "oscillation"),
+    "check.oscillation": ("thresholds", "taus"),
+    "costs": ("k", "admissibility_bound"),
+    "consistency": ("family", "decay_fixed", "t_samples", "y_samples", "y_box", "seed",
+                    "zero_volatility", "x_nodes"),
+}
+
+
+def _block(parent: dict, key: str, default=None) -> dict:
+    """The object at dotted ``key``, its last part read from ``parent``.
+
+    ``default`` (else ``{}``) when absent; a ConfigError naming the key
+    when it is not an object or holds a key outside ``_BLOCK_KEYS[key]``.
+    """
+    block = _typed(parent.get(key.split(".")[-1], default or {}), dict, key)
+    for name in block:
+        _require(name in _BLOCK_KEYS[key], f"unknown config key {key}.{name}")
+    return block
+
+
+def _on_t_grid(value, key: str, t_star: float, n_steps: int) -> None:
+    """A ConfigError naming ``key`` unless ``value`` is a node of the time grid on [0, t_star]."""
+    value = _coerce(float, value, key)
+    steps = value / t_star * n_steps
+    _require(  # the range test comes first: it also rejects NaN and infinities
+        -0.5 <= steps <= n_steps + 0.5 and abs(round(steps) * t_star / n_steps - value) <= 1e-9,
+        f"{key} = {value} must be a node of the time grid on [0, t_star]",
+    )
+
+
+def _path_count(n_paths: int, check_block: dict, key: str) -> int:
+    """``n_paths`` if the config can run that many paths, else a ConfigError naming ``key``."""
+    _require(n_paths >= 1, f"{key} must be >= 1")
+    _require(
+        n_paths >= 2 or not check_block.get("pairs"),
+        f"{key} must be >= 2 when check.pairs is set: the panel needs standard errors",
+    )
+    return n_paths
+
+
 def _build_factor(obj: dict):
     _require(isinstance(obj, dict), "factor spec must be an object")
     kind = obj.get("type")
@@ -113,6 +164,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "config root must be a JSON object")
+        for name in raw:
+            _require(name in _TOP_KEYS, f"unknown config key {name}")
         _require("model" in raw, "config needs a 'model' block")
         _require("hurst" in raw, "config needs 'hurst'")
         h = _coerce(float, raw["hurst"], "hurst")
@@ -125,7 +178,7 @@ class ExperimentConfig:
             factors = (_build_factor(model_block),)
         model = VolatilitySpec(factors=factors)
 
-        grids = _typed(raw.get("grids", {}), dict, "grids")
+        grids = _block(raw, "grids")
         t_star = _coerce(float, grids.get("t_star", 1.0), "grids.t_star")
         n_steps = _coerce(int, grids.get("n_steps", 64), "grids.n_steps")
         x_max = _coerce(float, grids.get("x_max", t_star), "grids.x_max")
@@ -135,8 +188,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-        init = raw.get("initial_curve", {"type": "flat", "rate": 0.0})
-        _typed(init, dict, "initial_curve")
+        init = _block(raw, "initial_curve", default={"type": "flat", "rate": 0.0})
         _require(init.get("type") in ("flat", "table"), "initial_curve type must be flat|table")
         if init["type"] == "flat":
             _require("rate" in init, "flat initial curve needs 'rate'")
@@ -146,9 +198,11 @@ class ExperimentConfig:
             _numbers(init["x"], "initial_curve.x")
             _numbers(init["value"], "initial_curve.value")
 
-        mc = _typed(raw.get("mc", {}), dict, "mc")
-        n_paths = _coerce(int, mc.get("n_paths", 100), "mc.n_paths")
-        _require(n_paths >= 1, "mc.n_paths must be >= 1")
+        check_block = _block(raw, "check")
+        mc = _block(raw, "mc")
+        n_paths = _path_count(
+            _coerce(int, mc.get("n_paths", 100), "mc.n_paths"), check_block, "mc.n_paths"
+        )
         seed = _coerce(int, mc.get("seed", 0), "mc.seed")
         method = str(mc.get("method", "cholesky"))
         _require(method in ("cholesky", "volterra"), "mc.method must be cholesky|volterra")
@@ -156,12 +210,10 @@ class ExperimentConfig:
         _require(batch_size >= 1, "mc.batch_size must be >= 1")
 
         theta_cells = _coerce(
-            int, _typed(raw.get("drift", {}), dict, "drift").get("theta_cells", 512),
-            "drift.theta_cells",
+            int, _block(raw, "drift").get("theta_cells", 512), "drift.theta_cells"
         )
         _require(theta_cells >= 16, "drift.theta_cells must be >= 16")
 
-        check_block = _typed(raw.get("check", {}), dict, "check")
         # the panel target P(0, T) is read off the t = 0 curve, which ends at x_max
         for pair in _typed(check_block.get("pairs", []), list, "check.pairs"):
             pair = _numbers(pair, "check.pairs")
@@ -169,14 +221,17 @@ class ExperimentConfig:
                 len(pair) == 2 and 0.0 <= pair[0] <= min(pair[1], t_star) and pair[1] <= x_max,
                 f"check.pairs: {pair} needs [t, T] with 0 <= t <= min(T, t_star) and T <= x_max",
             )
-        oscillation = _typed(check_block.get("oscillation", {}), dict, "check.oscillation")
-        for key in ("taus", "thresholds"):
-            _numbers(oscillation.get(key, []), f"check.oscillation.{key}")
+        # the probe reads Z_tau(tau) off the surface's maturity axis, the time grid
+        oscillation = _block(check_block, "check.oscillation")
+        for tau in _numbers(oscillation.get("taus", []), "check.oscillation.taus"):
+            _on_t_grid(tau, "check.oscillation.taus", t_star, n_steps)
+        thresholds = _numbers(oscillation.get("thresholds", []), "check.oscillation.thresholds")
+        _require(all(k > 0 for k in thresholds), "check.oscillation.thresholds must be positive")
 
         strategies = _typed(raw.get("strategies", []), list, "strategies")
         for s in strategies:
             _require(isinstance(s, dict) and s.get("legs"), "each strategy needs non-empty 'legs'")
-        costs = _typed(raw.get("costs", {}), dict, "costs")
+        costs = _block(raw, "costs")
         cost_levels = _numbers(costs.get("k", [0.01]), "costs.k")
         _require(cost_levels, "costs.k must list at least one cost level")
         _require(all(k >= 0 for k in cost_levels), "cost levels must be nonnegative")
@@ -184,14 +239,14 @@ class ExperimentConfig:
             float, costs.get("admissibility_bound", 10.0), "costs.admissibility_bound"
         )
 
-        consistency_block = _typed(raw.get("consistency", {}), dict, "consistency")
+        consistency_block = _block(raw, "consistency")
         if consistency_block:
             _require(
                 consistency_block.get("family", "nelson-siegel") == "nelson-siegel",
                 "only the 'nelson-siegel' family is built in",
             )
 
-        return cls(
+        cfg = cls(
             raw=raw, hurst=HurstParam(h), model=model,
             t_star=t_star, n_steps=n_steps, x_max=x_max, m_steps=m_steps,
             initial_curve=init, n_paths=n_paths, seed=seed, method=method,
@@ -200,6 +255,25 @@ class ExperimentConfig:
             cost_levels=cost_levels, admissibility_bound=admissibility,
             consistency_block=consistency_block,
         )
+        # building a strategy checks its legs; the ledger then reads every leg
+        # boundary, atom and gate maturity off the bond surface, whose
+        # maturities are the time grid
+        for s_i, block in enumerate(strategies):
+            cfg.build_strategy(block)
+            for l_i, leg in enumerate(block["legs"]):
+                key = f"strategies[{s_i}].legs[{l_i}]"
+                for end in ("from", "to"):
+                    _on_t_grid(leg[end], f"{key}.{end}", t_star, n_steps)
+                for a_i, atom in enumerate(leg["atoms"]):
+                    _on_t_grid(atom["T"], f"{key}.atoms[{a_i}].T", t_star, n_steps)
+                gate = leg.get("gate", {})
+                if gate.get("kind") == "threshold":
+                    _on_t_grid(gate["maturity"], f"{key}.gate.maturity", t_star, n_steps)
+        return cfg
+
+    def set_paths(self, n_paths: int, key: str) -> None:
+        """Replace ``n_paths`` (an override named ``key``) under the rules of ``mc.n_paths``."""
+        self.n_paths = _path_count(int(n_paths), self.check_block, key)
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -246,7 +320,7 @@ class ExperimentConfig:
                         measure=DiscreteMeasure(atoms), gate=gate,
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid strategy leg {leg!r}: {exc}") from exc
         try:
             return Strategy(legs=tuple(legs), horizon=self.t_star)

@@ -11,7 +11,11 @@ where phi is the singular covariance density of the driving noise and
 IV_j(s, T) = integral_0^{T-s} sigma_j(s, x) dx.  The theta-integrals are
 evaluated by product integration: the smooth factor is interpolated
 piecewise-linearly and the singular density is integrated exactly per cell
-(zeroth and first moments in closed form).  The rule is therefore exact
+(zeroth and first moments m0, m1 in closed form).  The moments are folded
+into hat-function node weights once per time slice: a cell [a, b] of width
+h adds (b*m0 - m1)/h to its left node and (m1 - a*m0)/h to its right node,
+so every theta-integral is one product ``w @ curve`` of the weights with
+the factor curve sampled at the nodes.  The rule is therefore exact
 for the flat-volatility model, whose drift has the closed form
 
     sigma^2 * (2*x*H*t^(2H-1) + (H - 1/2)*t^(2H)),
@@ -28,6 +32,7 @@ least-squares market-price-of-risk inversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,30 +91,47 @@ class DriftField:
         """Same grids, all-zero drift (negative-control experiments)."""
         return DriftField(self.t_points, self.x_points, np.zeros_like(self.values))
 
-    def maturity_integral(self, i: int, span: float) -> np.ndarray | float:
-        """Trapezoid of row i over [0, span]; span must sit on the x-grid."""
+    @cached_property
+    def _cumulative_trapezoid(self) -> np.ndarray:
+        """Trapezoid of every row over [0, x_k] for every k; column 0 is zero."""
+        out = np.zeros_like(self.values)
+        cells = (self.values[:, 1:] + self.values[:, :-1]) * (0.5 * self.dx)
+        np.cumsum(cells, axis=1, out=out[:, 1:])
+        return out
+
+    def maturity_integral(self, i, span):
+        """Trapezoid of row i over [0, span]; span must sit on the x-grid.
+
+        ``i`` and ``span`` broadcast: arrays of rows and spans are read off
+        one cumulative trapezoid along x.  Scalar inputs give a float.
+        """
         dx = self.dx
-        k = int(round(span / dx))
-        if abs(k * dx - span) > 1e-9 * max(dx, 1.0) or k >= self.x_points.size:
+        span = np.asarray(span, dtype=float)
+        k = np.rint(span / dx).astype(int)
+        off_grid = np.abs(k * dx - span) > 1e-9 * max(dx, 1.0)
+        if np.any(off_grid | (k < 0) | (k >= self.x_points.size)):
             raise ValueError("span must be a grid multiple inside the x range")
-        if k == 0:
-            return 0.0
-        return float(np.trapezoid(self.values[i, : k + 1], dx=dx))
+        out = self._cumulative_trapezoid[i, k]
+        return out if np.ndim(out) else float(out)
 
 
-def _factor_curves(spec, j, thetas, x_plus_t, tabulated_flat=True):
-    """Values of IV_j(theta, x + t) and sigma_j(theta, x + t - theta).
+def _hat_weights(t, hurst: HurstParam, n_cells: int):
+    """Nodes and weights of the product rule against phi(t - theta) on [0, t].
 
-    thetas: (L,) array of integration nodes; x_plus_t: (M,) array of
-    absolute maturities.  Returns two (L, M) arrays.  Tabulated factors
-    extrapolate flat in x beyond their table (the integrands reach x + t).
+    integral_0^t f(theta) phi(t - theta) d theta of the piecewise-linear
+    interpolant of f on ``n_cells`` uniform cells equals ``w @ f(nodes)``:
+    each cell's exact moments m0, m1 are split between its two nodes.  An
+    array of positive times gives one row of nodes and weights per time.
     """
-    extrap = "flat" if tabulated_flat else "error"
-    th = thetas[:, None]
-    mat = x_plus_t[None, :]
-    iv = integrated_vol(spec, j, th, mat)
-    sig = eval_vol(spec, j, th, mat - th, extrapolate=extrap)
-    return np.asarray(iv, dtype=float), np.asarray(sig, dtype=float)
+    t = np.asarray(t, dtype=float)
+    nodes = np.linspace(0.0, t, n_cells + 1, axis=-1)
+    a, b = nodes[..., :-1], nodes[..., 1:]
+    m0 = cov_segment_integral(a, b, t[..., None], hurst)
+    m1 = cov_segment_moment(a, b, t[..., None], hurst)
+    weights = np.zeros_like(nodes)
+    weights[..., :-1] = (b * m0 - m1) / (b - a)
+    weights[..., 1:] += (m1 - a * m0) / (b - a)
+    return nodes, weights
 
 
 def drift_field(
@@ -153,22 +175,20 @@ def _drift_row(
     x_points: np.ndarray,
     theta_cells: int,
 ) -> np.ndarray:
-    """One time slice of the drift: piecewise-linear factors against exact cells."""
-    thetas = np.linspace(0.0, t, theta_cells + 1)
-    a, b = thetas[:-1], thetas[1:]
-    m0 = cov_segment_integral(a, b, t, hurst)
-    m1 = cov_segment_moment(a, b, t, hurst)
-    x_plus_t = x_points + t
+    """One time slice of the drift: each theta-integral is one hat-weight product.
+
+    Tabulated factors extrapolate flat in x beyond their table (the
+    integrands reach x + t).
+    """
+    thetas, w = _hat_weights(t, hurst, theta_cells)
+    th = thetas[:, None]
+    x_plus_t = (x_points + t)[None, :]
     row = np.zeros(x_points.size)
     for j in range(1, spec.dims + 1):
-        iv, sig = _factor_curves(spec, j, thetas, x_plus_t)
-        sig_t_x = np.asarray(eval_vol(spec, j, t, x_points, extrapolate="flat"), dtype=float)
-        int_sig_x = np.asarray(integrated_vol(spec, j, t, t + x_points), dtype=float)
-        for curve, outer in ((iv, sig_t_x), (sig, int_sig_x)):
-            slope = (curve[1:, :] - curve[:-1, :]) / (b - a)[:, None]
-            intercept = curve[:-1, :] - slope * a[:, None]
-            integral = intercept.T @ m0 + slope.T @ m1
-            row += outer * integral
+        iv = integrated_vol(spec, j, th, x_plus_t)
+        sig = eval_vol(spec, j, th, x_plus_t - th, extrapolate="flat")
+        row += eval_vol(spec, j, t, x_points, extrapolate="flat") * (w @ iv)
+        row += integrated_vol(spec, j, t, t + x_points) * (w @ sig)
     return row
 
 
@@ -227,32 +247,29 @@ def hull_white_drift(sigma: float, decay: float, hurst: HurstParam, t, x):
 
 
 def expectation_kernel(
-    spec: VolatilitySpec, hurst: HurstParam, t: float, maturity: float, n_cells: int = 512
-) -> float:
+    spec: VolatilitySpec, hurst: HurstParam, t, maturity: float, n_cells: int = 512
+):
     """e(t, T) = sum_j IV_j(t, T) * integral_0^t IV_j(theta, T) phi(t - theta) d theta.
 
     The exponential of integral_0^t e(s, T) ds is the expected growth factor
     of the discounted price's stochastic exponent; the no-arbitrage drift
-    cancels it exactly.  Product integration, exact for the flat model.
+    cancels it exactly.  Product integration by hat-function weights, exact
+    for the flat model.  ``t`` may be an array (one cell set per time, one
+    value each); a scalar gives a float.
     """
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     maturity = float(maturity)
-    if not (0.0 <= t <= maturity):
+    if not np.all((0.0 <= t) & (t <= maturity)):
         raise ValueError("need 0 <= t <= T")
-    if t == 0.0:
-        return 0.0
-    thetas = np.linspace(0.0, t, n_cells + 1)
-    a, b = thetas[:-1], thetas[1:]
-    m0 = cov_segment_integral(a, b, t, hurst)
-    m1 = cov_segment_moment(a, b, t, hurst)
-    total = 0.0
-    for j in range(1, spec.dims + 1):
-        iv = np.asarray(integrated_vol(spec, j, thetas, maturity), dtype=float)
-        slope = (iv[1:] - iv[:-1]) / (b - a)
-        intercept = iv[:-1] - slope * a
-        inner = float(intercept @ m0 + slope @ m1)
-        total += float(integrated_vol(spec, j, t, maturity)) * inner
-    return total
+    out = np.zeros(t.shape)
+    live = t > 0.0
+    if np.any(live):
+        times = t[live]
+        thetas, w = _hat_weights(times, hurst, n_cells)
+        for j in range(1, spec.dims + 1):
+            inner = (w * integrated_vol(spec, j, thetas, maturity)).sum(axis=-1)
+            out[live] += integrated_vol(spec, j, times, maturity) * inner
+    return out if out.ndim else float(out)
 
 
 def _psi2(w, p):

@@ -177,16 +177,9 @@ def _check_sim_inputs(spec, drift, init, paths, x_grid):
 
 def _vol_cube(spec: VolatilitySpec, t_grid: TimeGrid, ext_points: np.ndarray) -> np.ndarray:
     """sigma_j(t_i, x_q) on the extended maturity grid; shape (d, n, Q)."""
-    d = spec.dims
-    n = t_grid.n_steps
-    cube = np.empty((d, n, ext_points.size))
-    for j in range(1, d + 1):
-        for i in range(n):
-            cube[j - 1, i] = np.asarray(
-                eval_vol(spec, j, t_grid.points[i], ext_points, extrapolate="flat"),
-                dtype=float,
-            )
-    return cube
+    t = t_grid.points[:-1, None]
+    x = ext_points[None, :]
+    return np.stack([eval_vol(spec, j, t, x, extrapolate="flat") for j in range(1, spec.dims + 1)])
 
 
 def simulate_forward(
@@ -394,9 +387,7 @@ def closed_form_bond(
         maturity = mats[m_i]
         last = min(mat_idx, n)
         # drift maturity integral IA(t_l, T) on the l-th row
-        ia = np.array(
-            [drift.maturity_integral(l, maturity - tg.points[l]) for l in range(last + 1)]
-        )
+        ia = drift.maturity_integral(np.arange(last + 1), maturity - tg.points[: last + 1])
         iv = np.zeros((spec.dims, last + 1))
         for j in range(1, spec.dims + 1):
             iv[j - 1] = np.asarray(

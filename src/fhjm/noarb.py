@@ -145,14 +145,10 @@ def drift_identity_check(
     the right side is the expectation kernel from its own product
     integration.  Agreement is the core no-arbitrage drift restriction.
     """
-    gaps = []
-    for i, t in enumerate(drift.t_points):
-        if t > maturity + 1e-12:
-            break
-        lhs = drift.maturity_integral(i, maturity - t)
-        rhs = expectation_kernel(spec, hurst, float(t), maturity, n_cells=theta_cells)
-        gaps.append(abs(lhs - rhs))
-    return float(max(gaps))
+    t = drift.t_points[drift.t_points <= maturity + 1e-12]
+    lhs = drift.maturity_integral(np.arange(t.size), maturity - t)
+    rhs = expectation_kernel(spec, hurst, t, maturity, n_cells=theta_cells)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _iter_surfaces(discounted) -> list:
@@ -190,39 +186,33 @@ def check_quasi_martingale(
     deterministic decomposition check (drift maturity integral vs
     expectation kernel, integrated in t) is reported as ``identity_gap``.
     """
-    count = 0
-    acc = None
-    acc_sq = None
     targets = None
     pair_idx = None
-    first = None
+    panel = []
     for surface in _iter_surfaces(discounted):
         if surface.discounted is None:
             raise ValueError("check_quasi_martingale needs discounted surfaces")
-        if first is None:
-            first = surface
+        if pair_idx is None:
             pair_idx = _pair_indices(surface, pairs)
             targets = np.array([surface.discounted[0, 0, m] for (_, m) in pair_idx])
-            acc = np.zeros(len(pair_idx))
-            acc_sq = np.zeros(len(pair_idx))
         vals = np.stack(
             [surface.discounted[:, i, m] for (i, m) in pair_idx], axis=1
         )
         if np.any(np.isnan(vals)):
             raise ValueError("panel pairs must satisfy t <= T on the surface")
-        count += vals.shape[0]
-        # accumulate deviations from the target: avoids the catastrophic
-        # cancellation a raw sum-of-squares would suffer at tiny variances
-        dev = vals - targets[None, :]
-        acc += dev.sum(axis=0)
-        acc_sq += (dev**2).sum(axis=0)
-    if count == 0:
+        panel.append(vals)
+    if not panel:
         raise ValueError("no surfaces supplied")
+    # one reduction over every path in path order, so the sums do not depend
+    # on how the paths were batched; deviations from the target avoid the
+    # catastrophic cancellation a raw sum-of-squares would suffer at tiny variances
+    dev = np.concatenate(panel) - targets[None, :]
+    count = dev.shape[0]
     if count < 2:
         raise ValueError("need at least two paths for standard errors")
-    mean_dev = acc / count
+    mean_dev = dev.sum(axis=0) / count
     means = targets + mean_dev
-    variances = (acc_sq - count * mean_dev**2) / (count - 1)
+    variances = ((dev**2).sum(axis=0) - count * mean_dev**2) / (count - 1)
     std_errors = np.sqrt(np.maximum(variances, 0.0) / count)
     z = mean_dev / np.where(std_errors > 0, std_errors, np.inf)
 
@@ -237,13 +227,8 @@ def check_quasi_martingale(
         gaps = []
         for t, maturity in pairs:
             i = int(round(t / drift.dt))
-            lhs = 0.0
-            if i >= 1:
-                rows = np.array(
-                    [drift.maturity_integral(l, maturity - drift.t_points[l])
-                     for l in range(i + 1)]
-                )
-                lhs = float(np.trapezoid(rows, dx=drift.dt))
+            rows = drift.maturity_integral(np.arange(i + 1), maturity - drift.t_points[: i + 1])
+            lhs = float(np.trapezoid(rows, dx=drift.dt))
             gaps.append(abs(lhs - rhs[float(t), float(maturity)]))
         identity_gap = float(max(gaps))
     return QuasiMartingaleReport(

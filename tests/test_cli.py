@@ -70,7 +70,9 @@ def test_simulate_byte_identical_and_thread_invariant(tmp_path, tmp_config):
         assert a == (tmp_path / "c" / name).read_bytes()
 
 
-def test_config_rejections_exit_code_one(tmp_path, tmp_config):
+def test_config_rejections_exit_code_one(tmp_path, tmp_config, capsys):
+    from fhjm.cli import main
+
     bad = smoke_config()
     bad["mc"]["n_paths"] = 0
     r = run_cli("simulate", str(tmp_config(bad, "bad1.json")), "--out", str(tmp_path), cwd=tmp_path)
@@ -106,13 +108,48 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config):
         ("check.oscillation.taus", smoke_config(check={"oscillation": {"taus": "abc"}})),
         ("check.oscillation.thresholds",
          smoke_config(check={"oscillation": {"thresholds": ["x"]}})),
+        # off-grid probe times, off-grid maturities and too few panel paths
+        # also failed only at runtime, with exit 2
+        ("check.oscillation.taus", smoke_config(check={"oscillation": {"taus": [5.0]}})),
+        ("check.oscillation.taus", smoke_config(check={"oscillation": {"taus": [0.01]}})),
+        ("check.oscillation.thresholds",
+         smoke_config(check={"oscillation": {"thresholds": [0.0]}})),
+        ("strategies[0].legs[0].atoms[0].T", smoke_config(strategies=[
+            {"name": "off", "legs": [{"from": 0.0, "to": 1.0,
+                                      "atoms": [{"T": 1.01234, "w": 1.0}]}]},
+        ])),
+        ("strategies[0].legs[0].gate.maturity", smoke_config(strategies=[
+            {"name": "off", "legs": [{"from": 0.0, "to": 0.5, "atoms": [{"T": 1.0, "w": 1.0}],
+                                      "gate": {"kind": "threshold", "maturity": 0.51234,
+                                               "op": "<=", "level": 1.0}}]},
+        ])),
+        ("mc.n_paths", smoke_config(mc={"n_paths": 1}, check={"pairs": [[0.25, 0.75]]})),
+        # unknown keys are typos, not settings to ignore
+        ("mc.n_path", smoke_config(mc={"n_path": 10})),
+        ("check.oscillation.tau", smoke_config(check={"oscillation": {"tau": [0.0]}})),
+        ("grids.tstar", smoke_config(grids={"tstar": 1.0})),
+        ("initial_curve.rates", smoke_config(initial_curve={"type": "flat", "rate": 0.0,
+                                                            "rates": 1.0})),
+        ("drift.theta_cell", smoke_config(drift={"theta_cell": 64})),
+        ("costs.kk", smoke_config(costs={"kk": [0.0]})),
+        ("consistency.familly", smoke_config(consistency={"familly": "nelson-siegel"})),
+        ("checks", smoke_config(checks={})),
     )
+    # in process: a traceback would escape ``main`` and fail the test
     for i, (key, cfg) in enumerate(typed):
-        r = run_cli("simulate", str(tmp_config(cfg, f"typed{i}.json")), "--out", str(tmp_path),
-                    cwd=tmp_path)
-        assert r.returncode == 1
-        assert "config error" in r.stderr and key in r.stderr
-        assert "Traceback" not in r.stderr
+        status = main(["simulate", str(tmp_config(cfg, f"typed{i}.json")), "--out", str(tmp_path)])
+        stderr = capsys.readouterr().err
+        assert status == 1
+        assert "config error" in stderr and key in stderr, key
+
+    # the path count rule also holds after a --paths override
+    pairs = tmp_config(smoke_config(check={"pairs": [[0.25, 0.75]]}), "pairs.json")
+    for paths in ("1", "0"):
+        status = main(["check", str(pairs), "--paths", paths, "--out", str(tmp_path / "p")])
+        stderr = capsys.readouterr().err
+        assert status == 1
+        assert "config error" in stderr and "--paths" in stderr
+    assert not (tmp_path / "p").exists()
 
 
 def test_outputs_independent_of_batch_size(tmp_path):
@@ -133,6 +170,19 @@ def test_outputs_independent_of_batch_size(tmp_path):
         for name in names:
             if name != "manifest.json":
                 assert (small / name).read_bytes() == (whole / name).read_bytes(), name
+
+    # the panel statistics sum every path in one order, whatever the batches
+    del config["check"]["oscillation"]
+    reports = []
+    for batch in (7, 64, 100):
+        config["mc"]["batch_size"] = batch
+        path = tmp_path / f"panel{batch}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"panel{batch}"
+        r = run_cli("check", str(path), "--paths", "100", "--out", str(out), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        reports.append((out / "check_report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_drift_command_error_summaries(tmp_path, tmp_config):

@@ -219,3 +219,122 @@ def test_table_covering_every_argument_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         drift_for_simulation(VolatilitySpec((table,)), H70, tg, xg, theta_cells=64)
+
+
+# Reference copy of the slope/intercept product rule that evaluated the drift
+# rows and the expectation kernel before the hat-function weights: each
+# factor curve becomes per-cell slope and intercept arrays, integrated against
+# the cell moments m0 and m1.
+def _reference_moments(t, n_cells):
+    from fhjm.kernels import cov_segment_integral, cov_segment_moment
+
+    thetas = np.linspace(0.0, t, n_cells + 1)
+    a, b = thetas[:-1], thetas[1:]
+    hurst = _REF_HURST
+    return thetas, a, b, cov_segment_integral(a, b, t, hurst), cov_segment_moment(a, b, t, hurst)
+
+
+_REF_HURST = H70
+
+
+def _reference_integral(curve, a, b, m0, m1):
+    slope = (curve[1:] - curve[:-1]) / (b - a).reshape((-1,) + (1,) * (curve.ndim - 1))
+    intercept = curve[:-1] - slope * a.reshape((-1,) + (1,) * (curve.ndim - 1))
+    return intercept.T @ m0 + slope.T @ m1
+
+
+def _reference_drift_row(spec, t, x_points, theta_cells):
+    from fhjm.vol import integrated_vol
+
+    thetas, a, b, m0, m1 = _reference_moments(t, theta_cells)
+    th = thetas[:, None]
+    mat = (x_points + t)[None, :]
+    row = np.zeros(x_points.size)
+    for j in range(1, spec.dims + 1):
+        iv = np.asarray(integrated_vol(spec, j, th, mat), dtype=float)
+        sig = np.asarray(eval_vol(spec, j, th, mat - th, extrapolate="flat"), dtype=float)
+        sig_t_x = np.asarray(eval_vol(spec, j, t, x_points, extrapolate="flat"), dtype=float)
+        int_sig_x = np.asarray(integrated_vol(spec, j, t, t + x_points), dtype=float)
+        row += sig_t_x * _reference_integral(iv, a, b, m0, m1)
+        row += int_sig_x * _reference_integral(sig, a, b, m0, m1)
+    return row
+
+
+def _reference_expectation_kernel(spec, t, maturity, n_cells):
+    from fhjm.vol import integrated_vol
+
+    if t == 0.0:
+        return 0.0
+    thetas, a, b, m0, m1 = _reference_moments(t, n_cells)
+    total = 0.0
+    for j in range(1, spec.dims + 1):
+        iv = np.asarray(integrated_vol(spec, j, thetas, maturity), dtype=float)
+        total += float(integrated_vol(spec, j, t, maturity)) * float(
+            _reference_integral(iv, a, b, m0, m1)
+        )
+    return total
+
+
+def _reference_specs():
+    from fhjm.vol import TabulatedVol
+
+    t_grid = [0.0, 0.4, 1.1]
+    x_grid = [0.0, 0.3, 0.9, 1.6]
+    values = [[0.011, 0.014, 0.009, 0.012], [0.013, 0.010, 0.015, 0.008],
+              [0.009, 0.012, 0.011, 0.016]]
+    return {
+        "ho-lee": ho_lee(0.01),
+        "hull-white": hull_white(0.01, 1.3),
+        "two-factor": VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 0.7))),
+        "tabulated": VolatilitySpec((TabulatedVol(t_grid, x_grid, values),)),
+    }
+
+
+@pytest.mark.parametrize("name", ["ho-lee", "hull-white", "two-factor", "tabulated"])
+def test_hat_weight_rows_match_slope_intercept_rule(name):
+    import warnings
+
+    spec = _reference_specs()[name]
+    tg = np.linspace(0.0, 1.0, 9)
+    xg = np.linspace(0.0, 1.5, 97)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the table is extrapolated flat
+        field = drift_field(spec, _REF_HURST, tg, xg, theta_cells=512)
+    for i in range(1, tg.size):
+        ref = _reference_drift_row(spec, float(tg[i]), xg, 512)
+        assert np.max(np.abs(field.values[i] - ref)) <= 1e-13 * np.max(np.abs(ref)), i
+
+
+@pytest.mark.parametrize("name", ["ho-lee", "hull-white", "two-factor", "tabulated"])
+def test_expectation_kernel_over_t_matches_slope_intercept_rule(name):
+    spec = _reference_specs()[name]
+    maturity = 1.1
+    ts = np.array([0.0, 0.05, 0.3, 0.7, 1.0, 1.1])
+    values = expectation_kernel(spec, _REF_HURST, ts, maturity, n_cells=256)
+    assert values.shape == ts.shape
+    ref = np.array([_reference_expectation_kernel(spec, float(t), maturity, 256) for t in ts])
+    np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0)
+    scalar = expectation_kernel(spec, _REF_HURST, 0.3, maturity, n_cells=256)
+    assert isinstance(scalar, float)
+    assert scalar == pytest.approx(ref[2], rel=1e-13)
+    with pytest.raises(ValueError):
+        expectation_kernel(spec, _REF_HURST, np.array([0.5, 1.2]), maturity)
+
+
+def test_maturity_integral_over_arrays_matches_trapezoid():
+    rng = np.random.default_rng(3)
+    tg = np.linspace(0.0, 1.0, 9)
+    xg = np.linspace(0.0, 2.0, 65)
+    field = DriftField(tg, xg, rng.normal(size=(9, 65)))
+    rows = np.array([0, 3, 3, 8, 5, 1])
+    spans = xg[[0, 1, 64, 17, 40, 2]]
+    values = field.maturity_integral(rows, spans)
+    ref = np.array([np.trapezoid(field.values[i, : k + 1], dx=field.dx)
+                    for i, k in zip(rows, [0, 1, 64, 17, 40, 2])])
+    scale = np.abs(field.values).sum(axis=1)[rows] * field.dx
+    assert np.all(np.abs(values - ref) <= 1e-14 * np.maximum(np.abs(ref), scale))
+    assert isinstance(field.maturity_integral(3, spans[2]), float)
+    assert field.maturity_integral(3, 0.0) == 0.0
+    for bad in (0.01, 2.5, -0.03125):
+        with pytest.raises(ValueError):
+            field.maturity_integral(np.array([1, 2]), np.array([0.5, bad]))

@@ -230,3 +230,21 @@ def test_simulate_batches_keeps_no_yielded_batch():
         del surface
         # the forward surface is freed before the next batch is requested
         assert dead() is None
+
+
+def test_vol_cube_equals_per_step_evaluations():
+    # one broadcast evaluation per factor gives the bits of one call per (j, i)
+    from fhjm.hjm import _vol_cube
+    from fhjm.vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec, eval_vol
+
+    table = TabulatedVol([0.0, 0.3, 1.0], [0.0, 0.5, 1.2],
+                         [[0.01, 0.02, 0.015], [0.012, 0.011, 0.02], [0.03, 0.01, 0.02]])
+    spec = VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 1.7), table))
+    tg = TimeGrid(1.0, 16)
+    ext = np.arange(33) * tg.dt
+    cube = _vol_cube(spec, tg, ext)
+    assert cube.shape == (3, 16, 33)
+    for j in range(1, 4):
+        for i in range(16):
+            ref = np.asarray(eval_vol(spec, j, tg.points[i], ext, extrapolate="flat"))
+            assert cube[j - 1, i].tobytes() == ref.tobytes(), (j, i)
