@@ -24,7 +24,6 @@ import os
 import platform
 import sys
 from contextlib import ExitStack
-from operator import itemgetter
 
 import numpy as np
 
@@ -77,17 +76,18 @@ def _build_drift(cfg: ExperimentConfig):
     return drift_for_simulation(cfg.model, cfg.hurst, tg, xg, theta_cells=cfg.theta_cells)
 
 
-def _run(pipeline, cfg: ExperimentConfig, drift, maturities=None):
+def _run(pipeline, cfg: ExperimentConfig, drift, **kwargs):
     """The config's Monte Carlo batches from ``pipeline``.
 
-    ``pipeline`` is ``hjm.simulate_batches`` or its discounted projection
-    ``noarb.simulate_discounted_batches``.
+    ``pipeline`` is ``hjm.simulate_batches`` or
+    ``noarb.simulate_discounted_batches``; ``kwargs`` (its ``maturities``)
+    pass through.
     """
     tg, xg = cfg.grids()
     return pipeline(
         cfg.model, cfg.hurst, drift, cfg.build_initial_curve(), tg, xg,
-        n_paths=cfg.n_paths, seed=cfg.seed, maturities=maturities,
-        batch_size=cfg.batch_size, method=cfg.method,
+        n_paths=cfg.n_paths, seed=cfg.seed, batch_size=cfg.batch_size, method=cfg.method,
+        **kwargs,
     )
 
 
@@ -134,6 +134,11 @@ def cmd_drift(cfg: ExperimentConfig, out: str) -> list:
     return ["drift.csv", "drift_summary.json"]
 
 
+# what ``cmd_check`` passes: the drift identity within a gap of 1e-6, and at
+# most one panel pair with |z| above 3; recorded in every report with pairs
+CHECK_THRESHOLDS = {"drift_identity_max_gap": 1e-6, "z_level": 3.0, "z_exceedances_max": 1}
+
+
 def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
     from .noarb import (
         check_quasi_martingale,
@@ -159,17 +164,19 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
             drift_identity_check(cfg.model, cfg.hurst, drift, T, theta_cells=cfg.theta_cells)
             for T in maturities
         )
+        report["thresholds"] = CHECK_THRESHOLDS
         report["drift_identity_max_gap"] = gap
-        report["drift_identity_pass"] = bool(gap <= 1e-6)
+        report["drift_identity_pass"] = bool(gap <= CHECK_THRESHOLDS["drift_identity_max_gap"])
         ok = ok and report["drift_identity_pass"]
 
         qm = check_quasi_martingale(
-            _run(simulate_discounted_batches, cfg, drift, maturities),
+            _run(simulate_discounted_batches, cfg, drift, maturities=maturities),
             cfg.model, cfg.hurst, pairs, drift=drift,
         )
         report["quasi_martingale"] = json.loads(qm.to_json())
         report["quasi_martingale_pass"] = bool(
-            np.all(np.isfinite(qm.z_scores)) and qm.n_exceeding(3.0) <= 1
+            np.all(np.isfinite(qm.z_scores))
+            and qm.n_exceeding(CHECK_THRESHOLDS["z_level"]) <= CHECK_THRESHOLDS["z_exceedances_max"]
         )
         ok = ok and report["quasi_martingale_pass"]
 
@@ -192,26 +199,20 @@ def cmd_consistency(cfg: ExperimentConfig, out: str) -> list:
         nagumo_full_check,
         nelson_siegel_family,
     )
-    from .vol import FlatVol, ExpDecayVol
 
-    block = cfg.consistency_block or {}
-    decay_fixed = block.get("decay_fixed")
+    block = cfg.consistency_block  # typed and defaulted by the config
+    decay_fixed = block["decay_fixed"]
     family = nelson_siegel_family(decay_fixed=decay_fixed)
-    n_t = int(block.get("t_samples", 8))
-    n_y = int(block.get("y_samples", 50))
-    box = block.get(
-        "y_box", [[0.0, 0.06], [-0.03, 0.03], [-0.02, 0.02], [0.3, 3.0]]
-    )
-    rng = np.random.default_rng(int(block.get("seed", 7)))
-    ys = np.column_stack([rng.uniform(lo, hi, n_y) for lo, hi in box])
+    n_t = block["t_samples"]
+    rng = np.random.default_rng(block["seed"])
+    ys = np.column_stack([rng.uniform(lo, hi, block["y_samples"]) for lo, hi in block["y_box"]])
     if decay_fixed is not None:
-        ys[:, 3] = float(decay_fixed)
+        ys[:, 3] = decay_fixed
     ts = np.linspace(cfg.t_star / n_t, cfg.t_star, n_t)
-    zero_vol = bool(block.get("zero_volatility", False))
+    zero_vol = block["zero_volatility"]
     spec = None if zero_vol else cfg.model
     verdict = nagumo_full_check(family, spec, cfg.hurst, ts, ys)
-    grid_n = int(block.get("x_nodes", 512))
-    xs2, w2 = default_membership_grid(n=2 * grid_n)
+    xs2, w2 = default_membership_grid(n=2 * block["x_nodes"])
     verdict2 = nagumo_full_check(family, spec, cfg.hurst, ts, ys, xs=xs2, weights=w2)
     label = "consistent (trivial)" if (verdict.passed and zero_vol) else (
         "consistent" if verdict.passed else "inconsistent"
@@ -228,13 +229,13 @@ def cmd_consistency(cfg: ExperimentConfig, out: str) -> list:
 
 
 def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
-    from .hjm import simulate_batches
     from .ledger import (
         integration_by_parts_check,
         liquidation_value,
         total_variation,
         write_ledger_csv,
     )
+    from .noarb import simulate_discounted_batches
 
     if not cfg.strategies:
         raise ConfigError("portfolio command needs a 'strategies' block")
@@ -246,11 +247,17 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
     residuals = [[] for _ in names]
     floors = [[] for _ in names]
     outputs = [f"ledger_{name}.csv" for name in names]
-    # only the offset and the discounted surface are kept while the next batch is built
-    batches = map(itemgetter(0, 3), _run(simulate_batches, cfg, _build_drift(cfg)))
+    # the ledger reads only the atom and threshold-gate maturity columns
+    maturities = sorted(
+        {T for strategy in strategies for leg in strategy.legs for T, _ in leg.measure.atoms}
+        | {float(leg.gate.maturity) for strategy in strategies for leg in strategy.legs
+           if leg.gate.kind == "threshold"}
+    )
+    batches = _run(simulate_discounted_batches, cfg, _build_drift(cfg), maturities=maturities)
+    offset = 0
     with ExitStack() as stack:
         files = [stack.enter_context(open(os.path.join(out, f), "w")) for f in outputs]
-        for offset, surface in batches:
+        for surface in batches:
             for s_i, (strategy, fh) in enumerate(zip(strategies, files)):
                 residuals[s_i].append(integration_by_parts_check(strategy, surface))
                 for k in cfg.cost_levels:
@@ -258,6 +265,7 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
                     finals[s_i][f"{k:g}"].append(res.final_values())
                 floors[s_i].append(res.admissibility_floor())
                 write_ledger_csv(res, fh, offset=offset, header=offset == 0)
+            offset += surface.n_paths
             del surface  # freed before the next batch is built
     summary = {}
     for s_i, name in enumerate(names):

@@ -27,16 +27,18 @@ A config drives one reproducible experiment.  Shape:
 
 Keys outside this shape are rejected (only the model and strategy
 objects are open).  Oscillation times, leg boundaries, atom and gate
-maturities must be nodes of the time grid on [0, t_star], and a check
-panel needs at least two paths.  Validation failures raise
-:class:`ConfigError` naming the key; the CLI maps those to exit status 1
-and runtime failures to status 2.
+maturities must be nodes of the time grid on [0, t_star], a check
+panel needs at least two paths, and every ``consistency`` value is typed
+(``y_box`` holds four ``[lo, hi]`` pairs with lo < hi).  Validation
+failures raise :class:`ConfigError` naming the key; the CLI maps those
+to exit status 1 and runtime failures to status 2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .hjm import simulation_grids
@@ -121,6 +123,38 @@ def _path_count(n_paths: int, check_block: dict, key: str) -> int:
         f"{key} must be >= 2 when check.pairs is set: the panel needs standard errors",
     )
     return n_paths
+
+
+_CONSISTENCY_DEFAULTS = {
+    "family": "nelson-siegel", "decay_fixed": None, "t_samples": 8, "y_samples": 50,
+    "y_box": [[0.0, 0.06], [-0.03, 0.03], [-0.02, 0.02], [0.3, 3.0]],
+    "seed": 7, "zero_volatility": False, "x_nodes": 512,
+}
+
+
+def _consistency_block(raw: dict) -> dict:
+    """The ``consistency`` block with its defaults filled in and every value typed."""
+    block = {**_CONSISTENCY_DEFAULTS, **_block(raw, "consistency")}
+    _require(block["family"] == "nelson-siegel", "only the 'nelson-siegel' family is built in")
+    for key, least in (("t_samples", 1), ("y_samples", 1), ("x_nodes", 2), ("seed", 0)):
+        block[key] = _coerce(int, block[key], f"consistency.{key}")
+        _require(block[key] >= least, f"consistency.{key} must be >= {least}")
+    if block["decay_fixed"] is not None:
+        decay = _coerce(float, block["decay_fixed"], "consistency.decay_fixed")
+        _require(0 < decay < math.inf, f"consistency.decay_fixed must be positive, got {decay}")
+        block["decay_fixed"] = decay
+    _require(
+        isinstance(block["zero_volatility"], bool),
+        f"consistency.zero_volatility must be true or false, got {block['zero_volatility']!r}",
+    )
+    box = [_numbers(pair, "consistency.y_box") for pair in
+           _typed(block["y_box"], list, "consistency.y_box")]
+    _require(
+        len(box) == 4 and all(len(p) == 2 and -math.inf < p[0] < p[1] < math.inf for p in box),
+        f"consistency.y_box must be 4 pairs [lo, hi] with lo < hi, got {box}",
+    )
+    block["y_box"] = box
+    return block
 
 
 def _build_factor(obj: dict):
@@ -239,12 +273,7 @@ class ExperimentConfig:
             float, costs.get("admissibility_bound", 10.0), "costs.admissibility_bound"
         )
 
-        consistency_block = _block(raw, "consistency")
-        if consistency_block:
-            _require(
-                consistency_block.get("family", "nelson-siegel") == "nelson-siegel",
-                "only the 'nelson-siegel' family is built in",
-            )
+        consistency_block = _consistency_block(raw)
 
         cfg = cls(
             raw=raw, hurst=HurstParam(h), model=model,

@@ -27,6 +27,36 @@ reprices bonds through the exponential formula
                            - sum_j int_0^t IV_j(s,T) dbeta_j_s },
 
 an independent oracle for the surface-integration route.
+
+The volatility is deterministic, so the recursion, the bond trapezoid
+and the money-account trapezoid are all linear in the increments, and
+the discounted price Z = P / S0 on the simulation grid is affine in them:
+
+    log Z(t_i, T) = c(i, T) + sum_j sum_{l<i} g_j(l, T) * dbeta_j_l.
+
+``c`` collects the initial curve and the drift: it is log Z on the path
+whose increments are all zero, run through the surface route itself.  For
+``g`` write C_j(l, q) = dx * (sigma_j(t_l, x_0)/2 + sigma_j(t_l, x_1) + ...
++ sigma_j(t_l, x_q)/2), the cumulative trapezoid of row l of the
+volatility cube.  dbeta_j_l reaches r_{t_i}(x_k) through
+sigma_j(t_l, x_{k+i-l}) for every i > l, so with T = t_s:
+
+    log P(t_i, T):  -dx * trapz_k<=s-i sigma_j(t_l, x_{k+i-l})
+                     = -[C_j(l, s - l) - C_j(l, i - l)],
+    log S0(t_i):     dt * trapz_p<=i sigma_j(t_l, x_{p-l}) over p > l
+                     = C_j(l, i - l) - dt * sigma_j(t_l, 0) / 2,
+
+and their difference telescopes to
+
+    g_j(l, T) = -[C_j(l, (T - t_l)/dt) - dt * sigma_j(t_l, 0) / 2],
+
+which does not depend on i.  A batch is therefore one cumulative sum over
+l of dbeta * g, per path and elementwise.  This is the discrete
+counterpart of the exponential formula on the simulator's own grid, not a
+copy of ``closed_form_bond``: that oracle integrates over maturity
+exactly and sits O(dt^2) away, while the affine route agrees with the
+surface route to rounding.  Since Z(t_i, t_i) = 1 / S0(t_i), the same
+weights at T = t_i give log S0, and P = Z * S0.
 """
 
 from __future__ import annotations
@@ -52,6 +82,8 @@ __all__ = [
     "money_account",
     "discounted_surface",
     "simulate_batches",
+    "affine_log_discount",
+    "affine_batches",
     "closed_form_bond",
     "write_forward_csv",
     "write_bond_csv",
@@ -288,6 +320,16 @@ def discounted_surface(bonds: BondSurface, account: np.ndarray) -> BondSurface:
     )
 
 
+def _generate_paths(method, t_grid, dims, n_paths, hurst, seed, offset) -> FbmPathSet:
+    """Paths ``offset, offset + 1, ...`` from the ``cholesky`` or ``volterra`` generator."""
+    if method == "cholesky":
+        return generate_cholesky(t_grid, dims, n_paths, hurst, seed, path_offset=offset)
+    if method == "volterra":
+        driver = BrownianDriver.generate(t_grid, dims, n_paths, seed, path_offset=offset)
+        return generate_volterra(driver, hurst)
+    raise ValueError(f"unknown generation method {method!r}")
+
+
 def simulate_batches(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -297,34 +339,112 @@ def simulate_batches(
     x_grid: MaturityGrid,
     n_paths: int,
     seed: int,
-    maturities=None,
     batch_size: int = 1000,
     method: str = "cholesky",
 ):
     """Generator of ``(offset, paths, surface, discounted)`` batches.
 
-    Each batch runs generate -> simulate -> bond prices -> money account ->
-    discount; ``offset`` is the global number of its first path and
-    ``method`` picks the path generator (``cholesky`` or ``volterra``).
-    Per-path substreams are indexed by the global path number, so the
-    yielded paths are identical for any batch size.  Memory stays bounded
-    by the batch, which is what makes 1e5-path panels feasible, provided
-    the caller drops a batch before asking for the next one; the generator
-    holds no yielded batch, so the parts a caller drops are freed at once.
+    Each batch runs generate -> simulate -> bond prices on every grid
+    maturity -> money account -> discount; ``offset`` is the global number
+    of its first path and ``method`` picks the path generator
+    (``cholesky`` or ``volterra``).  Per-path substreams are indexed by the
+    global path number, so the yielded paths are identical for any batch
+    size.  Memory stays bounded by the batch, provided the caller drops a
+    batch before asking for the next one; the generator holds no yielded
+    batch, so the parts a caller drops are freed at once.
     """
 
     def batch(offset: int):
         take = min(batch_size, n_paths - offset)
-        if method == "cholesky":
-            paths = generate_cholesky(t_grid, spec.dims, take, hurst, seed, path_offset=offset)
-        elif method == "volterra":
-            driver = BrownianDriver.generate(t_grid, spec.dims, take, seed, path_offset=offset)
-            paths = generate_volterra(driver, hurst)
-        else:
-            raise ValueError(f"unknown generation method {method!r}")
+        paths = _generate_paths(method, t_grid, spec.dims, take, hurst, seed, offset)
         surface = simulate_forward(spec, hurst, drift, init, paths, x_grid)
-        bonds = bond_surface(surface, maturities=maturities)
+        bonds = bond_surface(surface)
         return offset, paths, surface, discounted_surface(bonds, money_account(surface))
+
+    for offset in range(0, n_paths, batch_size):
+        yield batch(offset)
+
+
+def affine_log_discount(
+    spec: VolatilitySpec,
+    hurst: HurstParam,
+    drift: DriftField,
+    init: InitialCurve,
+    t_grid: TimeGrid,
+    x_grid: MaturityGrid,
+    maturities,
+):
+    """``(c, g)`` with log Z(t_i, T_m) = c[i, m] + sum_{j, l<i} g[j, l, m] dbeta_j_l.
+
+    ``c`` (n+1, M) is log Z on the zero-increment path through the surface
+    route, NaN where the surface route prices nothing; ``g`` (d, n, M) is
+    -(C_j(l, T_m - t_l) - dt * sigma_j(t_l, 0) / 2), zero for t_l >= T_m
+    (see the module docstring).
+    """
+    n, dt = t_grid.n_steps, t_grid.dt
+    idx = _maturity_indices(t_grid, x_grid, maturities)
+    zero = FbmPathSet(
+        grid=t_grid, dims=spec.dims, n_paths=1, samples=np.zeros((1, spec.dims, n + 1)),
+        seed=0, method="zero",
+    )
+    surface = simulate_forward(spec, hurst, drift, init, zero, x_grid)
+    bonds = discounted_surface(bond_surface(surface, maturities), money_account(surface))
+    c = np.log(bonds.discounted[0])
+
+    vol = _vol_cube(spec, t_grid, np.arange(n + x_grid.m_steps + 1) * dt)
+    cum = np.zeros_like(vol)
+    cum[:, :, 1:] = np.cumsum(0.5 * dt * (vol[:, :, 1:] + vol[:, :, :-1]), axis=2)
+    spans = idx[None, :] - np.arange(n)[:, None]  # (T_m - t_l) / dt, shape (n, M)
+    g = -(cum[:, np.arange(n)[:, None], np.maximum(spans, 0)] - 0.5 * dt * vol[:, :, :1])
+    g[:, spans <= 0] = 0.0
+    return c, g
+
+
+def affine_batches(
+    spec: VolatilitySpec,
+    hurst: HurstParam,
+    drift: DriftField,
+    init: InitialCurve,
+    t_grid: TimeGrid,
+    x_grid: MaturityGrid,
+    n_paths: int,
+    seed: int,
+    maturities,
+    batch_size: int = 1000,
+    method: str = "cholesky",
+):
+    """Generator of discounted :class:`BondSurface` batches on ``maturities`` only.
+
+    The same paths as :func:`simulate_batches`, priced by the affine route
+    of :func:`affine_log_discount` instead of a forward surface: per path,
+    log Z is ``c`` plus one cumulative sum over l of dbeta * g, and
+    log S0 = -log Z(t_i, t_i) one stacked product over the increments.  Both
+    are per-path operations, so every path's bits are the same whatever
+    the batch size.  Cells the surface route leaves unpriced are NaN.
+    """
+    n, dims = t_grid.n_steps, spec.dims
+    mats = np.asarray(maturities, dtype=float)
+    c, g = affine_log_discount(
+        spec, hurst, drift, init, t_grid, x_grid, np.concatenate([t_grid.points, mats])
+    )
+    diag = np.arange(n + 1)
+    s0_const = -c[diag, diag]
+    s0_weights = -g[:, :, : n + 1].reshape(dims * n, n + 1)
+    c, g = c[:, n + 1 :], g[:, :, n + 1 :]
+
+    def batch(offset: int) -> BondSurface:
+        take = min(batch_size, n_paths - offset)
+        dbeta = _generate_paths(method, t_grid, dims, take, hurst, seed, offset).increments()
+        log_z = np.empty((take, n + 1, mats.size))
+        log_z[:, 0] = 0.0
+        np.cumsum((dbeta[..., None] * g).sum(axis=1), axis=1, out=log_z[:, 1:])
+        log_z += c
+        # a stacked product, not one flat GEMM, keeps every path's bits batch invariant
+        log_s0 = s0_const + np.matmul(dbeta.reshape(take, 1, dims * n), s0_weights)[:, 0]
+        z = np.exp(log_z)
+        return BondSurface(
+            t_grid=t_grid, maturities=mats, prices=z * np.exp(log_s0)[:, :, None], discounted=z
+        )
 
     for offset in range(0, n_paths, batch_size):
         yield batch(offset)

@@ -31,7 +31,7 @@ from operator import itemgetter
 import numpy as np
 
 from .drift import DriftField, expectation_kernel, log_expectation
-from .hjm import BondSurface, simulate_batches
+from .hjm import BondSurface, affine_batches, simulate_batches
 from .kernels import HurstParam
 from .vol import VolatilitySpec
 
@@ -58,10 +58,21 @@ def simulate_discounted_batches(
     batch_size: int = 1000,
     method: str = "cholesky",
 ):
-    """Discounted bond-surface batches of :func:`fhjm.hjm.simulate_batches`."""
+    """Discounted bond-surface batches, one :class:`~fhjm.hjm.BondSurface` each.
+
+    With explicit ``maturities`` only those columns are priced, on the
+    affine route of :func:`fhjm.hjm.affine_batches`; without, every grid
+    maturity is, on the surface route of :func:`fhjm.hjm.simulate_batches`.
+    Both routes draw the same paths and agree to rounding.
+    """
+    if maturities is not None:
+        return affine_batches(
+            spec, hurst, drift, init, t_grid, x_grid, n_paths, seed, maturities,
+            batch_size=batch_size, method=method,
+        )
     batches = simulate_batches(
         spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
-        maturities=maturities, batch_size=batch_size, method=method,
+        batch_size=batch_size, method=method,
     )
     # only the discounted surface outlives the yield: each batch's paths and
     # forward surface are freed while the consumer works on it
@@ -249,14 +260,12 @@ def oscillation_probe(discounted, thresholds, taus) -> OscillationReport:
     if np.any(thresholds <= 0):
         raise ValueError("thresholds must be positive")
     taus = np.asarray(taus, dtype=float)
-    counts = None
+    counts = np.zeros((taus.size, thresholds.size), dtype=np.int64)
     total = 0
     for surface in _iter_surfaces(discounted):
         if surface.discounted is None:
             raise ValueError("oscillation_probe needs discounted surfaces")
         z = surface.discounted
-        if counts is None:
-            counts = np.zeros((taus.size, thresholds.size), dtype=np.int64)
         mat_idx = _pair_indices(surface, [(t, t) for t in taus])
         for a, tau in enumerate(taus):
             i_tau, m_tau = mat_idx[a]
@@ -266,10 +275,9 @@ def oscillation_probe(discounted, thresholds, taus) -> OscillationReport:
             with np.errstate(invalid="ignore"):
                 ratio = diag[:, None, None] / region
                 dev = np.nanmax(np.abs(ratio - 1.0), axis=(1, 2))
-            for b, k in enumerate(thresholds):
-                counts[a, b] += int(np.sum(dev < k))
+            counts[a] += (dev[:, None] < thresholds).sum(axis=0)
         total += z.shape[0]
-    if counts is None or total == 0:
+    if total == 0:
         raise ValueError("no surfaces supplied")
     freq = counts / float(total)
     return OscillationReport(

@@ -134,6 +134,18 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config, capsys):
         ("costs.kk", smoke_config(costs={"kk": [0.0]})),
         ("consistency.familly", smoke_config(consistency={"familly": "nelson-siegel"})),
         ("checks", smoke_config(checks={})),
+        # the consistency block was read only at runtime, where these exited 2
+        ("consistency.t_samples", smoke_config(consistency={"t_samples": "abc"})),
+        ("consistency.y_samples", smoke_config(consistency={"y_samples": 0})),
+        ("consistency.x_nodes", smoke_config(consistency={"x_nodes": [512]})),
+        ("consistency.seed", smoke_config(consistency={"seed": -1})),
+        ("consistency.y_box", smoke_config(consistency={"y_box": [[0, 1]]})),
+        ("consistency.y_box",
+         smoke_config(consistency={"y_box": [[0, 1], [0, 1], [1, 0], [0, 1]]})),
+        ("consistency.y_box", smoke_config(consistency={"y_box": "abc"})),
+        ("consistency.decay_fixed", smoke_config(consistency={"decay_fixed": "x"})),
+        ("consistency.decay_fixed", smoke_config(consistency={"decay_fixed": 0.0})),
+        ("consistency.zero_volatility", smoke_config(consistency={"zero_volatility": "no"})),
     )
     # in process: a traceback would escape ``main`` and fail the test
     for i, (key, cfg) in enumerate(typed):
@@ -224,6 +236,41 @@ def test_check_command(tmp_path, tmp_config):
     assert report["drift_identity_pass"]
     assert report["quasi_martingale_pass"]
     assert report["oscillation"]["frequencies"][0][1] == 1.0  # huge band
+
+
+def test_check_report_records_its_thresholds(tmp_path):
+    from fhjm.cli import CHECK_THRESHOLDS, cmd_check
+    from fhjm.config import ExperimentConfig
+
+    cfg = ExperimentConfig.from_dict(smoke_config(
+        grids={"t_star": 1.0, "n_steps": 16, "x_max": 1.0, "m_steps": 16},
+        mc={"n_paths": 20, "seed": 3, "method": "cholesky", "batch_size": 20},
+        drift={"theta_cells": 32}, check={"pairs": [[0.25, 0.75]]},
+    ))
+    cmd_check(cfg, str(tmp_path))
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["thresholds"] == CHECK_THRESHOLDS == {
+        "drift_identity_max_gap": 1e-6, "z_level": 3.0, "z_exceedances_max": 1,
+    }
+    assert report["drift_identity_pass"] == (
+        report["drift_identity_max_gap"] <= report["thresholds"]["drift_identity_max_gap"]
+    )
+
+
+def test_check_and_portfolio_thread_invariant(tmp_path):
+    # the affine route's per-path products give the same bits under one and
+    # two BLAS threads; n = 64, where the increment factor is thread invariant
+    config = REPO / "demos" / "configs" / "smoke.json"
+    for command in ("check", "portfolio"):
+        for threads in ("1", "2"):
+            r = run_cli(command, str(config), "--out", str(tmp_path / f"{command}{threads}"),
+                        cwd=tmp_path, extra_env={"OPENBLAS_NUM_THREADS": threads})
+            assert r.returncode == 0, r.stderr
+        one, two = tmp_path / f"{command}1", tmp_path / f"{command}2"
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 def test_check_pairs_past_maturity_range_rejected(tmp_path, tmp_config):

@@ -248,3 +248,55 @@ def test_vol_cube_equals_per_step_evaluations():
         for i in range(16):
             ref = np.asarray(eval_vol(spec, j, tg.points[i], ext, extrapolate="flat"))
             assert cube[j - 1, i].tobytes() == ref.tobytes(), (j, i)
+
+
+@pytest.mark.parametrize("method", ["cholesky", "volterra"])
+def test_affine_route_matches_surface_route(method):
+    # log Z = c + cumsum(dbeta . g) prices the same cells as the forward and
+    # bond surfaces, to rounding; x_max < t_star leaves unpriced cells NaN
+    from fhjm.hjm import affine_batches
+    from fhjm.vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec
+
+    table = TabulatedVol([0.0, 0.5, 1.0], [0.0, 0.5, 2.5],
+                         [[0.01, 0.02, 0.015], [0.012, 0.011, 0.02], [0.03, 0.01, 0.02]])
+    specs = (
+        VolatilitySpec((FlatVol(0.01),)),
+        VolatilitySpec((ExpDecayVol(0.02, 1.5), table)),
+    )
+    tg, xg = simulation_grids(1.0, 32, 0.5, 16)
+    init = InitialCurve.from_table([0.0, 2.0], [0.01, 0.05], tg.dt, 49)
+    mats = [0.25, 0.5, 0.75, 1.0]
+    cols = [int(round(T / tg.dt)) for T in mats]
+    for spec in specs:
+        drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=64)
+        surface = simulate_batches(spec, H75, drift, init, tg, xg, n_paths=9, seed=5,
+                                   batch_size=4, method=method)
+        affine = affine_batches(spec, H75, drift, init, tg, xg, n_paths=9, seed=5,
+                                maturities=mats, batch_size=4, method=method)
+        for (_, _, _, ref), got in zip(surface, affine, strict=True):
+            assert np.array_equal(got.maturities, mats)
+            for field in ("prices", "discounted"):
+                want, have = getattr(ref, field)[:, :, cols], getattr(got, field)
+                priced = ~np.isnan(want)
+                assert np.array_equal(priced, ~np.isnan(have)), field
+                assert not priced.all()  # T - t > x_max is unpriced
+                np.testing.assert_allclose(have[priced], want[priced], rtol=1e-12, atol=0)
+
+
+def test_affine_route_rows_do_not_depend_on_batch_size():
+    from fhjm.hjm import affine_batches
+
+    tg, xg = simulation_grids(1.0, 16, 1.0, 16)
+    spec = ho_lee(0.01)
+    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 33)
+
+    def run(batch_size):
+        batches = list(affine_batches(spec, H75, drift, init, tg, xg, n_paths=10, seed=8,
+                                      maturities=[0.5, 1.0], batch_size=batch_size))
+        return [np.concatenate([getattr(b, f) for b in batches]) for f in ("prices", "discounted")]
+
+    whole = run(10)
+    for batch_size in (1, 3):
+        for a, b in zip(run(batch_size), whole):
+            assert a.tobytes() == b.tobytes()
