@@ -29,9 +29,11 @@ Keys outside this shape are rejected (only the model and strategy
 objects are open).  Oscillation times, leg boundaries, atom and gate
 maturities must be nodes of the time grid on [0, t_star], a check
 panel needs at least two paths, and every ``consistency`` value is typed
-(``y_box`` holds four ``[lo, hi]`` pairs with lo < hi).  Validation
-failures raise :class:`ConfigError` naming the key; the CLI maps those
-to exit status 1 and runtime failures to status 2.
+(``y_box`` holds four ``[lo, hi]`` pairs with lo < hi).  Numeric keys,
+a threshold gate's ``maturity`` and ``level`` among them, take JSON
+numbers; integer keys take integral ones (64.0 loads as 64, 64.7 fails).
+Validation failures raise :class:`ConfigError` naming the key; the CLI
+maps those to exit status 1 and runtime failures to status 2.
 """
 
 from __future__ import annotations
@@ -59,11 +61,22 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _coerce(kind, value, key: str):
-    """``kind(value)`` (``int`` or ``float``), or a ConfigError naming ``key``."""
+    """JSON number ``value`` as ``kind`` (``int`` or ``float``), or a ConfigError naming ``key``.
+
+    Strings and booleans are not numbers; an ``int`` must be integral, so
+    64.0 loads as 64 and 64.7 is an error rather than 64.
+    """
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        f"{key} must be a number, got {value!r}",
+    )
+    if kind is int:
+        _require(isinstance(value, int) or value.is_integer(),
+                 f"{key} must be an integer, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{key} is out of range, got {value!r}") from exc
 
 
 def _typed(value, kind: type, key: str):
@@ -157,14 +170,16 @@ def _consistency_block(raw: dict) -> dict:
     return block
 
 
-def _build_factor(obj: dict):
-    _require(isinstance(obj, dict), "factor spec must be an object")
+def _build_factor(obj: dict, key: str):
+    """The factor described by the object at ``key``; a ConfigError names the key."""
+    _require(isinstance(obj, dict), f"{key} must be an object")
     kind = obj.get("type")
     try:
         if kind == "ho-lee":
-            return FlatVol(float(obj["sigma"]))
+            return FlatVol(_coerce(float, obj["sigma"], f"{key}.sigma"))
         if kind == "hull-white":
-            return ExpDecayVol(float(obj["sigma"]), float(obj["decay"]))
+            return ExpDecayVol(_coerce(float, obj["sigma"], f"{key}.sigma"),
+                               _coerce(float, obj["decay"], f"{key}.decay"))
         if kind == "tabulated":
             return TabulatedVol(obj["t_grid"], obj["x_grid"], obj["values"])
     except ConfigError:
@@ -207,9 +222,11 @@ class ExperimentConfig:
 
         model_block = raw["model"]
         if isinstance(model_block, dict) and "factors" in model_block:
-            factors = tuple(_build_factor(f) for f in model_block["factors"])
+            factors = tuple(_build_factor(f, f"model.factors[{i}]")
+                            for i, f in enumerate(_typed(model_block["factors"], list,
+                                                         "model.factors")))
         else:
-            factors = (_build_factor(model_block),)
+            factors = (_build_factor(model_block, "model"),)
         model = VolatilitySpec(factors=factors)
 
         grids = _block(raw, "grids")
@@ -298,6 +315,8 @@ class ExperimentConfig:
                 gate = leg.get("gate", {})
                 if gate.get("kind") == "threshold":
                     _on_t_grid(gate["maturity"], f"{key}.gate.maturity", t_star, n_steps)
+                    level = _coerce(float, gate["level"], f"{key}.gate.level")
+                    _require(math.isfinite(level), f"{key}.gate.level must be finite")
         return cfg
 
     def set_paths(self, n_paths: int, key: str) -> None:

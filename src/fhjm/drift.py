@@ -14,14 +14,21 @@ piecewise-linearly and the singular density is integrated exactly per cell
 (zeroth and first moments m0, m1 in closed form).  The moments are folded
 into hat-function node weights once per time slice: a cell [a, b] of width
 h adds (b*m0 - m1)/h to its left node and (m1 - a*m0)/h to its right node,
-so every theta-integral is one product ``w @ curve`` of the weights with
+so every theta-integral is the sum ``w @ curve`` of the weights times
 the factor curve sampled at the nodes.  The rule is therefore exact
 for the flat-volatility model, whose drift has the closed form
 
     sigma^2 * (2*x*H*t^(2H-1) + (H - 1/2)*t^(2H)),
 
-and second-order accurate in general.  Closed forms for both built-in
-models are provided as independent oracles.
+and second-order accurate in general.  For the built-in factors both
+curves depend only on the lag s = t - theta and the maturity x, in the
+form alpha + beta*s + gamma*exp(-decay*s) with coefficients in x, so each
+drift row needs only three theta-sums, m0 = sum(w), m1 = sum(w*s) and
+E = sum(w*exp(-decay*s)), times curves in x: the same weights and nodes,
+summed in another order.  Every exponent stays <= 0.  Tables depend on
+theta and x separately; for them the curves are evaluated on the whole
+(theta, x) array and summed by one product per curve.  Closed forms for
+both built-in models are provided as independent oracles.
 
 The module also evaluates the expectation kernel e(t, T) driving the ODE
 for E exp(-integral of the discounted-price integrand), its time integral
@@ -42,7 +49,7 @@ from .kernels import (
     cov_segment_integral,
     cov_segment_moment,
 )
-from .vol import TabulatedVol, VolatilitySpec, eval_vol, integrated_vol
+from .vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec, eval_vol, integrated_vol
 
 __all__ = [
     "DriftField",
@@ -168,6 +175,32 @@ def drift_field(
     return DriftField(t_points=t_points, x_points=x_points, values=values)
 
 
+def _theta_sums(factor, t: float, nodes: np.ndarray, w: np.ndarray, x: np.ndarray):
+    """The two theta-integrals of one factor at time t, as curves in x (a flat one as a scalar).
+
+    Returns ``w @ IV(theta, x + t)`` and ``w @ sigma(theta, x + t - theta)``.
+    A built-in factor depends on the lag s = t - theta only through
+    m0 = sum(w), m1 = sum(w*s) and E = sum(w*exp(-decay*s)):
+
+        flat:       sigma*(x*m0 + m1)                  and  sigma*m0
+        exp-decay:  (sigma/a)*(m0 - exp(-a*x)*E)       and  sigma*exp(-a*x)*E
+
+    A table is evaluated on the whole (theta, x) array, flat beyond its
+    x-columns (the integrands reach x + t).
+    """
+    if isinstance(factor, FlatVol):
+        m0 = w.sum()
+        return factor.sigma * (x * m0 + w @ (t - nodes)), factor.sigma * m0
+    if isinstance(factor, ExpDecayVol):
+        a = factor.decay
+        damp = np.exp(-a * x)
+        e = w @ np.exp(-a * (t - nodes))
+        return (factor.sigma / a) * (w.sum() - damp * e), factor.sigma * damp * e
+    th = nodes[:, None]
+    span = np.maximum(x + t - th, 0.0)
+    return w @ factor.integral_in_x(th, span), w @ factor(th, span, extrapolate="flat")
+
+
 def _drift_row(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -175,20 +208,18 @@ def _drift_row(
     x_points: np.ndarray,
     theta_cells: int,
 ) -> np.ndarray:
-    """One time slice of the drift: each theta-integral is one hat-weight product.
+    """One time slice of the drift from the hat weights of its theta-cells.
 
-    Tabulated factors extrapolate flat in x beyond their table (the
-    integrands reach x + t).
+    Each factor adds sigma(t, x) * (w @ IV) + IV(t, t + x) * (w @ sigma);
+    ``_theta_sums`` reduces both theta-integrals to three sums for the
+    built-ins and keeps the dense (theta, x) product for tables only.
     """
     thetas, w = _hat_weights(t, hurst, theta_cells)
-    th = thetas[:, None]
-    x_plus_t = (x_points + t)[None, :]
     row = np.zeros(x_points.size)
-    for j in range(1, spec.dims + 1):
-        iv = integrated_vol(spec, j, th, x_plus_t)
-        sig = eval_vol(spec, j, th, x_plus_t - th, extrapolate="flat")
-        row += eval_vol(spec, j, t, x_points, extrapolate="flat") * (w @ iv)
-        row += integrated_vol(spec, j, t, t + x_points) * (w @ sig)
+    for j, factor in enumerate(spec.factors, start=1):
+        iv_w, sig_w = _theta_sums(factor, t, thetas, w, x_points)
+        row += eval_vol(spec, j, t, x_points, extrapolate="flat") * iv_w
+        row += integrated_vol(spec, j, t, t + x_points) * sig_w
     return row
 
 

@@ -70,6 +70,14 @@ def test_simulate_byte_identical_and_thread_invariant(tmp_path, tmp_config):
         assert a == (tmp_path / "c" / name).read_bytes()
 
 
+def _gated_config(maturity=0.5, level=1.0):
+    return smoke_config(strategies=[
+        {"name": "gated", "legs": [{"from": 0.0, "to": 0.5, "atoms": [{"T": 1.0, "w": 1.0}],
+                                    "gate": {"kind": "threshold", "maturity": maturity,
+                                             "op": "<=", "level": level}}]},
+    ])
+
+
 def test_config_rejections_exit_code_one(tmp_path, tmp_config, capsys):
     from fhjm.cli import main
 
@@ -146,6 +154,23 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config, capsys):
         ("consistency.decay_fixed", smoke_config(consistency={"decay_fixed": "x"})),
         ("consistency.decay_fixed", smoke_config(consistency={"decay_fixed": 0.0})),
         ("consistency.zero_volatility", smoke_config(consistency={"zero_volatility": "no"})),
+        # a gate's maturity and level reached the ledger untyped and failed there
+        ("strategies[0].legs[0].gate.maturity", _gated_config(maturity="1.0")),
+        ("strategies[0].legs[0].gate.level", _gated_config(level="abc")),
+        # a factor's numbers took strings and booleans: decay true ran as 1.0
+        ("model.sigma", smoke_config(model={"type": "ho-lee", "sigma": "0.01"})),
+        ("model.factors[1].decay", smoke_config(model={"factors": [
+            {"type": "ho-lee", "sigma": 0.01},
+            {"type": "hull-white", "sigma": 0.01, "decay": True}]})),
+        # integer keys once truncated fractional values: 64.7 steps ran as 64
+        ("grids.n_steps", smoke_config(grids={"n_steps": 64.7, "m_steps": 64})),
+        ("grids.m_steps", smoke_config(grids={"n_steps": 64, "m_steps": 64.7})),
+        ("mc.n_paths", smoke_config(mc={"n_paths": 2.9})),
+        ("mc.seed", smoke_config(mc={"n_paths": 10, "seed": 1.5})),
+        ("mc.batch_size", smoke_config(mc={"n_paths": 10, "batch_size": 7.5})),
+        ("drift.theta_cells", smoke_config(drift={"theta_cells": 64.5})),
+        ("consistency.t_samples", smoke_config(consistency={"t_samples": 8.5})),
+        ("consistency.x_nodes", smoke_config(consistency={"x_nodes": 512.25})),
     )
     # in process: a traceback would escape ``main`` and fail the test
     for i, (key, cfg) in enumerate(typed):
@@ -162,6 +187,21 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config, capsys):
         assert status == 1
         assert "config error" in stderr and "--paths" in stderr
     assert not (tmp_path / "p").exists()
+
+
+def test_integral_floats_and_typed_gates_load():
+    from fhjm.config import ExperimentConfig
+
+    cfg = ExperimentConfig.from_dict(smoke_config(
+        grids={"t_star": 1.0, "n_steps": 64.0, "x_max": 1.0, "m_steps": 64.0},
+        mc={"n_paths": 100.0, "seed": 42.0, "batch_size": 64.0},
+    ))
+    counts = (cfg.n_steps, cfg.m_steps, cfg.n_paths, cfg.seed, cfg.batch_size)
+    assert counts == (64, 64, 100, 42, 64)
+    assert all(type(v) is int for v in counts)
+    gated = ExperimentConfig.from_dict(_gated_config(maturity=0.5, level=1))
+    gate = gated.build_strategy(gated.strategies[0]).legs[0].gate
+    assert (gate.maturity, gate.level) == (0.5, 1)
 
 
 def test_outputs_independent_of_batch_size(tmp_path):

@@ -287,10 +287,17 @@ def _reference_specs():
         "hull-white": hull_white(0.01, 1.3),
         "two-factor": VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 0.7))),
         "tabulated": VolatilitySpec((TabulatedVol(t_grid, x_grid, values),)),
+        # decay * t reaches 800 on t <= 1, past where exp(+decay * theta) overflows
+        "steep-hull-white": hull_white(0.01, 800.0),
+        # one row takes the dense table product and the exp-decay sums
+        "table-and-hull-white": VolatilitySpec(
+            (TabulatedVol(t_grid, x_grid, values), ExpDecayVol(0.02, 0.7))
+        ),
     }
 
 
-@pytest.mark.parametrize("name", ["ho-lee", "hull-white", "two-factor", "tabulated"])
+@pytest.mark.parametrize("name", ["ho-lee", "hull-white", "two-factor", "tabulated",
+                                  "steep-hull-white", "table-and-hull-white"])
 def test_hat_weight_rows_match_slope_intercept_rule(name):
     import warnings
 
@@ -300,6 +307,7 @@ def test_hat_weight_rows_match_slope_intercept_rule(name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the table is extrapolated flat
         field = drift_field(spec, _REF_HURST, tg, xg, theta_cells=512)
+    assert np.all(np.isfinite(field.values))
     for i in range(1, tg.size):
         ref = _reference_drift_row(spec, float(tg[i]), xg, 512)
         assert np.max(np.abs(field.values[i] - ref)) <= 1e-13 * np.max(np.abs(ref)), i
