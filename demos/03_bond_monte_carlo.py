@@ -11,13 +11,13 @@ import numpy as np
 from fhjm import (
     HurstParam,
     InitialCurve,
+    affine_batches,
     bond_surface,
     check_quasi_martingale,
     closed_form_bond,
     drift_for_simulation,
     generate_cholesky,
     ho_lee,
-    simulate_discounted_batches,
     simulate_forward,
     simulation_grids,
 )
@@ -39,7 +39,7 @@ print(f"pathwise relative deviation between routes: {dev:.2e}")
 
 print("\n== constant-expectation panel, 20000 paths ==")
 pairs = [(1.0, 3.0), (1.0, 4.0), (2.0, 3.0), (2.0, 4.0), (3.0, 4.0)]
-batches = simulate_discounted_batches(
+batches = affine_batches(
     spec, hurst, field, init, tg, xg,
     n_paths=20_000, seed=99, maturities=[3.0, 4.0], batch_size=2000,
 )
@@ -48,7 +48,7 @@ print(rep.table())
 print(f"panel z-scores exceeding 3: {rep.n_exceeding(3.0)}")
 
 print("\n== negative control: drift removed ==")
-batches0 = simulate_discounted_batches(
+batches0 = affine_batches(
     spec, hurst, field.zeroed(), init, tg, xg,
     n_paths=20_000, seed=99, maturities=[3.0, 4.0], batch_size=2000,
 )

@@ -16,12 +16,12 @@ from fhjm import (
     InitialCurve,
     Strategy,
     StrategyLeg,
+    affine_batches,
     drift_for_simulation,
     ho_lee,
     integration_by_parts_check,
     liquidation_value,
     oscillation_probe,
-    simulate_discounted_batches,
     simulation_grids,
     total_variation,
 )
@@ -32,9 +32,11 @@ tg, xg = simulation_grids(1.0, 32, 1.0, 32)
 field = drift_for_simulation(spec, hurst, tg, xg)
 init = InitialCurve.flat(0.03, tg.dt, 65)
 
+# every time-grid maturity: the probe reads Z_tau(tau) off the diagonal
 surfaces = list(
-    simulate_discounted_batches(
-        spec, hurst, field, init, tg, xg, n_paths=500, seed=21, batch_size=500
+    affine_batches(
+        spec, hurst, field, init, tg, xg, n_paths=500, seed=21, maturities=tg.points,
+        batch_size=500,
     )
 )
 market = surfaces[0]

@@ -65,6 +65,7 @@ from .hjm import (
     BondSurface,
     ForwardSurface,
     InitialCurve,
+    affine_batches,
     bond_surface,
     closed_form_bond,
     discounted_surface,
@@ -77,7 +78,6 @@ from .noarb import (
     check_quasi_martingale,
     drift_identity_check,
     oscillation_probe,
-    simulate_discounted_batches,
 )
 from .ledger import (
     DiscreteMeasure,

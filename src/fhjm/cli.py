@@ -38,14 +38,6 @@ def _out_dir(args) -> str:
     return out
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-    if args.paths is not None:
-        cfg.set_paths(args.paths, "--paths")
-    return cfg
-
-
 def _write_manifest(out: str, command: str, cfg: ExperimentConfig, outputs: list) -> None:
     import scipy
 
@@ -72,20 +64,19 @@ def _write_manifest(out: str, command: str, cfg: ExperimentConfig, outputs: list
 def _build_drift(cfg: ExperimentConfig):
     from .hjm import drift_for_simulation
 
-    tg, xg = cfg.grids()
-    return drift_for_simulation(cfg.model, cfg.hurst, tg, xg, theta_cells=cfg.theta_cells)
+    return drift_for_simulation(
+        cfg.model, cfg.hurst, cfg.t_grid, cfg.x_grid, theta_cells=cfg.theta_cells
+    )
 
 
 def _run(pipeline, cfg: ExperimentConfig, drift, **kwargs):
     """The config's Monte Carlo batches from ``pipeline``.
 
-    ``pipeline`` is ``hjm.simulate_batches`` or
-    ``noarb.simulate_discounted_batches``; ``kwargs`` (its ``maturities``)
-    pass through.
+    ``pipeline`` is ``hjm.simulate_batches`` or ``hjm.affine_batches``;
+    ``kwargs`` (the latter's ``maturities``) pass through.
     """
-    tg, xg = cfg.grids()
     return pipeline(
-        cfg.model, cfg.hurst, drift, cfg.build_initial_curve(), tg, xg,
+        cfg.model, cfg.hurst, drift, cfg.initial_curve, cfg.t_grid, cfg.x_grid,
         n_paths=cfg.n_paths, seed=cfg.seed, batch_size=cfg.batch_size, method=cfg.method,
         **kwargs,
     )
@@ -140,18 +131,13 @@ CHECK_THRESHOLDS = {"drift_identity_max_gap": 1e-6, "z_level": 3.0, "z_exceedanc
 
 
 def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
-    from .noarb import (
-        check_quasi_martingale,
-        drift_identity_check,
-        oscillation_probe,
-        simulate_discounted_batches,
-    )
+    from .hjm import affine_batches
+    from .noarb import check_quasi_martingale, drift_identity_check, oscillation_probe
 
     report: dict = {}
     ok = True
-    pairs = [tuple(map(float, p)) for p in cfg.check_block.get("pairs", [])]
-    osc = cfg.check_block.get("oscillation", {})
-    if not pairs and not osc:
+    pairs, osc = cfg.pairs, cfg.oscillation
+    if not pairs and osc is None:
         with open(os.path.join(out, "check_report.json"), "w") as fh:
             json.dump({}, fh, indent=2)
         return ["check_report.json"], True
@@ -170,7 +156,7 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
         ok = ok and report["drift_identity_pass"]
 
         qm = check_quasi_martingale(
-            _run(simulate_discounted_batches, cfg, drift, maturities=maturities),
+            _run(affine_batches, cfg, drift, maturities=maturities),
             cfg.model, cfg.hurst, pairs, drift=drift,
         )
         report["quasi_martingale"] = json.loads(qm.to_json())
@@ -180,11 +166,11 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
         )
         ok = ok and report["quasi_martingale_pass"]
 
-    if osc:
-        taus = [float(t) for t in osc.get("taus", [0.0])]
-        thresholds = [float(k) for k in osc.get("thresholds", [0.05])]
+    if osc is not None:
+        # Z_tau(tau) sits on the diagonal, so the probe prices every time-grid maturity
         probe = oscillation_probe(
-            _run(simulate_discounted_batches, cfg, drift), thresholds, taus
+            _run(affine_batches, cfg, drift, maturities=cfg.t_grid.points),
+            osc["thresholds"], osc["taus"],
         )
         report["oscillation"] = json.loads(probe.to_json())
 
@@ -200,7 +186,7 @@ def cmd_consistency(cfg: ExperimentConfig, out: str) -> list:
         nelson_siegel_family,
     )
 
-    block = cfg.consistency_block  # typed and defaulted by the config
+    block = cfg.consistency
     decay_fixed = block["decay_fixed"]
     family = nelson_siegel_family(decay_fixed=decay_fixed)
     n_t = block["t_samples"]
@@ -208,7 +194,7 @@ def cmd_consistency(cfg: ExperimentConfig, out: str) -> list:
     ys = np.column_stack([rng.uniform(lo, hi, block["y_samples"]) for lo, hi in block["y_box"]])
     if decay_fixed is not None:
         ys[:, 3] = decay_fixed
-    ts = np.linspace(cfg.t_star / n_t, cfg.t_star, n_t)
+    ts = np.linspace(cfg.t_grid.t_star / n_t, cfg.t_grid.t_star, n_t)
     zero_vol = block["zero_volatility"]
     spec = None if zero_vol else cfg.model
     verdict = nagumo_full_check(family, spec, cfg.hurst, ts, ys)
@@ -235,14 +221,11 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
         total_variation,
         write_ledger_csv,
     )
-    from .noarb import simulate_discounted_batches
+    from .hjm import affine_batches
 
     if not cfg.strategies:
         raise ConfigError("portfolio command needs a 'strategies' block")
-    names = [block.get("name", f"strategy_{s_i}") for s_i, block in enumerate(cfg.strategies)]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"strategies need distinct names, got {names}")
-    strategies = [cfg.build_strategy(block) for block in cfg.strategies]
+    names, strategies = list(cfg.strategies), list(cfg.strategies.values())
     finals = [{f"{k:g}": [] for k in cfg.cost_levels} for _ in names]
     residuals = [[] for _ in names]
     floors = [[] for _ in names]
@@ -250,10 +233,10 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
     # the ledger reads only the atom and threshold-gate maturity columns
     maturities = sorted(
         {T for strategy in strategies for leg in strategy.legs for T, _ in leg.measure.atoms}
-        | {float(leg.gate.maturity) for strategy in strategies for leg in strategy.legs
+        | {leg.gate.maturity for strategy in strategies for leg in strategy.legs
            if leg.gate.kind == "threshold"}
     )
-    batches = _run(simulate_discounted_batches, cfg, _build_drift(cfg), maturities=maturities)
+    batches = _run(affine_batches, cfg, _build_drift(cfg), maturities=maturities)
     offset = 0
     with ExitStack() as stack:
         files = [stack.enter_context(open(os.path.join(out, f), "w")) for f in outputs]
@@ -308,7 +291,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = ExperimentConfig.load(args.config)
-        cfg = _apply_overrides(cfg, args)
+        for key, value, flag in (("mc.seed", args.seed, "--seed"),
+                                 ("mc.n_paths", args.paths, "--paths")):
+            if value is not None:
+                cfg.override(key, value, flag)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""JSON experiment configuration: schema validation and object construction.
+"""JSON experiment configuration: the one contract between a config file and the engine.
 
 A config drives one reproducible experiment.  Shape:
 
@@ -13,27 +13,42 @@ A config drives one reproducible experiment.  Shape:
                      | {"type": "table", "x": [...], "value": [...]},
       "mc": {"n_paths": 1000, "seed": 42, "method": "cholesky", "batch_size": 2000},
       "drift": {"theta_cells": 512},
-      "check": {"pairs": [[t, T], ...],        # 0 <= t <= min(T, t_star), T <= x_max
-                 "oscillation": {"thresholds": [...], "taus": [...]}},
+      "check": {"pairs": [[t, T], ...], "oscillation": {"thresholds": [...], "taus": [...]}},
       "strategies": [{"name": "...", "legs": [{"from": 0.0, "to": 1.0,
-                       "atoms": [{"T": 1.0, "w": 1.0}],
-                       "gate": {"kind": "always"}}]}],
+                       "atoms": [{"T": 1.0, "w": 1.0}], "gate": {"kind": "always"}}]}],
       "costs": {"k": [0.0, 0.01], "admissibility_bound": 10.0},
-      "consistency": {"family": "nelson-siegel", "decay_fixed": null,
-                       "t_samples": 8, "y_samples": 50,
-                       "y_box": [[0.0, 0.06], [-0.03, 0.03], [-0.02, 0.02], [0.3, 3.0]],
-                       "seed": 7, "zero_volatility": false, "x_nodes": 512}
+      "consistency": {"family": "nelson-siegel", "decay_fixed": null, "t_samples": 8,
+                       "y_samples": 50, "y_box": [[lo, hi] x 4], "seed": 7,
+                       "zero_volatility": false, "x_nodes": 512}
     }
 
-Keys outside this shape are rejected (only the model and strategy
-objects are open).  Oscillation times, leg boundaries, atom and gate
-maturities must be nodes of the time grid on [0, t_star], a check
-panel needs at least two paths, and every ``consistency`` value is typed
-(``y_box`` holds four ``[lo, hi]`` pairs with lo < hi).  Numeric keys,
-a threshold gate's ``maturity`` and ``level`` among them, take JSON
-numbers; integer keys take integral ones (64.0 loads as 64, 64.7 fails).
-Validation failures raise :class:`ConfigError` naming the key; the CLI
-maps those to exit status 1 and runtime failures to status 2.
+The contract.  ``_KEYS`` holds every per-key rule, one row per dotted key
+(``[]`` stands for any list index): its kind, its default and its bound.
+The root and the fixed-shape blocks take exactly the keys of their rows;
+the model and strategy objects are open, so keys without a row are
+ignored there.  A number is a JSON number, never a string or a boolean.
+A float is finite: ``NaN`` and ``Infinity``, which Python's ``json``
+reads, fail every float key.  An integer is integral (64.0 loads as 64,
+64.7 fails).  A list kind types each entry and bounds each entry.  An
+absent key takes its default: ``_REQUIRED`` keys have none, a ``None``
+default leaves a key unset when absent or null, and ``_Same`` copies a
+sibling.  An empty ``check.oscillation`` block means no probe.  A
+strategy ``name`` (``strategy_<i>`` when unset) names its ledger file:
+it holds no ``/``, ``\\`` or NUL, and the names are distinct.
+
+Rules across keys are the small functions after the table: the grids
+align; check pairs [t, T] satisfy 0 <= t <= min(T, t_star) and
+T <= x_max; oscillation times, leg boundaries, atom and gate maturities
+are nodes of the time grid on [0, t_star]; a check panel needs two paths
+(also after ``--paths``); a table initial curve has increasing ``x``, one
+``value`` per ``x``, and covers [0, t_star + x_max].
+
+:meth:`ExperimentConfig.from_dict` returns resolved values: the grids,
+initial curve, model and strategies built, the panel pairs as float
+tuples, the probe's taus and thresholds with their defaults, and the
+typed ``consistency`` block.  Every failure raises :class:`ConfigError`
+naming the key; the CLI maps those to exit status 1 and runtime failures
+to status 2.
 """
 
 from __future__ import annotations
@@ -41,12 +56,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass
 
-from .hjm import simulation_grids
+from .fbm import TimeGrid
+from .hjm import InitialCurve, simulation_grids
 from .kernels import HurstParam
 from .ledger import DiscreteMeasure, Gate, Strategy, StrategyLeg
-from .vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec
+from .vol import ExpDecayVol, FlatVol, MaturityGrid, TabulatedVol, VolatilitySpec
 
 __all__ = ["ConfigError", "ExperimentConfig"]
 
@@ -60,133 +78,288 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _coerce(kind, value, key: str):
-    """JSON number ``value`` as ``kind`` (``int`` or ``float``), or a ConfigError naming ``key``.
+# -- kinds: ``kind(value, name)`` is the typed value, or a ConfigError naming ``name``
 
-    Strings and booleans are not numbers; an ``int`` must be integral, so
-    64.0 loads as 64 and 64.7 is an error rather than 64.
-    """
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{key} must be a number, got {value!r}",
-    )
-    if kind is int:
-        _require(isinstance(value, int) or value.is_integer(),
-                 f"{key} must be an integer, got {value!r}")
+
+def _is(test, what: str):
+    """The kind that passes a value when ``test(value)`` holds; it must be ``what``."""
+
+    def kind(value, name: str):
+        _require(test(value), f"{name} must be {what}, got {value!r}")
+        return value
+
+    return kind
+
+
+def _choice(*options: str):
+    return _is(lambda v: v in options, "|".join(options))
+
+
+_number = _is(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_bool = _is(lambda v: isinstance(v, bool), "true or false")
+_list = _is(lambda v: isinstance(v, list), "a list")
+_object = _is(lambda v: isinstance(v, dict), "an object")
+_objects = _is(lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+               "a list of objects")
+_name = _is(lambda v: isinstance(v, str) and not any(c in v for c in "/\\\0"),
+            "a string without '/', '\\' or NUL (it names a file)")
+
+
+def _int(value, name: str) -> int:
+    value = _number(value, name)
+    _require(isinstance(value, int) or value.is_integer(),
+             f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value, name: str) -> float:
     try:
-        return kind(value)
+        value = float(_number(value, name))
     except OverflowError as exc:  # an integer beyond the float range
-        raise ConfigError(f"{key} is out of range, got {value!r}") from exc
-
-
-def _typed(value, kind: type, key: str):
-    """``value`` when it is a ``kind`` (dict or list), or a ConfigError naming ``key``."""
-    name = "an object" if kind is dict else "a list"
-    _require(isinstance(value, kind), f"{key} must be {name}, got {value!r}")
+        raise ConfigError(f"{name} is out of range, got {value!r}") from exc
+    _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
     return value
 
 
-def _numbers(value, key: str) -> list:
-    """``value`` as a list of floats, or a ConfigError naming ``key``."""
-    return [_coerce(float, v, key) for v in _typed(value, list, key)]
+def _floats(value, name: str) -> list:
+    return [_float(v, name) for v in _list(value, name)]
 
 
-_TOP_KEYS = ("model", "hurst", "grids", "initial_curve", "mc", "drift", "check", "strategies",
-             "costs", "consistency")
-_BLOCK_KEYS = {
-    "grids": ("t_star", "n_steps", "x_max", "m_steps"),
-    "initial_curve": ("type", "rate", "x", "value"),
-    "mc": ("n_paths", "seed", "method", "batch_size"),
-    "drift": ("theta_cells",),
-    "check": ("pairs", "oscillation"),
-    "check.oscillation": ("thresholds", "taus"),
-    "costs": ("k", "admissibility_bound"),
-    "consistency": ("family", "decay_fixed", "t_samples", "y_samples", "y_box", "seed",
-                    "zero_volatility", "x_nodes"),
+def _nonempty(kind):
+    return lambda value, name: _is(len, "non-empty")(kind(value, name), name)
+
+
+def _pairs(value, name: str) -> tuple:
+    return tuple(tuple(_floats(pair, name)) for pair in _list(value, name))
+
+
+def _box(value, name: str) -> list:
+    box = [_floats(pair, name) for pair in _list(value, name)]
+    _require(len(box) == 4 and all(len(p) == 2 and p[0] < p[1] for p in box),
+             f"{name} must be 4 pairs [lo, hi] with lo < hi, got {box}")
+    return box
+
+
+def _values(block, prefix: str) -> dict:
+    """The rows directly under ``prefix`` (``""``: the root) read from ``block``, typed."""
+    rows = {k.rpartition(".")[2]: k for k in _KEYS if k.rpartition(".")[0] == prefix}
+    for name in _object(block, prefix or "config root"):
+        _require(name in rows, f"unknown config key {prefix + '.' if prefix else ''}{name}")
+    out = {}
+    for name, key in rows.items():
+        same = _KEYS[key][1]
+        absent = isinstance(same, _Same) and name not in block
+        out[name] = out[same] if absent else _coerce(key, block.get(name, _ABSENT))
+    return out
+
+
+def _probe(value, name: str):
+    """The ``check.oscillation`` rows; ``None`` (no probe) for an empty block."""
+    return None if value == {} else _values(value, name)
+
+
+class _Same(str):
+    """A default: the value of the sibling key it names."""
+
+
+_REQUIRED = object()
+_ABSENT = object()
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+# dotted key: (kind, default, bound), a bound being ((op, limit), ...).  The
+# drift grows as sigma**2, so sigma stays where its square is far from overflow.
+_KEYS = {
+    "model": (_object, _REQUIRED, None),
+    "model.factors": (_nonempty(_objects), None, None),
+    "model.type": (_choice("ho-lee", "hull-white", "tabulated"), _REQUIRED, None),
+    "model.sigma": (_float, _REQUIRED, ((">", 0.0), ("<", 1e100))),
+    "model.decay": (_float, _REQUIRED, ((">", 0.0),)),
+    "hurst": (_float, _REQUIRED, ((">", 0.5), ("<", 1.0))),
+    "grids": (_values, {}, None),
+    "grids.t_star": (_float, 1.0, ((">", 0.0),)),
+    "grids.n_steps": (_int, 64, ((">=", 1),)),
+    "grids.x_max": (_float, _Same("t_star"), ((">", 0.0),)),
+    "grids.m_steps": (_int, _Same("n_steps"), ((">=", 1),)),
+    "initial_curve": (_values, {"type": "flat", "rate": 0.0}, None),
+    "initial_curve.type": (_choice("flat", "table"), _REQUIRED, None),
+    "initial_curve.rate": (_float, None, None),
+    "initial_curve.x": (_floats, None, None),
+    "initial_curve.value": (_floats, None, None),
+    "mc": (_values, {}, None),
+    "mc.n_paths": (_int, 100, ((">=", 1),)),
+    "mc.seed": (_int, 0, ((">=", 0),)),
+    "mc.method": (_choice("cholesky", "volterra"), "cholesky", None),
+    "mc.batch_size": (_int, 2000, ((">=", 1),)),
+    "drift": (_values, {}, None),
+    "drift.theta_cells": (_int, 512, ((">=", 16),)),
+    "check": (_values, {}, None),
+    "check.pairs": (_pairs, [], None),
+    "check.oscillation": (_probe, None, None),
+    "check.oscillation.taus": (_floats, [0.0], None),
+    "check.oscillation.thresholds": (_floats, [0.05], ((">", 0.0),)),
+    "strategies": (_objects, [], None),
+    "strategies[].name": (_name, None, None),
+    "strategies[].legs": (_nonempty(_objects), _REQUIRED, None),
+    "strategies[].legs[].from": (_float, _REQUIRED, None),
+    "strategies[].legs[].to": (_float, _REQUIRED, None),
+    "strategies[].legs[].atoms": (_objects, _REQUIRED, None),
+    "strategies[].legs[].atoms[].T": (_float, _REQUIRED, None),
+    "strategies[].legs[].atoms[].w": (_float, _REQUIRED, None),
+    "strategies[].legs[].gate": (_object, {"kind": "always"}, None),
+    "strategies[].legs[].gate.kind": (_choice("always", "threshold"), "always", None),
+    "strategies[].legs[].gate.maturity": (_float, _REQUIRED, None),
+    "strategies[].legs[].gate.op": (_choice("<=", ">="), _REQUIRED, None),
+    "strategies[].legs[].gate.level": (_float, _REQUIRED, None),
+    "costs": (_values, {}, None),
+    "costs.k": (_nonempty(_floats), [0.01], ((">=", 0.0),)),
+    "costs.admissibility_bound": (_float, 10.0, None),
+    "consistency": (_values, {}, None),
+    "consistency.family": (_choice("nelson-siegel"), "nelson-siegel", None),
+    "consistency.decay_fixed": (_float, None, ((">", 0.0),)),
+    "consistency.t_samples": (_int, 8, ((">=", 1),)),
+    "consistency.y_samples": (_int, 50, ((">=", 1),)),
+    "consistency.y_box": (_box, [[0.0, 0.06], [-0.03, 0.03], [-0.02, 0.02], [0.3, 3.0]], None),
+    "consistency.seed": (_int, 7, ((">=", 0),)),
+    "consistency.zero_volatility": (_bool, False, None),
+    "consistency.x_nodes": (_int, 512, ((">=", 2),)),
 }
 
 
-def _block(parent: dict, key: str, default=None) -> dict:
-    """The object at dotted ``key``, its last part read from ``parent``.
+def _coerce(name: str, value=_ABSENT, key: str | None = None):
+    """``value`` of the config key ``name`` under its row's kind, default and bound.
 
-    ``default`` (else ``{}``) when absent; a ConfigError naming the key
-    when it is not an object or holds a key outside ``_BLOCK_KEYS[key]``.
+    The row is ``key``, else ``name`` with every list index written ``[]``.
     """
-    block = _typed(parent.get(key.split(".")[-1], default or {}), dict, key)
-    for name in block:
-        _require(name in _BLOCK_KEYS[key], f"unknown config key {key}.{name}")
-    return block
+    kind, default, bound = _KEYS[key or re.sub(r"\[\d+\]", "[]", name)]
+    if value is _ABSENT or (value is None and default is None):
+        _require(default is not _REQUIRED, f"config needs {name}")
+        if default is None:
+            return None
+        value = default
+    value = kind(value, name)
+    for op, limit in bound or ():
+        for v in value if isinstance(value, list) else (value,):
+            _require(_OPS[op](v, limit), f"{name} must be {op} {limit}, got {v!r}")
+    return value
 
 
-def _on_t_grid(value, key: str, t_star: float, n_steps: int) -> None:
-    """A ConfigError naming ``key`` unless ``value`` is a node of the time grid on [0, t_star]."""
-    value = _coerce(float, value, key)
+def _get(obj: dict, name: str, key: str | None = None):
+    """The entry of ``obj`` at ``name``'s last part, through :func:`_coerce`."""
+    return _coerce(name, obj.get(name.rpartition(".")[2], _ABSENT), key)
+
+
+# -- rules across keys and the objects built from the values
+
+
+def _on_t_grid(value: float, name: str, t_grid: TimeGrid) -> float:
+    """``value`` if it is a node of the time grid on [0, t_star], else a ConfigError naming ``name``."""
+    t_star, n_steps = t_grid.t_star, t_grid.n_steps
     steps = value / t_star * n_steps
-    _require(  # the range test comes first: it also rejects NaN and infinities
-        -0.5 <= steps <= n_steps + 0.5 and abs(round(steps) * t_star / n_steps - value) <= 1e-9,
-        f"{key} = {value} must be a node of the time grid on [0, t_star]",
-    )
-
-
-def _path_count(n_paths: int, check_block: dict, key: str) -> int:
-    """``n_paths`` if the config can run that many paths, else a ConfigError naming ``key``."""
-    _require(n_paths >= 1, f"{key} must be >= 1")
     _require(
-        n_paths >= 2 or not check_block.get("pairs"),
-        f"{key} must be >= 2 when check.pairs is set: the panel needs standard errors",
+        -0.5 <= steps <= n_steps + 0.5 and abs(round(steps) * t_star / n_steps - value) <= 1e-9,
+        f"{name} = {value} must be a node of the time grid on [0, t_star]",
     )
+    return value
+
+
+def _panel(pairs: tuple, t_grid: TimeGrid, x_grid: MaturityGrid) -> tuple:
+    # the panel target P(0, T) is read off the t = 0 curve, which ends at x_max
+    for pair in pairs:
+        _require(
+            len(pair) == 2 and 0.0 <= pair[0] <= min(pair[1], t_grid.t_star)
+            and pair[1] <= x_grid.x_max,
+            f"check.pairs: {list(pair)} needs [t, T] with 0 <= t <= min(T, t_star) and T <= x_max",
+        )
+    return pairs
+
+
+def _path_count(n_paths: int, pairs: tuple, name: str) -> int:
+    """``n_paths`` if the panel can run on that many paths, else a ConfigError naming ``name``."""
+    _require(n_paths >= 2 or not pairs,
+             f"{name} must be >= 2 when check.pairs is set: the panel needs standard errors")
     return n_paths
 
 
-_CONSISTENCY_DEFAULTS = {
-    "family": "nelson-siegel", "decay_fixed": None, "t_samples": 8, "y_samples": 50,
-    "y_box": [[0.0, 0.06], [-0.03, 0.03], [-0.02, 0.02], [0.3, 3.0]],
-    "seed": 7, "zero_volatility": False, "x_nodes": 512,
-}
+def _initial_curve(block: dict, t_grid: TimeGrid, x_grid: MaturityGrid) -> InitialCurve:
+    """The ``initial_curve`` block sampled on the extended grid [0, t_star + x_max]."""
+    n_points = t_grid.n_steps + x_grid.m_steps + 1
+    if block["type"] == "flat":
+        _require(block["rate"] is not None, "config needs initial_curve.rate for a flat curve")
+        return InitialCurve.flat(block["rate"], t_grid.dt, n_points)
+    xs, values, end = block["x"], block["value"], (n_points - 1) * t_grid.dt
+    _require(xs is not None and values is not None,
+             "config needs initial_curve.x and initial_curve.value for a table curve")
+    _require(len(values) == len(xs),
+             f"initial_curve.value needs one value per x, got {len(values)} for {len(xs)}")
+    _require(all(a < b for a, b in zip(xs, xs[1:])), f"initial_curve.x must increase, got {xs}")
+    _require(len(xs) > 0 and xs[0] <= 0.0 and xs[-1] + 1e-12 >= end,
+             f"initial_curve.x must cover [0, t_star + x_max] = [0, {end}], got {xs}")
+    return InitialCurve.from_table(xs, values, t_grid.dt, n_points)
 
 
-def _consistency_block(raw: dict) -> dict:
-    """The ``consistency`` block with its defaults filled in and every value typed."""
-    block = {**_CONSISTENCY_DEFAULTS, **_block(raw, "consistency")}
-    _require(block["family"] == "nelson-siegel", "only the 'nelson-siegel' family is built in")
-    for key, least in (("t_samples", 1), ("y_samples", 1), ("x_nodes", 2), ("seed", 0)):
-        block[key] = _coerce(int, block[key], f"consistency.{key}")
-        _require(block[key] >= least, f"consistency.{key} must be >= {least}")
-    if block["decay_fixed"] is not None:
-        decay = _coerce(float, block["decay_fixed"], "consistency.decay_fixed")
-        _require(0 < decay < math.inf, f"consistency.decay_fixed must be positive, got {decay}")
-        block["decay_fixed"] = decay
-    _require(
-        isinstance(block["zero_volatility"], bool),
-        f"consistency.zero_volatility must be true or false, got {block['zero_volatility']!r}",
-    )
-    box = [_numbers(pair, "consistency.y_box") for pair in
-           _typed(block["y_box"], list, "consistency.y_box")]
-    _require(
-        len(box) == 4 and all(len(p) == 2 and -math.inf < p[0] < p[1] < math.inf for p in box),
-        f"consistency.y_box must be 4 pairs [lo, hi] with lo < hi, got {box}",
-    )
-    block["y_box"] = box
-    return block
+def _build_factor(obj: dict, name: str):
+    """The factor described by the model object at ``name``."""
 
+    def get(field: str):
+        return _get(obj, f"{name}.{field}", f"model.{field}")
 
-def _build_factor(obj: dict, key: str):
-    """The factor described by the object at ``key``; a ConfigError names the key."""
-    _require(isinstance(obj, dict), f"{key} must be an object")
-    kind = obj.get("type")
+    kind = get("type")
+    if kind == "ho-lee":
+        return FlatVol(get("sigma"))
+    if kind == "hull-white":
+        return ExpDecayVol(get("sigma"), get("decay"))
     try:
-        if kind == "ho-lee":
-            return FlatVol(_coerce(float, obj["sigma"], f"{key}.sigma"))
-        if kind == "hull-white":
-            return ExpDecayVol(_coerce(float, obj["sigma"], f"{key}.sigma"),
-                               _coerce(float, obj["decay"], f"{key}.decay"))
-        if kind == "tabulated":
-            return TabulatedVol(obj["t_grid"], obj["x_grid"], obj["values"])
-    except ConfigError:
-        raise
+        return TabulatedVol(obj["t_grid"], obj["x_grid"], obj["values"])
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid {kind!r} factor: {exc}") from exc
-    raise ConfigError(f"unknown model type {kind!r}")
+        raise ConfigError(f"{name}: invalid 'tabulated' factor: {exc}") from exc
+
+
+def _build_model(block: dict) -> VolatilitySpec:
+    factors = _get(block, "model.factors")
+    if factors is None:
+        return VolatilitySpec(factors=(_build_factor(block, "model"),))
+    return VolatilitySpec(factors=tuple(
+        _build_factor(f, f"model.factors[{i}]") for i, f in enumerate(factors)
+    ))
+
+
+def _build_strategies(blocks: list, t_grid: TimeGrid) -> dict:
+    """The strategies keyed by name, in config order.
+
+    The ledger reads every leg boundary, atom and gate maturity off the
+    discounted prices, whose columns are nodes of the time grid.
+    """
+
+    def node(obj: dict, name: str) -> float:
+        return _on_t_grid(_get(obj, name), name, t_grid)
+
+    built = {}
+    for s_i, block in enumerate(blocks):
+        key = f"strategies[{s_i}]"
+        name = _get(block, f"{key}.name")
+        name = f"strategy_{s_i}" if name is None else name
+        _require(name not in built, f"{key}.name: strategies need distinct names, {name!r} repeats")
+        legs = []
+        for l_i, leg in enumerate(_get(block, f"{key}.legs")):
+            at = f"{key}.legs[{l_i}]"
+            atoms = tuple(
+                (node(atom, f"{at}.atoms[{a_i}].T"), _get(atom, f"{at}.atoms[{a_i}].w"))
+                for a_i, atom in enumerate(_get(leg, f"{at}.atoms"))
+            )
+            gate = _get(leg, f"{at}.gate")
+            if _get(gate, f"{at}.gate.kind") == "threshold":
+                gate = Gate("threshold", node(gate, f"{at}.gate.maturity"),
+                            _get(gate, f"{at}.gate.op"), _get(gate, f"{at}.gate.level"))
+            else:
+                gate = Gate()
+            legs.append((node(leg, f"{at}.from"), node(leg, f"{at}.to"),
+                         DiscreteMeasure(atoms), gate))
+        try:
+            built[name] = Strategy(legs=tuple(StrategyLeg(*leg) for leg in legs),
+                                   horizon=t_grid.t_star)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return built
 
 
 @dataclass
@@ -194,134 +367,49 @@ class ExperimentConfig:
     raw: dict
     hurst: HurstParam
     model: VolatilitySpec
-    t_star: float
-    n_steps: int
-    x_max: float
-    m_steps: int
-    initial_curve: dict
+    t_grid: TimeGrid
+    x_grid: MaturityGrid
+    initial_curve: InitialCurve
     n_paths: int
     seed: int
     method: str
     batch_size: int
     theta_cells: int
-    check_block: dict
-    strategies: list
+    pairs: tuple  # ((t, T), ...) as floats
+    oscillation: dict | None  # {"taus": [...], "thresholds": [...]}; None: no probe
+    strategies: dict  # name -> Strategy, in config order
     cost_levels: list
     admissibility_bound: float
-    consistency_block: dict
+    consistency: dict
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _require(isinstance(raw, dict), "config root must be a JSON object")
-        for name in raw:
-            _require(name in _TOP_KEYS, f"unknown config key {name}")
-        _require("model" in raw, "config needs a 'model' block")
-        _require("hurst" in raw, "config needs 'hurst'")
-        h = _coerce(float, raw["hurst"], "hurst")
-        _require(0.5 < h < 1.0, f"hurst must lie in (0.5, 1), got {h}")
-
-        model_block = raw["model"]
-        if isinstance(model_block, dict) and "factors" in model_block:
-            factors = tuple(_build_factor(f, f"model.factors[{i}]")
-                            for i, f in enumerate(_typed(model_block["factors"], list,
-                                                         "model.factors")))
-        else:
-            factors = (_build_factor(model_block, "model"),)
-        model = VolatilitySpec(factors=factors)
-
-        grids = _block(raw, "grids")
-        t_star = _coerce(float, grids.get("t_star", 1.0), "grids.t_star")
-        n_steps = _coerce(int, grids.get("n_steps", 64), "grids.n_steps")
-        x_max = _coerce(float, grids.get("x_max", t_star), "grids.x_max")
-        m_steps = _coerce(int, grids.get("m_steps", n_steps), "grids.m_steps")
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        values = _values(raw, "")
+        grids, mc, check, costs = (values[k] for k in ("grids", "mc", "check", "costs"))
         try:
-            simulation_grids(t_star, n_steps, x_max, m_steps)
+            t_grid, x_grid = simulation_grids(**grids)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-        init = _block(raw, "initial_curve", default={"type": "flat", "rate": 0.0})
-        _require(init.get("type") in ("flat", "table"), "initial_curve type must be flat|table")
-        if init["type"] == "flat":
-            _require("rate" in init, "flat initial curve needs 'rate'")
-            _coerce(float, init["rate"], "initial_curve.rate")
-        else:
-            _require("x" in init and "value" in init, "table initial curve needs x/value")
-            _numbers(init["x"], "initial_curve.x")
-            _numbers(init["value"], "initial_curve.value")
-
-        check_block = _block(raw, "check")
-        mc = _block(raw, "mc")
-        n_paths = _path_count(
-            _coerce(int, mc.get("n_paths", 100), "mc.n_paths"), check_block, "mc.n_paths"
-        )
-        seed = _coerce(int, mc.get("seed", 0), "mc.seed")
-        method = str(mc.get("method", "cholesky"))
-        _require(method in ("cholesky", "volterra"), "mc.method must be cholesky|volterra")
-        batch_size = _coerce(int, mc.get("batch_size", 2000), "mc.batch_size")
-        _require(batch_size >= 1, "mc.batch_size must be >= 1")
-
-        theta_cells = _coerce(
-            int, _block(raw, "drift").get("theta_cells", 512), "drift.theta_cells"
-        )
-        _require(theta_cells >= 16, "drift.theta_cells must be >= 16")
-
-        # the panel target P(0, T) is read off the t = 0 curve, which ends at x_max
-        for pair in _typed(check_block.get("pairs", []), list, "check.pairs"):
-            pair = _numbers(pair, "check.pairs")
-            _require(
-                len(pair) == 2 and 0.0 <= pair[0] <= min(pair[1], t_star) and pair[1] <= x_max,
-                f"check.pairs: {pair} needs [t, T] with 0 <= t <= min(T, t_star) and T <= x_max",
-            )
-        # the probe reads Z_tau(tau) off the surface's maturity axis, the time grid
-        oscillation = _block(check_block, "check.oscillation")
-        for tau in _numbers(oscillation.get("taus", []), "check.oscillation.taus"):
-            _on_t_grid(tau, "check.oscillation.taus", t_star, n_steps)
-        thresholds = _numbers(oscillation.get("thresholds", []), "check.oscillation.thresholds")
-        _require(all(k > 0 for k in thresholds), "check.oscillation.thresholds must be positive")
-
-        strategies = _typed(raw.get("strategies", []), list, "strategies")
-        for s in strategies:
-            _require(isinstance(s, dict) and s.get("legs"), "each strategy needs non-empty 'legs'")
-        costs = _block(raw, "costs")
-        cost_levels = _numbers(costs.get("k", [0.01]), "costs.k")
-        _require(cost_levels, "costs.k must list at least one cost level")
-        _require(all(k >= 0 for k in cost_levels), "cost levels must be nonnegative")
-        admissibility = _coerce(
-            float, costs.get("admissibility_bound", 10.0), "costs.admissibility_bound"
+        pairs, oscillation = _panel(check["pairs"], t_grid, x_grid), check["oscillation"]
+        # the probe reads Z_tau(tau) off the time-grid maturities
+        for tau in oscillation["taus"] if oscillation else ():
+            _on_t_grid(tau, "check.oscillation.taus", t_grid)
+        return cls(
+            raw=raw, hurst=HurstParam(values["hurst"]), model=_build_model(values["model"]),
+            t_grid=t_grid, x_grid=x_grid,
+            initial_curve=_initial_curve(values["initial_curve"], t_grid, x_grid),
+            n_paths=_path_count(mc["n_paths"], pairs, "mc.n_paths"), seed=mc["seed"],
+            method=mc["method"], batch_size=mc["batch_size"],
+            theta_cells=values["drift"]["theta_cells"], pairs=pairs, oscillation=oscillation,
+            strategies=_build_strategies(values["strategies"], t_grid),
+            cost_levels=costs["k"], admissibility_bound=costs["admissibility_bound"],
+            consistency=values["consistency"],
         )
 
-        consistency_block = _consistency_block(raw)
-
-        cfg = cls(
-            raw=raw, hurst=HurstParam(h), model=model,
-            t_star=t_star, n_steps=n_steps, x_max=x_max, m_steps=m_steps,
-            initial_curve=init, n_paths=n_paths, seed=seed, method=method,
-            batch_size=batch_size, theta_cells=theta_cells,
-            check_block=check_block, strategies=strategies,
-            cost_levels=cost_levels, admissibility_bound=admissibility,
-            consistency_block=consistency_block,
-        )
-        # building a strategy checks its legs; the ledger then reads every leg
-        # boundary, atom and gate maturity off the bond surface, whose
-        # maturities are the time grid
-        for s_i, block in enumerate(strategies):
-            cfg.build_strategy(block)
-            for l_i, leg in enumerate(block["legs"]):
-                key = f"strategies[{s_i}].legs[{l_i}]"
-                for end in ("from", "to"):
-                    _on_t_grid(leg[end], f"{key}.{end}", t_star, n_steps)
-                for a_i, atom in enumerate(leg["atoms"]):
-                    _on_t_grid(atom["T"], f"{key}.atoms[{a_i}].T", t_star, n_steps)
-                gate = leg.get("gate", {})
-                if gate.get("kind") == "threshold":
-                    _on_t_grid(gate["maturity"], f"{key}.gate.maturity", t_star, n_steps)
-                    level = _coerce(float, gate["level"], f"{key}.gate.level")
-                    _require(math.isfinite(level), f"{key}.gate.level must be finite")
-        return cfg
-
-    def set_paths(self, n_paths: int, key: str) -> None:
-        """Replace ``n_paths`` (an override named ``key``) under the rules of ``mc.n_paths``."""
-        self.n_paths = _path_count(int(n_paths), self.check_block, key)
+    def override(self, key: str, value, flag: str) -> None:
+        """Set the ``mc`` value ``key`` from the command-line ``flag``, under the same rules."""
+        setattr(self, key.partition(".")[2], _coerce(flag, value, key))
+        _path_count(self.n_paths, self.pairs, flag)
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -333,47 +421,6 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
-
-    # -- derived objects ---------------------------------------------------
-
-    def grids(self):
-        return simulation_grids(self.t_star, self.n_steps, self.x_max, self.m_steps)
-
-    def build_initial_curve(self):
-        from .hjm import InitialCurve
-
-        tg, _ = self.grids()
-        n_points = self.n_steps + self.m_steps + 1
-        if self.initial_curve["type"] == "flat":
-            return InitialCurve.flat(float(self.initial_curve["rate"]), tg.dt, n_points)
-        return InitialCurve.from_table(
-            self.initial_curve["x"], self.initial_curve["value"], tg.dt, n_points
-        )
-
-    def build_strategy(self, block: dict) -> Strategy:
-        legs = []
-        for leg in block["legs"]:
-            try:
-                atoms = tuple((float(a["T"]), float(a["w"])) for a in leg["atoms"])
-                gate_block = leg.get("gate", {"kind": "always"})
-                gate = Gate(
-                    kind=gate_block.get("kind", "always"),
-                    maturity=gate_block.get("maturity"),
-                    op=gate_block.get("op"),
-                    level=gate_block.get("level"),
-                )
-                legs.append(
-                    StrategyLeg(
-                        start=float(leg["from"]), end=float(leg["to"]),
-                        measure=DiscreteMeasure(atoms), gate=gate,
-                    )
-                )
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid strategy leg {leg!r}: {exc}") from exc
-        try:
-            return Strategy(legs=tuple(legs), horizon=self.t_star)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def sha256(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .drift import DriftField, expectation_kernel, log_expectation
-from .hjm import BondSurface, affine_batches, simulate_batches
+from .hjm import BondSurface
 from .kernels import HurstParam
 from .vol import VolatilitySpec
 
@@ -41,42 +40,7 @@ __all__ = [
     "drift_identity_check",
     "check_quasi_martingale",
     "oscillation_probe",
-    "simulate_discounted_batches",
 ]
-
-
-def simulate_discounted_batches(
-    spec: VolatilitySpec,
-    hurst: HurstParam,
-    drift: DriftField,
-    init,
-    t_grid,
-    x_grid,
-    n_paths: int,
-    seed: int,
-    maturities=None,
-    batch_size: int = 1000,
-    method: str = "cholesky",
-):
-    """Discounted bond-surface batches, one :class:`~fhjm.hjm.BondSurface` each.
-
-    With explicit ``maturities`` only those columns are priced, on the
-    affine route of :func:`fhjm.hjm.affine_batches`; without, every grid
-    maturity is, on the surface route of :func:`fhjm.hjm.simulate_batches`.
-    Both routes draw the same paths and agree to rounding.
-    """
-    if maturities is not None:
-        return affine_batches(
-            spec, hurst, drift, init, t_grid, x_grid, n_paths, seed, maturities,
-            batch_size=batch_size, method=method,
-        )
-    batches = simulate_batches(
-        spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
-        batch_size=batch_size, method=method,
-    )
-    # only the discounted surface outlives the yield: each batch's paths and
-    # forward surface are freed while the consumer works on it
-    return map(itemgetter(3), batches)
 
 
 @dataclass

@@ -57,12 +57,8 @@ from fhjm.ledger import (
     integration_by_parts_check,
     liquidation_value,
 )
-from fhjm.hjm import BondSurface, discounted_surface, money_account
-from fhjm.noarb import (
-    check_quasi_martingale,
-    drift_identity_check,
-    simulate_discounted_batches,
-)
+from fhjm.hjm import BondSurface, affine_batches, discounted_surface, money_account
+from fhjm.noarb import check_quasi_martingale, drift_identity_check
 from fhjm.vol import ho_lee, hull_white
 
 REPO = Path(__file__).resolve().parents[1]
@@ -131,7 +127,7 @@ def _qm_run(zero_drift: bool):
         field = field.zeroed()
     init = InitialCurve.flat(0.03, tg.dt, 257)
     maturities = sorted({T for _, T in QM_PANEL})
-    batches = simulate_discounted_batches(
+    batches = affine_batches(
         spec, hurst, field, init, tg, xg,
         n_paths=100_000, seed=20260808, maturities=maturities, batch_size=2000,
     )

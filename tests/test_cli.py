@@ -1,10 +1,13 @@
+import copy
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -99,6 +102,8 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config, capsys):
     r4 = run_cli("simulate", str(tmp_path / "missing.json"), "--out", str(tmp_path), cwd=tmp_path)
     assert r4.returncode == 1
 
+    nan, inf = float("nan"), float("inf")
+    leg = {"from": 0.0, "to": 1.0, "atoms": [{"T": 1.0, "w": 1.0}]}
     # values of the wrong type name their key instead of ending in a traceback
     typed = (
         ("hurst", smoke_config(hurst="abc")),
@@ -171,6 +176,27 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config, capsys):
         ("drift.theta_cells", smoke_config(drift={"theta_cells": 64.5})),
         ("consistency.t_samples", smoke_config(consistency={"t_samples": 8.5})),
         ("consistency.x_nodes", smoke_config(consistency={"x_nodes": 512.25})),
+        # a negative seed ended in a runtime error, exit 2; names were checked
+        # only by portfolio, where "a/b" failed after compute
+        ("mc.seed", smoke_config(mc={"n_paths": 10, "seed": -1})),
+        ("strategies[0].name", smoke_config(strategies=[{"name": "a/b", "legs": [leg]}])),
+        ("strategies[1].name", smoke_config(strategies=[{"name": "a", "legs": [leg]},
+                                                        {"name": "a", "legs": [leg]}])),
+        # initial-curve defects surfaced only when the curve was built
+        ("initial_curve.x", smoke_config(initial_curve={"type": "table", "x": [0.0, 1.0],
+                                                        "value": [0.03, 0.03]})),
+        ("initial_curve.value", smoke_config(initial_curve={"type": "table", "x": [0.0, 2.0],
+                                                            "value": [0.03]})),
+        ("initial_curve.x", smoke_config(initial_curve={"type": "table", "x": [0.0, 3.0, 2.0],
+                                                        "value": [0.03, 0.03, 0.03]})),
+        ("initial_curve.rate", smoke_config(initial_curve={"type": "flat", "rate": nan})),
+        # NaN and Infinity, which JSON readers accept, passed every float key
+        ("costs.admissibility_bound", smoke_config(costs={"admissibility_bound": nan})),
+        ("costs.k", smoke_config(costs={"k": [inf]})),
+        ("strategies[0].legs[0].atoms[0].w", smoke_config(strategies=[
+            {"name": "inf", "legs": [{"from": 0.0, "to": 1.0, "atoms": [{"T": 1.0, "w": inf}]}]},
+        ])),
+        ("grids.t_star", smoke_config(grids={"t_star": inf})),
     )
     # in process: a traceback would escape ``main`` and fail the test
     for i, (key, cfg) in enumerate(typed):
@@ -179,13 +205,13 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config, capsys):
         assert status == 1
         assert "config error" in stderr and key in stderr, key
 
-    # the path count rule also holds after a --paths override
+    # the path count rule also holds after a --paths override, the seed rule after --seed
     pairs = tmp_config(smoke_config(check={"pairs": [[0.25, 0.75]]}), "pairs.json")
-    for paths in ("1", "0"):
-        status = main(["check", str(pairs), "--paths", paths, "--out", str(tmp_path / "p")])
+    for flag, value in (("--paths", "1"), ("--paths", "0"), ("--seed", "-1")):
+        status = main(["check", str(pairs), flag, value, "--out", str(tmp_path / "p")])
         stderr = capsys.readouterr().err
         assert status == 1
-        assert "config error" in stderr and "--paths" in stderr
+        assert "config error" in stderr and flag in stderr
     assert not (tmp_path / "p").exists()
 
 
@@ -196,12 +222,78 @@ def test_integral_floats_and_typed_gates_load():
         grids={"t_star": 1.0, "n_steps": 64.0, "x_max": 1.0, "m_steps": 64.0},
         mc={"n_paths": 100.0, "seed": 42.0, "batch_size": 64.0},
     ))
-    counts = (cfg.n_steps, cfg.m_steps, cfg.n_paths, cfg.seed, cfg.batch_size)
+    counts = (cfg.t_grid.n_steps, cfg.x_grid.m_steps, cfg.n_paths, cfg.seed, cfg.batch_size)
     assert counts == (64, 64, 100, 42, 64)
     assert all(type(v) is int for v in counts)
     gated = ExperimentConfig.from_dict(_gated_config(maturity=0.5, level=1))
-    gate = gated.build_strategy(gated.strategies[0]).legs[0].gate
+    gate = gated.strategies["gated"].legs[0].gate
     assert (gate.maturity, gate.level) == (0.5, 1)
+
+
+SMOKE = json.loads((REPO / "demos" / "configs" / "smoke.json").read_text())
+
+# any JSON value; integers stay small, because an accepted count (paths,
+# cells) buys work in proportion and the drift below must finish
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4096, 4096) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _places(node, path=()):
+    """``(path, key)`` of every value below ``node``, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _places(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+PLACES = list(_places(SMOKE))
+OBJECTS = [()] + [path + (key,) for path, key in PLACES
+                  if isinstance(_at(SMOKE, path + (key,)), dict)]
+
+
+@st.composite
+def one_key_edits(draw):
+    """``smoke.json`` with one key replaced, dropped or added, at any depth."""
+    cfg = copy.deepcopy(SMOKE)
+    edit = draw(st.sampled_from(("replace", "drop", "add")))
+    if edit == "add":
+        key = draw(st.text(max_size=8) | st.sampled_from(sorted({k for _, k in PLACES
+                                                                  if isinstance(k, str)})))
+        _at(cfg, draw(st.sampled_from(OBJECTS)))[key] = draw(JSON_VALUES)
+        return cfg
+    path, key = draw(st.sampled_from(PLACES))
+    if edit == "drop":
+        del _at(cfg, path)[key]
+    else:
+        _at(cfg, path)[key] = draw(JSON_VALUES)
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=one_key_edits())
+def test_one_key_edits_fail_as_config_errors_or_run(cfg):
+    from fhjm.cli import main
+    from fhjm.config import ConfigError, ExperimentConfig
+
+    try:
+        ExperimentConfig.from_dict(cfg)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["drift", str(path), "--out", tmp]) == 0
 
 
 def test_outputs_independent_of_batch_size(tmp_path):
@@ -332,7 +424,7 @@ def test_check_fails_on_non_finite_z(tmp_path):
         drift={"theta_cells": 32},
     ))
     # bypass validation: the target P(0, 1.5) lies past the t = 0 curve
-    cfg.check_block = {"pairs": [[0.5, 1.5]]}
+    cfg.pairs = ((0.5, 1.5),)
     _, ok = cmd_check(cfg, str(tmp_path))
     report = json.loads((tmp_path / "check_report.json").read_text())
     assert not ok

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from fhjm.drift import drift_field
-from fhjm.hjm import InitialCurve, drift_for_simulation, simulation_grids
+from fhjm.hjm import InitialCurve, affine_batches, drift_for_simulation, simulation_grids
 from fhjm.kernels import HurstParam
-from fhjm.noarb import (
-    check_quasi_martingale,
-    drift_identity_check,
-    oscillation_probe,
-    simulate_discounted_batches,
-)
+from fhjm.noarb import check_quasi_martingale, drift_identity_check, oscillation_probe
 from fhjm.vol import ho_lee, hull_white
 
 H75 = HurstParam(0.75)
@@ -54,7 +49,7 @@ def _small_mc(spec, hurst, n_paths, seed, drift=None, t_star=6.0, n=96):
         fld = fld.zeroed()
     init = InitialCurve.flat(0.03, tg.dt, 2 * n + 1)
     mats = [5.0, 6.0]
-    batches = simulate_discounted_batches(
+    batches = affine_batches(
         spec, hurst, fld, init, tg, xg, n_paths=n_paths, seed=seed,
         maturities=mats, batch_size=max(n_paths // 4, 1),
     )
@@ -91,9 +86,9 @@ def test_oscillation_probe_frequencies():
     fld = drift_for_simulation(spec, H70, tg, xg, theta_cells=64)
     init = InitialCurve.flat(0.03, tg.dt, 65)
     batches = list(
-        simulate_discounted_batches(
+        affine_batches(
             spec, H70, fld, init, tg, xg, n_paths=2000, seed=67,
-            maturities=None, batch_size=500,
+            maturities=tg.points, batch_size=500,
         )
     )
     ks = [1e-5, 0.05, 10.0]
@@ -116,8 +111,8 @@ def test_oscillation_probe_rejects_bad_threshold():
     fld = drift_for_simulation(spec, H70, tg, xg, theta_cells=32)
     init = InitialCurve.flat(0.03, tg.dt, 17)
     surf = list(
-        simulate_discounted_batches(
-            spec, H70, fld, init, tg, xg, n_paths=4, seed=1, batch_size=4
+        affine_batches(
+            spec, H70, fld, init, tg, xg, n_paths=4, seed=1, maturities=tg.points, batch_size=4
         )
     )
     with pytest.raises(ValueError):
