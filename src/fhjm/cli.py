@@ -120,6 +120,9 @@ def cmd_drift(cfg: ExperimentConfig, out: str) -> list:
         rel = np.abs(drift.values - closed) / np.maximum(np.abs(closed), 1e-30)
         rel[0] = 0.0
         summary["max_relative_error_vs_closed_form"] = float(rel.max())
+    for key, value in summary.items():
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite value in drift_summary.json key {key!r}")
     with open(os.path.join(out, "drift_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return ["drift.csv", "drift_summary.json"]

@@ -38,7 +38,8 @@ it holds no ``/``, ``\\`` or NUL, and the names are distinct.
 
 Rules across keys are the small functions after the table: the grids
 align; check pairs [t, T] satisfy 0 <= t <= min(T, t_star) and
-T <= x_max; oscillation times, leg boundaries, atom and gate maturities
+T <= x_max, t is a node of the time grid and T of the maturity grid;
+oscillation times, leg boundaries, atom and gate maturities
 are nodes of the time grid on [0, t_star]; a check panel needs two paths
 (also after ``--paths``); a table initial curve has increasing ``x``, one
 ``value`` per ``x``, and covers [0, t_star + x_max].
@@ -251,25 +252,33 @@ def _get(obj: dict, name: str, key: str | None = None):
 # -- rules across keys and the objects built from the values
 
 
-def _on_t_grid(value: float, name: str, t_grid: TimeGrid) -> float:
-    """``value`` if it is a node of the time grid on [0, t_star], else a ConfigError naming ``name``."""
-    t_star, n_steps = t_grid.t_star, t_grid.n_steps
-    steps = value / t_star * n_steps
+def _on_grid(value: float, name: str, end: float, n_steps: int, grid: str) -> float:
+    """``value`` if it is a node of ``n_steps`` equal cells on [0, end], else a ConfigError."""
+    steps = value / end * n_steps
     _require(
-        -0.5 <= steps <= n_steps + 0.5 and abs(round(steps) * t_star / n_steps - value) <= 1e-9,
-        f"{name} = {value} must be a node of the time grid on [0, t_star]",
+        -0.5 <= steps <= n_steps + 0.5 and abs(round(steps) * end / n_steps - value) <= 1e-9,
+        f"{name} = {value} must be a node of the {grid}",
     )
     return value
 
 
+def _on_t_grid(value: float, name: str, t_grid: TimeGrid) -> float:
+    """``value`` if it is a node of the time grid on [0, t_star], else a ConfigError naming ``name``."""
+    return _on_grid(value, name, t_grid.t_star, t_grid.n_steps, "time grid on [0, t_star]")
+
+
 def _panel(pairs: tuple, t_grid: TimeGrid, x_grid: MaturityGrid) -> tuple:
-    # the panel target P(0, T) is read off the t = 0 curve, which ends at x_max
-    for pair in pairs:
+    # the panel target P(0, T) is read off the t = 0 curve, which ends at x_max;
+    # the estimator reads row t and maturity column T of the priced surfaces
+    for i, pair in enumerate(pairs):
         _require(
             len(pair) == 2 and 0.0 <= pair[0] <= min(pair[1], t_grid.t_star)
             and pair[1] <= x_grid.x_max,
             f"check.pairs: {list(pair)} needs [t, T] with 0 <= t <= min(T, t_star) and T <= x_max",
         )
+        _on_t_grid(pair[0], f"check.pairs[{i}] t", t_grid)
+        _on_grid(pair[1], f"check.pairs[{i}] T", x_grid.x_max, x_grid.m_steps,
+                 "maturity grid on [0, x_max]")
     return pairs
 
 

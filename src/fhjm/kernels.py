@@ -21,6 +21,10 @@ long-memory process as an integral transform of ordinary Brownian motion.
 
 All functions are pure and ufunc-like over numpy arrays; there is no
 shared mutable state.
+
+Only numpy and the standard library load with this module, because every
+command imports it.  A heavy import (``scipy.special``) stays inside the
+function that needs it, so its cost is paid only when that function runs.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 __all__ = [
     "HurstParam",
@@ -205,6 +208,8 @@ def _frac_integral_values(values: np.ndarray, step: float, alpha: float) -> np.n
     makes the rule exact for globally linear data and second-order accurate
     for smooth data.
     """
+    from scipy.special import gamma as _gamma
+
     n = values.size - 1
     a = alpha
     m = np.arange(1, n + 1, dtype=float)
@@ -258,6 +263,8 @@ def frac_derivative(f: SampledFunction, order: FracOrder) -> SampledFunction:
     f.require_uniform_from_zero()
     if abs(float(f.values[0])) > 1e-12:
         raise ValueError("frac_derivative requires f(0) = 0")
+    from scipy.special import gamma as _gamma
+
     a = order.alpha
     step = f.step
     n = f.values.size - 1

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args, cwd, extra_env=None):
+def run_cli(*args, cwd, extra_env=None, entry=("-m", "fhjm.cli")):
     env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
     if extra_env:
         env.update(extra_env)
     return subprocess.run(
-        [sys.executable, "-m", "fhjm.cli", *args],
+        [sys.executable, *entry, *args],
         capture_output=True, text=True, cwd=cwd, env=env,
     )
 
@@ -197,6 +197,9 @@ def test_config_rejections_exit_code_one(tmp_path, tmp_config, capsys):
             {"name": "inf", "legs": [{"from": 0.0, "to": 1.0, "atoms": [{"T": 1.0, "w": inf}]}]},
         ])),
         ("grids.t_star", smoke_config(grids={"t_star": inf})),
+        # panel pairs off the grids failed only after the drift was built, with exit 2
+        ("check.pairs[0] t", smoke_config(check={"pairs": [[0.2, 0.75]]})),
+        ("check.pairs[0] T", smoke_config(check={"pairs": [[0.25, 0.7]]})),
     )
     # in process: a traceback would escape ``main`` and fail the test
     for i, (key, cfg) in enumerate(typed):
@@ -342,6 +345,17 @@ def test_drift_command_error_summaries(tmp_path, tmp_config):
     assert r2.returncode == 0, r2.stderr
     summary2 = json.loads((tmp_path / "d2" / "drift_summary.json").read_text())
     assert summary2["max_relative_error_vs_closed_form"] <= 1e-6
+
+    # the closed-form Hull-White drift overflows at a tiny decay; the summary
+    # recorded Infinity and the command exited 0
+    tiny = smoke_config(model={"type": "hull-white", "sigma": 0.01, "decay": 1e-300})
+    r3 = run_cli("drift", str(tmp_config(tiny, "tiny.json")), "--out", str(tmp_path / "d3"),
+                 cwd=tmp_path)
+    assert r3.returncode == 2
+    assert "runtime error" in r3.stderr
+    assert "drift_summary.json" in r3.stderr and "max_relative_error_vs_closed_form" in r3.stderr
+    assert not (tmp_path / "d3" / "drift_summary.json").exists()
+    assert not (tmp_path / "d3" / "manifest.json").exists()
 
 
 def test_drift_command_single_step_grid(tmp_path, tmp_config):
@@ -511,6 +525,23 @@ def test_output_directory_env_var(tmp_path, tmp_config):
     assert r.returncode == 0, r.stderr
     assert (target / "drift.csv").exists()
     assert (target / "manifest.json").exists()
+
+
+def test_commands_leave_scipy_special_and_optimize_unloaded(tmp_path):
+    # only the fractional-calculus helpers and ``consistency`` need them, and
+    # importing scipy.special alone once took about 0.3 s of every command
+    config = REPO / "demos" / "configs" / "smoke.json"
+    probe = (
+        "import sys; from fhjm.cli import main; status = main(sys.argv[1:]); "
+        "print(sorted(m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules)); "
+        "sys.exit(status)"
+    )
+    assert json.loads(config.read_text())["check"]["pairs"]
+    for command in ("simulate", "drift", "check", "portfolio"):
+        r = run_cli(command, str(config), "--out", str(tmp_path / command), cwd=tmp_path,
+                    entry=("-c", probe))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "[]", (command, r.stdout)
 
 
 def test_simulate_with_volterra_method(tmp_path, tmp_config):
