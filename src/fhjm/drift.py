@@ -278,28 +278,38 @@ def hull_white_drift(sigma: float, decay: float, hurst: HurstParam, t, x):
 
 
 def expectation_kernel(
-    spec: VolatilitySpec, hurst: HurstParam, t, maturity: float, n_cells: int = 512
+    spec: VolatilitySpec, hurst: HurstParam, t, maturity, n_cells: int = 512
 ):
     """e(t, T) = sum_j IV_j(t, T) * integral_0^t IV_j(theta, T) phi(t - theta) d theta.
 
     The exponential of integral_0^t e(s, T) ds is the expected growth factor
     of the discounted price's stochastic exponent; the no-arbitrage drift
     cancels it exactly.  Product integration by hat-function weights, exact
-    for the flat model.  ``t`` may be an array (one cell set per time, one
-    value each); a scalar gives a float.
+    for the flat model.  ``t`` and ``maturity`` broadcast against each
+    other, one value per (t, T) pair; every distinct t gets one cell set,
+    shared by all its maturities.  Scalars give a float.
     """
-    t = np.asarray(t, dtype=float)
-    maturity = float(maturity)
+    t, maturity = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                      np.asarray(maturity, dtype=float))
     if not np.all((0.0 <= t) & (t <= maturity)):
         raise ValueError("need 0 <= t <= T")
     out = np.zeros(t.shape)
     live = t > 0.0
     if np.any(live):
-        times = t[live]
-        thetas, w = _hat_weights(times, hurst, n_cells)
-        for j in range(1, spec.dims + 1):
-            inner = (w * integrated_vol(spec, j, thetas, maturity)).sum(axis=-1)
-            out[live] += integrated_vol(spec, j, times, maturity) * inner
+        times, mats = t[live], maturity[live]
+        values = np.zeros(times.size)
+        distinct, row = np.unique(times, return_inverse=True)
+        thetas, w = _hat_weights(distinct, hurst, n_cells)
+        maturities, which = np.unique(mats, return_inverse=True)
+        for m, T in enumerate(maturities):
+            pick = np.flatnonzero(which == m)
+            # Fortran order, as _hat_weights returns its rows, keeps numpy's
+            # summation order: the same bits as a call with this T alone
+            th, wt = np.asfortranarray(thetas[row[pick]]), np.asfortranarray(w[row[pick]])
+            for j in range(1, spec.dims + 1):
+                inner = (wt * integrated_vol(spec, j, th, T)).sum(axis=-1)
+                values[pick] += integrated_vol(spec, j, times[pick], T) * inner
+        out[live] = values
     return out if out.ndim else float(out)
 
 

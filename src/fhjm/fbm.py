@@ -17,16 +17,27 @@ seed reproducibility):
 Per-path randomness comes from counter-keyed substreams: path ``p`` draws
 from ``default_rng(SeedSequence((seed, p)))``, so a given path is identical
 no matter how many paths are requested, in what order, or how work is
-batched.
+batched.  The draws come from :func:`fhjm._substreams.path_normals`, which
+seeds every path of a batch in one array pass (numpy's ``SeedSequence``
+hashing over all path indices at once, then each path's ``PCG64`` state set
+on one reused generator) and is bitwise equal to building
+``SeedSequence((seed, p))`` per path.
+
+The Cholesky sampler's increment Gram is Toeplitz, so its factor comes from
+the Gram's first row by the Schur algorithm, once per (grid, H), using
+elementwise operations only: every output is the same under any BLAS
+thread count.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from ._substreams import path_normals
 from ._table import write_rows
 from .kernels import (
     HurstParam,
@@ -102,12 +113,8 @@ class BrownianDriver:
     def generate(
         cls, grid: TimeGrid, dims: int, n_paths: int, seed: int, path_offset: int = 0
     ) -> "BrownianDriver":
-        scale = np.sqrt(grid.dt)
-        inc = np.empty((n_paths, dims, grid.n_steps))
-        for p in range(n_paths):
-            rng = _path_rng(seed, path_offset + p)
-            inc[p] = scale * rng.standard_normal((dims, grid.n_steps))
-        return cls(grid=grid, increments=inc, seed=int(seed))
+        z = path_normals(seed, path_offset, n_paths, (dims, grid.n_steps))
+        return cls(grid=grid, increments=np.sqrt(grid.dt) * z, seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,6 @@ class FbmPathSet:
         return np.diff(self.samples, axis=2)
 
 
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    # Documented counter scheme: entropy pair (root seed, path index).
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(path_index))))
-
-
 def fbm_covariance(s, t, hurst: HurstParam):
     """Process covariance 0.5*(s^2H + t^2H - |t-s|^2H) for s, t >= 0."""
     s = np.asarray(s, dtype=float)
@@ -155,23 +157,72 @@ def fbm_covariance_matrix(times: np.ndarray, hurst: HurstParam) -> np.ndarray:
 
 
 def _increment_gram(grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
+    """The dense increment Gram; the oracle that the Toeplitz factor is tested against."""
     pts = grid.points
     a = pts[:-1]
     b = pts[1:]
     return cov_cell_integral(a[:, None], b[:, None], a[None, :], b[None, :], hurst)
 
 
-def _cholesky_with_jitter(gram: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+def _schur_factor(row: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric Toeplitz matrix with first row ``row``.
+
+    Schur algorithm (Kailath & Sayed, "Displacement structure", SIAM Review
+    37, 1995): T - Z T Z^T = u u^T - v v^T for the shift Z, with
+    u = row / sqrt(row[0]) and v = u with v[0] = 0.  Column k of the factor
+    is u after k steps of: shift u down one place, then rotate (u, v)
+    hyperbolically so that v[k] = 0.  The rotation is applied in the mixed
+    form that Bojanczyk, Brent, de Hoog & Sweet (SIAM J. Matrix Anal. Appl.
+    16, 1995) show weakly stable for positive definite matrices.  Only
+    elementwise operations: the bits do not depend on the BLAS thread count.
+    Returns None when a rotation breaks down (|rho| >= 1): the matrix is
+    not numerically positive definite.
+    """
+    n = row.size
+    if not row[0] > 0.0:
+        return None
+    lower = np.zeros((n, n))
+    u = row / np.sqrt(row[0])
+    v = u.copy()
+    v[0] = 0.0
+    lower[:, 0] = u
+    for k in range(1, n):
+        u, v = u[:-1], v[1:]  # rows k..n-1: u shifted down, v in place
+        rho = v[0] / u[0]
+        if not abs(rho) < 1.0:
+            return None
+        c = np.sqrt((1.0 - rho) * (1.0 + rho))
+        u = (u - rho * v) / c
+        v = c * v - rho * u
+        lower[k:, k] = u
+    return lower
+
+
+@lru_cache(maxsize=1)
+def _increment_factor(grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
+    """Read-only lower factor of the increment Gram, built once per (grid, hurst).
+
+    The increments are stationary, so the Gram is Toeplitz: its first row,
+    the same ``cov_cell_integral`` entries as the dense Gram's, is all the
+    Schur algorithm needs.  If a rotation breaks down, the factor is
+    rebuilt with diagonal jitter 1e-12 and a warning.
+    """
+    pts = grid.points
+    row = cov_cell_integral(pts[0], pts[1], pts[:-1], pts[1:], hurst)
+    lower = _schur_factor(row)
+    if lower is None:
         jitter = 1e-12
         warnings.warn(
             f"increment Gram factorization needed diagonal jitter {jitter:g}",
             RuntimeWarning,
             stacklevel=2,
         )
-        return np.linalg.cholesky(gram + jitter * np.eye(gram.shape[0]))
+        row[0] += jitter
+        lower = _schur_factor(row)
+        if lower is None:
+            raise np.linalg.LinAlgError("increment Gram is not positive definite")
+    lower.flags.writeable = False
+    return lower
 
 
 def generate_cholesky(
@@ -186,19 +237,18 @@ def generate_cholesky(
 
     The increment covariance comes from the closed-form cell integrals, so
     before any sampling the implied path Gram matrix reproduces
-    :func:`fbm_covariance` to rounding.  Components are independent.
-    ``path_offset`` shifts the substream indices, so batched generation
-    reproduces exactly the paths a single large call would produce.
-    Limited to ``n_steps <= 4096`` (cubic factorization budget).
+    :func:`fbm_covariance` to rounding.  The factor is the Toeplitz (Schur)
+    one of :func:`_increment_factor`, built once per (grid, H).  Components
+    are independent.  ``path_offset`` shifts the substream indices, so
+    batched generation reproduces exactly the paths a single large call
+    would produce.  Limited to ``n_steps <= 4096``: the factor is a dense
+    n x n array and each path costs one O(n^2) product.
     """
     if grid.n_steps > MAX_CHOLESKY_STEPS:
         raise ValueError(f"n_steps > {MAX_CHOLESKY_STEPS} exceeds the factorization budget")
-    gram = _increment_gram(grid, hurst)
-    lower = _cholesky_with_jitter(gram)
+    lower = _increment_factor(grid, hurst)
     n = grid.n_steps
-    z = np.empty((n_paths, dims, n))
-    for p in range(n_paths):
-        z[p] = _path_rng(seed, path_offset + p).standard_normal((dims, n))
+    z = path_normals(seed, path_offset, n_paths, (dims, n))
     samples = np.zeros((n_paths, dims, n + 1))
     # a stacked product, not one flat GEMM, keeps every path bitwise equal to
     # its own (dims, n) product whatever the batch

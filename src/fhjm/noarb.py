@@ -111,18 +111,24 @@ def drift_identity_check(
     spec: VolatilitySpec,
     hurst: HurstParam,
     drift: DriftField,
-    maturity: float,
+    maturity,
     theta_cells: int = 512,
 ) -> float:
-    """max over grid t of |maturity integral of the drift - e(t, T)|.
+    """max over grid t <= T of |maturity integral of the drift - e(t, T)|.
 
     The left side integrates the drift field over [0, T - t] by trapezoid;
     the right side is the expectation kernel from its own product
     integration.  Agreement is the core no-arbitrage drift restriction.
+    ``maturity`` may be a sequence: the gap is then the largest over all of
+    them, and every grid time gets one set of hat weights.
     """
-    t = drift.t_points[drift.t_points <= maturity + 1e-12]
-    lhs = drift.maturity_integral(np.arange(t.size), maturity - t)
-    rhs = expectation_kernel(spec, hurst, t, maturity, n_cells=theta_cells)
+    mats = np.atleast_1d(np.asarray(maturity, dtype=float))
+    rows = [np.flatnonzero(drift.t_points <= T + 1e-12) for T in mats]
+    mats = np.repeat(mats, [i.size for i in rows])  # one (t, T) pair per row
+    rows = np.concatenate(rows)
+    t = drift.t_points[rows]
+    lhs = drift.maturity_integral(rows, mats - t)
+    rhs = expectation_kernel(spec, hurst, t, mats, n_cells=theta_cells)
     return float(np.max(np.abs(lhs - rhs)))
 
 

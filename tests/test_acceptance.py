@@ -30,8 +30,7 @@ from fhjm.fbm import (
     generate_cholesky,
     generate_polygonal,
     generate_volterra,
-    _cholesky_with_jitter,
-    _increment_gram,
+    _increment_factor,
     _kernel_matrix,
 )
 from fhjm.hjm import (
@@ -155,9 +154,9 @@ def test_criterion_3_quasi_martingale_panel():
 
 def test_criterion_4_fbm_generators():
     h75 = HurstParam(0.75)
-    # (a) Cholesky Gram exactness before sampling
+    # (a) Cholesky Gram exactness before sampling, on the generator's own factor
     grid = TimeGrid(1.0, 256)
-    lower = _cholesky_with_jitter(_increment_gram(grid, h75))
+    lower = _increment_factor(grid, h75)
     cum = np.tril(np.ones((256, 256)))
     gram_gap = np.abs(
         cum @ (lower @ lower.T) @ cum.T - fbm_covariance_matrix(grid.points[1:], h75)

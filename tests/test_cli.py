@@ -405,7 +405,7 @@ def test_check_report_records_its_thresholds(tmp_path):
 
 def test_check_and_portfolio_thread_invariant(tmp_path):
     # the affine route's per-path products give the same bits under one and
-    # two BLAS threads; n = 64, where the increment factor is thread invariant
+    # two BLAS threads
     config = REPO / "demos" / "configs" / "smoke.json"
     for command in ("check", "portfolio"):
         for threads in ("1", "2"):
@@ -417,6 +417,25 @@ def test_check_and_portfolio_thread_invariant(tmp_path):
         assert names == sorted(p.name for p in two.iterdir())
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def test_portfolio_and_simulate_thread_invariant_at_n_128(tmp_path, tmp_config):
+    # the portfolio workload's grids: from n = 128 on, LAPACK's blocked
+    # Cholesky factor changed with the BLAS thread count; the Toeplitz one does not
+    cfg = json.loads((REPO / "demos" / "configs" / "smoke.json").read_text())
+    cfg["grids"] = {"t_star": 2.0, "n_steps": 128, "x_max": 2.0, "m_steps": 128}
+    cfg["mc"]["n_paths"] = 12
+    path = tmp_config(cfg)
+    for command in ("portfolio", "simulate"):
+        for threads in ("1", "2"):
+            r = run_cli(command, str(path), "--out", str(tmp_path / f"{command}{threads}"),
+                        cwd=tmp_path, extra_env={"OPENBLAS_NUM_THREADS": threads})
+            assert r.returncode == 0, r.stderr
+        one, two = tmp_path / f"{command}1", tmp_path / f"{command}2"
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), (command, name)
 
 
 def test_check_pairs_past_maturity_range_rejected(tmp_path, tmp_config):
@@ -542,6 +561,36 @@ def test_commands_leave_scipy_special_and_optimize_unloaded(tmp_path):
                     entry=("-c", probe))
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "[]", (command, r.stdout)
+
+
+def test_quantiles_bitwise_equal_numpy_quantile():
+    import numpy as np
+
+    from fhjm.cli import _quantiles
+
+    rng = np.random.default_rng(5)
+    for n in list(range(1, 12)) + [199, 200, 201]:  # odd and even lengths, n = 1
+        for _ in range(40):
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+            if rng.random() < 0.5:  # ties, -0.0 among them
+                values = np.round(values, int(rng.integers(0, 2)))
+            qs = (0.05, 0.50, 0.95, 0.0, 1.0, float(rng.random()))
+            for q, got in zip(qs, _quantiles(values, qs), strict=True):
+                want = np.quantile(values, q)
+                assert np.float64(got).tobytes() == want.tobytes(), (q, values)
+
+
+def test_portfolio_leaves_numpy_ma_unloaded(tmp_path):
+    # np.quantile imports numpy.ma on first use, about 16-30 ms per run
+    config = REPO / "demos" / "configs" / "smoke.json"
+    probe = (
+        "import sys; from fhjm.cli import main; status = main(sys.argv[1:]); "
+        "print('numpy.ma' in sys.modules); sys.exit(status)"
+    )
+    r = run_cli("portfolio", str(config), "--out", str(tmp_path / "p"), cwd=tmp_path,
+                entry=("-c", probe))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False", r.stdout
 
 
 def test_simulate_with_volterra_method(tmp_path, tmp_config):

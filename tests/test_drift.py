@@ -329,6 +329,19 @@ def test_expectation_kernel_over_t_matches_slope_intercept_rule(name):
         expectation_kernel(spec, _REF_HURST, np.array([0.5, 1.2]), maturity)
 
 
+@pytest.mark.parametrize("name", ["ho-lee", "two-factor", "tabulated"])
+def test_expectation_kernel_over_several_maturities_matches_one_at_a_time(name):
+    # one hat-weight set per distinct t, and the bits of one call per maturity
+    spec = _reference_specs()[name]
+    ts = np.linspace(0.0, 1.1, 12)
+    mats = (0.3, 0.55, 1.1)
+    t_pairs = np.concatenate([ts[ts <= T] for T in mats])
+    mat_pairs = np.concatenate([np.full(np.count_nonzero(ts <= T), T) for T in mats])
+    together = expectation_kernel(spec, _REF_HURST, t_pairs, mat_pairs, n_cells=256)
+    alone = [expectation_kernel(spec, _REF_HURST, ts[ts <= T], T, n_cells=256) for T in mats]
+    assert together.tobytes() == np.concatenate(alone).tobytes()
+
+
 def test_maturity_integral_over_arrays_matches_trapezoid():
     rng = np.random.default_rng(3)
     tg = np.linspace(0.0, 1.0, 9)

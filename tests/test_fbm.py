@@ -2,7 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from fhjm._substreams import path_normals
 from fhjm.fbm import (
     BrownianDriver,
     TimeGrid,
@@ -12,8 +14,9 @@ from fhjm.fbm import (
     generate_polygonal,
     generate_volterra,
     write_paths_csv,
-    _cholesky_with_jitter,
+    _increment_factor,
     _increment_gram,
+    _schur_factor,
     _kernel_matrix,
 )
 from fhjm.kernels import HurstParam, calibrate_kernel_scale, cov_cell_integral
@@ -37,12 +40,39 @@ def test_covariance_equals_cell_integral():
 
 def test_cholesky_level_gram_exact():
     grid = TimeGrid(1.0, 128)
-    gram_inc = _increment_gram(grid, H75)
-    lower = _cholesky_with_jitter(gram_inc)
+    lower = _increment_factor(grid, H75)
     cum = np.tril(np.ones((128, 128)))
     level_gram = cum @ (lower @ lower.T) @ cum.T
     target = fbm_covariance_matrix(grid.points[1:], H75)
     assert np.abs(level_gram - target).max() < 1e-10
+
+
+@pytest.mark.parametrize("t_star,n,h", [(1.0, 64, 0.75), (2.0, 128, 0.7), (8.0, 512, 0.95)])
+def test_toeplitz_factor_matches_lapack_on_the_dense_gram(t_star, n, h):
+    grid, hurst = TimeGrid(t_star, n), HurstParam(h)
+    gram = _increment_gram(grid, hurst)
+    lower = _increment_factor(grid, hurst)
+    assert not lower.flags.writeable
+    assert np.array_equal(lower, np.tril(lower))
+    assert np.abs(lower @ lower.T - gram).max() <= 1e-13 * gram[0, 0]
+    oracle = np.linalg.cholesky(gram)
+    assert np.abs(lower - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_toeplitz_factor_breakdown_takes_the_jitter_rule(monkeypatch):
+    from fhjm import fbm
+
+    assert _schur_factor(np.ones(2)) is None  # singular: the rotation has |rho| = 1
+    grid = TimeGrid(1.0, 2)
+    monkeypatch.setattr(fbm, "cov_cell_integral", lambda *args: np.ones(2))
+    with pytest.warns(RuntimeWarning, match="jitter"):
+        lower = _increment_factor.__wrapped__(grid, H75)  # the function behind the cache
+    np.testing.assert_allclose(lower @ lower.T, np.ones((2, 2)) + 1e-12 * np.eye(2),
+                               rtol=0, atol=1e-14)
+    # indefinite: jitter cannot rescue it
+    monkeypatch.setattr(fbm, "cov_cell_integral", lambda *args: np.array([1.0, 0.9, 0.2]))
+    with pytest.warns(RuntimeWarning), pytest.raises(np.linalg.LinAlgError):
+        _increment_factor.__wrapped__(TimeGrid(1.0, 3), H75)
 
 
 def test_cholesky_statistics():
@@ -194,3 +224,38 @@ def test_paths_csv_format():
     assert lines[0] == "path_id,component,t,value"
     assert len(lines) == 1 + 3  # header + (n+1) rows for one path, one component
     assert lines[1].startswith("0,1,0,")
+
+
+def _default_rng_draws(seed, path_index, shape):
+    return np.random.default_rng(np.random.SeedSequence((seed, path_index))).standard_normal(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # seeds of one, two, three and more uint32 words
+    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**64 + 7, 2**96 + 1]),
+                   st.integers(0, 2**100)),
+    # path indices of one and two words
+    offset=st.one_of(st.just(0), st.integers(0, 2**33), st.integers(2**32 - 3, 2**64 - 8)),
+    n_paths=st.integers(1, 6),
+    dims=st.sampled_from([1, 2]),
+    n_steps=st.integers(1, 9),
+)
+@example(seed=0, offset=0, n_paths=3, dims=1, n_steps=4)
+@example(seed=2**32 - 1, offset=0, n_paths=3, dims=2, n_steps=4)
+@example(seed=2**32, offset=0, n_paths=3, dims=1, n_steps=4)
+@example(seed=2**64 + 7, offset=0, n_paths=3, dims=2, n_steps=4)
+def test_bulk_seeder_matches_default_rng_per_path(seed, offset, n_paths, dims, n_steps):
+    got = path_normals(seed, offset, n_paths, (dims, n_steps))
+    for p in range(n_paths):
+        assert got[p].tobytes() == _default_rng_draws(seed, offset + p, (dims, n_steps)).tobytes()
+
+
+def test_generators_draw_from_the_documented_substreams():
+    grid = TimeGrid(1.0, 8)
+    driver = BrownianDriver.generate(grid, 2, 3, seed=21, path_offset=4)
+    for p in range(3):
+        want = np.sqrt(grid.dt) * _default_rng_draws(21, 4 + p, (2, 8))
+        assert driver.increments[p].tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        path_normals(-1, 0, 1, (1, 8))

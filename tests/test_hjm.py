@@ -16,7 +16,7 @@ from fhjm.hjm import (
     simulate_forward,
     simulation_grids,
 )
-from fhjm.kernels import HurstParam
+from fhjm.kernels import HurstParam, cov_cell_integral
 from fhjm.vol import MaturityGrid, ho_lee
 
 H75 = HurstParam(0.75)
@@ -300,3 +300,25 @@ def test_affine_route_rows_do_not_depend_on_batch_size():
     for batch_size in (1, 3):
         for a, b in zip(run(batch_size), whole):
             assert a.tobytes() == b.tobytes()
+
+
+def test_three_batch_run_builds_the_increment_gram_once(monkeypatch):
+    from fhjm import fbm
+    from fhjm.hjm import affine_batches
+
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return cov_cell_integral(*args, **kwargs)
+
+    monkeypatch.setattr(fbm, "cov_cell_integral", counted)
+    fbm._increment_factor.cache_clear()
+    tg, xg = simulation_grids(1.0, 16, 1.0, 16)
+    spec = ho_lee(0.01)
+    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 33)
+    batches = list(affine_batches(spec, H75, drift, init, tg, xg, n_paths=9, seed=8,
+                                  maturities=[0.5, 1.0], batch_size=3))
+    assert len(batches) == 3
+    assert len(builds) == 1

@@ -29,6 +29,16 @@ def test_drift_identity_damped_model():
     assert gap < 1e-6
 
 
+def test_drift_identity_over_several_maturities_is_the_largest_single_gap():
+    spec = hull_white(0.01, 1.0)
+    tp = np.linspace(0, 1, 33)
+    xp = np.linspace(0, 2, 65)
+    field = drift_field(spec, H70, tp, xp, theta_cells=64)
+    mats = [0.25, 0.5, 1.0, 1.5]
+    singles = [drift_identity_check(spec, H70, field, T, theta_cells=64) for T in mats]
+    assert drift_identity_check(spec, H70, field, mats, theta_cells=64) == max(singles)
+
+
 def test_drift_identity_refines_second_order():
     spec = hull_white(0.05, 1.0)
     gaps = []
