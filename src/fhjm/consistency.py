@@ -297,6 +297,8 @@ def check_drift_and_vol_condition(
         (f"volatility factor {j}", np.asarray(eval_vol(spec, j, 0.0, xs, extrapolate="flat"), float))
         for j in range(1, spec.dims + 1)
     ]
+    # the drift curves depend on t only: one set per t, shared by every y
+    drift_curves = [(t, _drift_components(spec, hurst, t, xs)) for t in map(float, t_samples)]
     for y in y_samples:
         y = np.asarray(y, dtype=float)
         for label, g in vol_curves:
@@ -306,14 +308,14 @@ def check_drift_and_vol_condition(
             worst = max(worst, res)
             if res > tolerance:
                 witnesses.append((label, 0.0, y, res))
-        for t in t_samples:
-            for label, g in _drift_components(spec, hurst, float(t), xs):
+        for t, components in drift_curves:
+            for label, g in components:
                 if not np.any(g):
                     continue
                 res, _ = tangent_residual(family, y, g, xs, weights)
                 worst = max(worst, res)
                 if res > tolerance:
-                    witnesses.append((label, float(t), y, res))
+                    witnesses.append((label, t, y, res))
     # keep the most informative witnesses: largest residual per component
     best = {}
     for lab, t, y, r in witnesses:
@@ -397,7 +399,5 @@ def controlled_path(
         inc[0, j, :] = iu[:-1] * tg.dt  # left-point values times dt
     samples = np.zeros((1, spec.dims, n + 1))
     samples[0, :, 1:] = np.cumsum(inc[0], axis=1)
-    fake = FbmPathSet(
-        grid=tg, dims=spec.dims, n_paths=1, samples=samples, seed=0, method="cholesky",
-    )
+    fake = FbmPathSet(grid=tg, dims=spec.dims, n_paths=1, samples=samples)
     return simulate_forward(spec, hurst, drift, init, fake, x_grid)

@@ -32,7 +32,7 @@ thread count.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -99,7 +99,6 @@ class BrownianDriver:
 
     grid: TimeGrid
     increments: np.ndarray
-    seed: int
 
     @property
     def n_paths(self) -> int:
@@ -114,7 +113,7 @@ class BrownianDriver:
         cls, grid: TimeGrid, dims: int, n_paths: int, seed: int, path_offset: int = 0
     ) -> "BrownianDriver":
         z = path_normals(seed, path_offset, n_paths, (dims, grid.n_steps))
-        return cls(grid=grid, increments=np.sqrt(grid.dt) * z, seed=int(seed))
+        return cls(grid=grid, increments=np.sqrt(grid.dt) * z)
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,6 @@ class FbmPathSet:
     dims: int
     n_paths: int
     samples: np.ndarray
-    seed: int
-    method: str
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         expected = (self.n_paths, self.dims, self.grid.n_steps + 1)
@@ -253,10 +249,7 @@ def generate_cholesky(
     # a stacked product, not one flat GEMM, keeps every path bitwise equal to
     # its own (dims, n) product whatever the batch
     samples[:, :, 1:] = np.cumsum(z @ lower.T, axis=2)
-    return FbmPathSet(
-        grid=grid, dims=int(dims), n_paths=int(n_paths), samples=samples,
-        seed=int(seed), method="cholesky",
-    )
+    return FbmPathSet(grid=grid, dims=int(dims), n_paths=int(n_paths), samples=samples)
 
 
 def _kernel_matrix(grid: TimeGrid, hurst: HurstParam, scale: float) -> np.ndarray:
@@ -286,9 +279,7 @@ def generate_volterra(
     samples = np.einsum("kl,pjl->pjk", kmat, driver.increments, optimize=True)
     samples[:, :, 0] = 0.0
     return FbmPathSet(
-        grid=driver.grid, dims=driver.dims, n_paths=driver.n_paths,
-        samples=samples, seed=driver.seed, method="volterra",
-        extra={"scale": float(scale)},
+        grid=driver.grid, dims=driver.dims, n_paths=driver.n_paths, samples=samples
     )
 
 
@@ -322,9 +313,7 @@ def generate_polygonal(
     samples = np.einsum("kl,pjl->pjk", kmat * dt, slopes, optimize=True)
     samples[:, :, 0] = 0.0
     return FbmPathSet(
-        grid=driver.grid, dims=driver.dims, n_paths=driver.n_paths,
-        samples=samples, seed=driver.seed, method="polygonal",
-        extra={"scale": float(scale), "coarse_factor": coarse_factor},
+        grid=driver.grid, dims=driver.dims, n_paths=driver.n_paths, samples=samples
     )
 
 

@@ -55,8 +55,7 @@ l of dbeta * g, per path and elementwise.  This is the discrete
 counterpart of the exponential formula on the simulator's own grid, not a
 copy of ``closed_form_bond``: that oracle integrates over maturity
 exactly and sits O(dt^2) away, while the affine route agrees with the
-surface route to rounding.  Since Z(t_i, t_i) = 1 / S0(t_i), the same
-weights at T = t_i give log S0, and P = Z * S0.
+surface route to rounding.
 """
 
 from __future__ import annotations
@@ -135,7 +134,6 @@ class ForwardSurface:
     t_grid: TimeGrid
     x_grid: MaturityGrid
     rates: np.ndarray
-    seed: int | None = None
 
     @property
     def n_paths(self) -> int:
@@ -147,16 +145,36 @@ class ForwardSurface:
 
 @dataclass(frozen=True)
 class BondSurface:
-    """Per-path bond prices P[p, i, m] = P(t_i, T_m), NaN where t_i > T_m."""
+    """Per-path prices on (t_i, T_m) cells, NaN where t_i > T_m.
+
+    ``prices`` is P[p, i, m] = P(t_i, T_m) and ``discounted`` Z = P / S0.
+    The surface route sets P, and Z once discounted; the affine route sets
+    Z only, the one price every estimator reads.
+    """
 
     t_grid: TimeGrid
     maturities: np.ndarray
-    prices: np.ndarray
+    prices: np.ndarray | None = None
     discounted: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
-        return self.prices.shape[0]
+        return (self.discounted if self.prices is None else self.prices).shape[0]
+
+    def row(self, t: float, role: str) -> int:
+        """Index i with t_i = t within 1e-9; the error names ``role`` and t."""
+        dt = self.t_grid.dt
+        i = int(round(t / dt))
+        if abs(i * dt - t) > 1e-9 or not 0 <= i <= self.t_grid.n_steps:
+            raise ValueError(f"{role} {t} not on the surface time grid")
+        return i
+
+    def column(self, maturity: float, role: str) -> int:
+        """Index of the first surface maturity within 1e-9 of ``maturity``."""
+        hits = np.flatnonzero(np.abs(self.maturities - maturity) < 1e-9)
+        if hits.size == 0:
+            raise ValueError(f"{role} {maturity} not among surface maturities")
+        return int(hits[0])
 
 
 def simulation_grids(t_star: float, n_steps: int, x_max: float, m_steps: int):
@@ -247,7 +265,7 @@ def simulate_forward(
             new += dbeta[:, j, i][:, None] * vol[j, i, 1 : length + 1][None, :]
         cur = new
         rates[:, i + 1, :] = cur[:, : m + 1]
-    return ForwardSurface(t_grid=tg, x_grid=x_grid, rates=rates, seed=paths.seed)
+    return ForwardSurface(t_grid=tg, x_grid=x_grid, rates=rates)
 
 
 def _maturity_indices(t_grid: TimeGrid, x_grid: MaturityGrid, maturities) -> np.ndarray:
@@ -384,8 +402,7 @@ def affine_log_discount(
     n, dt = t_grid.n_steps, t_grid.dt
     idx = _maturity_indices(t_grid, x_grid, maturities)
     zero = FbmPathSet(
-        grid=t_grid, dims=spec.dims, n_paths=1, samples=np.zeros((1, spec.dims, n + 1)),
-        seed=0, method="zero",
+        grid=t_grid, dims=spec.dims, n_paths=1, samples=np.zeros((1, spec.dims, n + 1))
     )
     surface = simulate_forward(spec, hurst, drift, init, zero, x_grid)
     bonds = discounted_surface(bond_surface(surface, maturities), money_account(surface))
@@ -417,20 +434,14 @@ def affine_batches(
 
     The same paths as :func:`simulate_batches`, priced by the affine route
     of :func:`affine_log_discount` instead of a forward surface: per path,
-    log Z is ``c`` plus one cumulative sum over l of dbeta * g, and
-    log S0 = -log Z(t_i, t_i) one stacked product over the increments.  Both
-    are per-path operations, so every path's bits are the same whatever
-    the batch size.  Cells the surface route leaves unpriced are NaN.
+    log Z is ``c`` plus one cumulative sum over l of dbeta * g.  That is a
+    per-path operation, so every path's bits are the same whatever the
+    batch size.  Each batch carries Z only (``prices`` is None); cells the
+    surface route leaves unpriced are NaN.
     """
     n, dims = t_grid.n_steps, spec.dims
     mats = np.asarray(maturities, dtype=float)
-    c, g = affine_log_discount(
-        spec, hurst, drift, init, t_grid, x_grid, np.concatenate([t_grid.points, mats])
-    )
-    diag = np.arange(n + 1)
-    s0_const = -c[diag, diag]
-    s0_weights = -g[:, :, : n + 1].reshape(dims * n, n + 1)
-    c, g = c[:, n + 1 :], g[:, :, n + 1 :]
+    c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
 
     def batch(offset: int) -> BondSurface:
         take = min(batch_size, n_paths - offset)
@@ -439,12 +450,7 @@ def affine_batches(
         log_z[:, 0] = 0.0
         np.cumsum((dbeta[..., None] * g).sum(axis=1), axis=1, out=log_z[:, 1:])
         log_z += c
-        # a stacked product, not one flat GEMM, keeps every path's bits batch invariant
-        log_s0 = s0_const + np.matmul(dbeta.reshape(take, 1, dims * n), s0_weights)[:, 0]
-        z = np.exp(log_z)
-        return BondSurface(
-            t_grid=t_grid, maturities=mats, prices=z * np.exp(log_s0)[:, :, None], discounted=z
-        )
+        return BondSurface(t_grid=t_grid, maturities=mats, discounted=np.exp(log_z, out=log_z))
 
     for offset in range(0, n_paths, batch_size):
         yield batch(offset)

@@ -180,14 +180,6 @@ def total_variation(strategy: Strategy) -> float:
     return float(jumps)
 
 
-def _column(maturities: np.ndarray, maturity: float, what: str) -> int:
-    """Index of ``maturity`` on the surface's maturity axis (within 1e-9)."""
-    hits = np.nonzero(np.abs(maturities - maturity) < 1e-9)[0]
-    if hits.size == 0:
-        raise ValueError(f"{what} maturity {maturity} not on the bond grid")
-    return int(hits[0])
-
-
 def _holdings_series(strategy: Strategy, surface: BondSurface):
     """Gated holdings and discounted prices on the atoms' maturity columns.
 
@@ -200,23 +192,19 @@ def _holdings_series(strategy: Strategy, surface: BondSurface):
     """
     if surface.discounted is None:
         raise ValueError("the ledger needs a discounted surface")
-    mats = surface.maturities
-    dt = surface.t_grid.dt
     maturities = [T for leg in strategy.legs for T, _ in leg.measure.atoms]
-    cols = sorted({_column(mats, T, "atom") for T in maturities})
+    cols = sorted({surface.column(T, "atom maturity") for T in maturities})
     held = np.zeros((surface.n_paths, surface.t_grid.n_steps + 1, len(cols)))
     for leg in strategy.legs:
-        i0 = int(round(leg.start / dt))
-        i1 = int(round(leg.end / dt))
-        if abs(i0 * dt - leg.start) > 1e-9 or abs(i1 * dt - leg.end) > 1e-9:
-            raise ValueError("leg boundaries must sit on the surface time grid")
+        i0 = surface.row(leg.start, "leg boundary")
+        i1 = surface.row(leg.end, "leg boundary")
         weights = np.zeros(len(cols))
         for T, w in leg.measure.atoms:
-            weights[cols.index(_column(mats, T, "atom"))] += w
+            weights[cols.index(surface.column(T, "atom maturity"))] += w
         gate = leg.gate
         active = slice(None)
         if gate.kind == "threshold":
-            z = surface.discounted[:, i0, _column(mats, gate.maturity, "gate")]
+            z = surface.discounted[:, i0, surface.column(gate.maturity, "gate maturity")]
             if np.isnan(z).any():
                 raise ValueError("gate maturity already expired at the rebalance time")
             active = z <= gate.level if gate.op == "<=" else z >= gate.level

@@ -138,20 +138,6 @@ def _iter_surfaces(discounted) -> list:
     return discounted
 
 
-def _pair_indices(surface: BondSurface, pairs) -> list:
-    dt = surface.t_grid.dt
-    out = []
-    for t, maturity in pairs:
-        i = int(round(t / dt))
-        if abs(i * dt - t) > 1e-9:
-            raise ValueError(f"panel time {t} not on the grid")
-        m_candidates = np.nonzero(np.abs(surface.maturities - maturity) < 1e-9)[0]
-        if m_candidates.size == 0:
-            raise ValueError(f"panel maturity {maturity} not among surface maturities")
-        out.append((i, int(m_candidates[0])))
-    return out
-
-
 def check_quasi_martingale(
     discounted,
     spec: VolatilitySpec,
@@ -174,7 +160,10 @@ def check_quasi_martingale(
         if surface.discounted is None:
             raise ValueError("check_quasi_martingale needs discounted surfaces")
         if pair_idx is None:
-            pair_idx = _pair_indices(surface, pairs)
+            pair_idx = [
+                (surface.row(t, "panel time"), surface.column(T, "panel maturity"))
+                for t, T in pairs
+            ]
             targets = np.array([surface.discounted[0, 0, m] for (_, m) in pair_idx])
         vals = np.stack(
             [surface.discounted[:, i, m] for (i, m) in pair_idx], axis=1
@@ -236,10 +225,9 @@ def oscillation_probe(discounted, thresholds, taus) -> OscillationReport:
         if surface.discounted is None:
             raise ValueError("oscillation_probe needs discounted surfaces")
         z = surface.discounted
-        mat_idx = _pair_indices(surface, [(t, t) for t in taus])
         for a, tau in enumerate(taus):
-            i_tau, m_tau = mat_idx[a]
-            diag = z[:, i_tau, m_tau]
+            i_tau = surface.row(tau, "oscillation time")
+            diag = z[:, i_tau, surface.column(tau, "oscillation time")]
             # region t >= tau, maturity >= t: NaN entries already encode t > T
             region = z[:, i_tau:, :]
             with np.errstate(invalid="ignore"):

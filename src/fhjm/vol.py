@@ -222,10 +222,6 @@ class VolatilitySpec:
     def dims(self) -> int:
         return len(self.factors)
 
-    @property
-    def time_homogeneous(self) -> bool:
-        return all(isinstance(f, (FlatVol, ExpDecayVol)) for f in self.factors)
-
 
 def ho_lee(sigma: float) -> VolatilitySpec:
     return VolatilitySpec(factors=(FlatVol(sigma),))

@@ -601,3 +601,19 @@ def test_simulate_with_volterra_method(tmp_path, tmp_config):
     r2 = run_cli("simulate", str(tmp_config(cfg)), "--out", str(tmp_path / "v2"), cwd=tmp_path)
     assert r2.returncode == 0
     assert (tmp_path / "v1" / "bonds.csv").read_bytes() == (tmp_path / "v2" / "bonds.csv").read_bytes()
+
+
+def test_check_exits_zero_when_a_verification_fails(tmp_path, tmp_config):
+    # a failed verification is a result, not an error: exit 0 with one stdout line
+    cfg = smoke_config(
+        model={"type": "hull-white", "sigma": 0.2, "decay": 3.0},
+        grids={"t_star": 1.0, "n_steps": 16, "x_max": 1.0, "m_steps": 16},
+        mc={"n_paths": 20, "seed": 3, "method": "cholesky", "batch_size": 20},
+        drift={"theta_cells": 16}, check={"pairs": [[0.25, 0.75]]},
+    )
+    r = run_cli("check", str(tmp_config(cfg)), "--out", str(tmp_path / "c"), cwd=tmp_path)
+    report = json.loads((tmp_path / "c" / "check_report.json").read_text())
+    assert report["drift_identity_pass"] is False
+    assert r.returncode == 0, r.stderr
+    assert "one or more verifications failed" in r.stdout
+    assert (tmp_path / "c" / "manifest.json").exists()

@@ -200,8 +200,7 @@ def test_controlled_path_zero_control_is_mean_path():
     cp = controlled_path(spec, H70, drift, init, u0, xg)
     ref = simulate_forward(
         spec, H70, drift, init,
-        FbmPathSet(grid=tg, dims=1, n_paths=1,
-                   samples=np.zeros((1, 1, 33)), seed=0, method="cholesky"),
+        FbmPathSet(grid=tg, dims=1, n_paths=1, samples=np.zeros((1, 1, 33))),
         xg,
     )
     assert np.array_equal(cp.rates, ref.rates)
@@ -248,3 +247,22 @@ def test_controlled_path_escapes_family():
         for i in (8, 16, 24, 32)
     ]
     assert min(later) > 1e-5
+
+
+def test_drift_curves_built_once_per_t_sample(monkeypatch):
+    # the drift curve depends on t only, so one row per t serves every y
+    from fhjm import consistency
+    from fhjm.vol import ExpDecayVol, FlatVol, VolatilitySpec
+
+    rows = []
+    drift_row = consistency._drift_row
+
+    def counted(*args, **kwargs):
+        rows.append(args[2])
+        return drift_row(*args, **kwargs)
+
+    monkeypatch.setattr(consistency, "_drift_row", counted)
+    spec = VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.01, 1.0)))
+    ts = np.linspace(0.25, 1.0, 4)
+    check_drift_and_vol_condition(nelson_siegel_family(), spec, H70, ts, _samples(5))
+    assert rows == list(ts)

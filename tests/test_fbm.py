@@ -139,7 +139,7 @@ def test_volterra_same_driver_same_paths():
 def test_volterra_zero_driver():
     grid = TimeGrid(1.0, 32)
     driver = BrownianDriver.generate(grid, 1, 2, seed=1)
-    zero = BrownianDriver(grid=grid, increments=np.zeros_like(driver.increments), seed=1)
+    zero = BrownianDriver(grid=grid, increments=np.zeros_like(driver.increments))
     paths = generate_volterra(zero, H75)
     assert np.all(paths.samples == 0.0)
 
@@ -197,7 +197,7 @@ def test_polygonal_factor_one_matches_volterra():
 
 def test_polygonal_zero_driver_and_divisibility():
     grid = TimeGrid(1.0, 32)
-    zero = BrownianDriver(grid=grid, increments=np.zeros((2, 1, 32)), seed=0)
+    zero = BrownianDriver(grid=grid, increments=np.zeros((2, 1, 32)))
     paths = generate_polygonal(zero, H75, coarse_factor=4)
     assert np.all(paths.samples == 0.0)
     with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ def _zero_paths(grid, dims=1, n_paths=1):
     return FbmPathSet(
         grid=grid, dims=dims, n_paths=n_paths,
         samples=np.zeros((n_paths, dims, grid.n_steps + 1)),
-        seed=0, method="cholesky",
     )
 
 
@@ -275,12 +274,12 @@ def test_affine_route_matches_surface_route(method):
                                 maturities=mats, batch_size=4, method=method)
         for (_, _, _, ref), got in zip(surface, affine, strict=True):
             assert np.array_equal(got.maturities, mats)
-            for field in ("prices", "discounted"):
-                want, have = getattr(ref, field)[:, :, cols], getattr(got, field)
-                priced = ~np.isnan(want)
-                assert np.array_equal(priced, ~np.isnan(have)), field
-                assert not priced.all()  # T - t > x_max is unpriced
-                np.testing.assert_allclose(have[priced], want[priced], rtol=1e-12, atol=0)
+            assert got.prices is None  # the affine route carries Z only
+            want, have = ref.discounted[:, :, cols], got.discounted
+            priced = ~np.isnan(want)
+            assert np.array_equal(priced, ~np.isnan(have))
+            assert not priced.all()  # T - t > x_max is unpriced
+            np.testing.assert_allclose(have[priced], want[priced], rtol=1e-12, atol=0)
 
 
 def test_affine_route_rows_do_not_depend_on_batch_size():
@@ -294,12 +293,12 @@ def test_affine_route_rows_do_not_depend_on_batch_size():
     def run(batch_size):
         batches = list(affine_batches(spec, H75, drift, init, tg, xg, n_paths=10, seed=8,
                                       maturities=[0.5, 1.0], batch_size=batch_size))
-        return [np.concatenate([getattr(b, f) for b in batches]) for f in ("prices", "discounted")]
+        assert all(b.prices is None for b in batches)
+        return np.concatenate([b.discounted for b in batches])
 
     whole = run(10)
     for batch_size in (1, 3):
-        for a, b in zip(run(batch_size), whole):
-            assert a.tobytes() == b.tobytes()
+        assert run(batch_size).tobytes() == whole.tobytes()
 
 
 def test_three_batch_run_builds_the_increment_gram_once(monkeypatch):

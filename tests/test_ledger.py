@@ -35,10 +35,7 @@ def _flat_unit_market(n=16):
     zero_drift = DriftField(
         tg.points, np.arange(2 * n + 1) * tg.dt, np.zeros((n + 1, 2 * n + 1))
     )
-    zero_paths = FbmPathSet(
-        grid=tg, dims=1, n_paths=1, samples=np.zeros((1, 1, n + 1)),
-        seed=0, method="cholesky",
-    )
+    zero_paths = FbmPathSet(grid=tg, dims=1, n_paths=1, samples=np.zeros((1, 1, n + 1)))
     surf = simulate_forward(ho_lee(0.01), H75, zero_drift, init, zero_paths, xg)
     return discounted_surface(bond_surface(surf), money_account(surf))
 

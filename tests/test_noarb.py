@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from fhjm.drift import drift_field
-from fhjm.hjm import InitialCurve, affine_batches, drift_for_simulation, simulation_grids
+from fhjm.fbm import TimeGrid
+from fhjm.hjm import (
+    BondSurface,
+    InitialCurve,
+    affine_batches,
+    drift_for_simulation,
+    simulation_grids,
+)
 from fhjm.kernels import HurstParam
+from fhjm.ledger import DiscreteMeasure, Gate, Strategy, StrategyLeg, liquidation_value
 from fhjm.noarb import check_quasi_martingale, drift_identity_check, oscillation_probe
 from fhjm.vol import ho_lee, hull_white
 
@@ -127,3 +135,37 @@ def test_oscillation_probe_rejects_bad_threshold():
     )
     with pytest.raises(ValueError):
         oscillation_probe(surf, [-0.1], taus=[0.0])
+
+
+def _leg_strategy(start, end, atom, gate=None):
+    leg = StrategyLeg(start, end, DiscreteMeasure(((atom, 1.0),)), gate or Gate())
+    return Strategy(legs=(leg,), horizon=1.0)
+
+
+@pytest.mark.parametrize("estimate, message", [
+    (lambda s: check_quasi_martingale(s, ho_lee(0.01), H70, [(0.3, 1.0)]),
+     "panel time 0.3 not on the surface time grid"),
+    (lambda s: check_quasi_martingale(s, ho_lee(0.01), H70, [(-0.25, 1.0)]),
+     "panel time -0.25 not on the surface time grid"),
+    (lambda s: check_quasi_martingale(s, ho_lee(0.01), H70, [(0.25, 0.75)]),
+     "panel maturity 0.75 not among surface maturities"),
+    (lambda s: oscillation_probe(s, [0.1], [0.3]),
+     "oscillation time 0.3 not on the surface time grid"),
+    (lambda s: oscillation_probe(s, [0.1], [0.75]),
+     "oscillation time 0.75 not among surface maturities"),
+    (lambda s: liquidation_value(_leg_strategy(0.3, 0.5, 1.0), s, 0.01),
+     "leg boundary 0.3 not on the surface time grid"),
+    (lambda s: liquidation_value(_leg_strategy(0.25, 0.5, 0.75), s, 0.01),
+     "atom maturity 0.75 not among surface maturities"),
+    (lambda s: liquidation_value(
+        _leg_strategy(0.25, 0.5, 1.0, Gate("threshold", 0.75, "<=", 1.0)), s, 0.01),
+     "gate maturity 0.75 not among surface maturities"),
+])
+def test_estimators_name_an_off_grid_time_or_absent_maturity(estimate, message):
+    # one (t, T) -> cell rule: t a grid node and T a surface maturity, each within 1e-9
+    tg = TimeGrid(1.0, 8)
+    mats = np.array([0.5, 1.0])
+    z = np.full((2, 9, 2), 0.98)
+    z[:, tg.points[:, None] > mats[None, :] + 1e-12] = np.nan
+    with pytest.raises(ValueError, match=message):
+        estimate(BondSurface(t_grid=tg, maturities=mats, discounted=z))
