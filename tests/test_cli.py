@@ -580,17 +580,26 @@ def test_quantiles_bitwise_equal_numpy_quantile():
                 assert np.float64(got).tobytes() == want.tobytes(), (q, values)
 
 
-def test_portfolio_leaves_numpy_ma_unloaded(tmp_path):
-    # np.quantile imports numpy.ma on first use, about 16-30 ms per run
+def assert_numpy_ma_unloaded(command, tmp_path):
+    # np.quantile and np.unique import numpy.ma on first use, about 16-30 ms per run
     config = REPO / "demos" / "configs" / "smoke.json"
     probe = (
         "import sys; from fhjm.cli import main; status = main(sys.argv[1:]); "
         "print('numpy.ma' in sys.modules); sys.exit(status)"
     )
-    r = run_cli("portfolio", str(config), "--out", str(tmp_path / "p"), cwd=tmp_path,
+    r = run_cli(command, str(config), "--out", str(tmp_path / "out"), cwd=tmp_path,
                 entry=("-c", probe))
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "False", r.stdout
+
+
+def test_portfolio_leaves_numpy_ma_unloaded(tmp_path):
+    assert_numpy_ma_unloaded("portfolio", tmp_path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "drift"])
+def test_csv_commands_leave_numpy_ma_unloaded(command, tmp_path):
+    assert_numpy_ma_unloaded(command, tmp_path)
 
 
 def test_simulate_with_volterra_method(tmp_path, tmp_config):
