@@ -33,11 +33,15 @@ both built-in models are provided as independent oracles.
 The module also evaluates the expectation kernel e(t, T) driving the ODE
 for E exp(-integral of the discounted-price integrand), its time integral
 (equal to half the Gaussian variance of that integrand), and the
-least-squares market-price-of-risk inversion.
+least-squares market-price-of-risk inversion.  The time integral shares no
+quadrature with the drift: the density is stationary and self-similar, so
+the bilinear moments of two cells of width h are h^(2H) times unit-cell
+moments of their lag, and each quadratic form is one convolution.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -122,6 +126,13 @@ class DriftField:
         return out if np.ndim(out) else float(out)
 
 
+def _cell_count(value, name: str) -> int:
+    """``value`` if it is an integer >= 1, else a ValueError naming ``name``."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _hat_weights(t, hurst: HurstParam, n_cells: int):
     """Nodes and weights of the product rule against phi(t - theta) on [0, t].
 
@@ -157,6 +168,7 @@ def drift_field(
     the slice sits, which keeps the factor-interpolation error uniformly
     small even where the two closed-form terms nearly cancel.
     """
+    theta_cells = _cell_count(theta_cells, "theta_cells")
     t_points = np.asarray(t_points, dtype=float)
     x_points = np.asarray(x_points, dtype=float)
     n = t_points.size - 1
@@ -289,6 +301,7 @@ def expectation_kernel(
     other, one value per (t, T) pair; every distinct t gets one cell set,
     shared by all its maturities.  Scalars give a float.
     """
+    n_cells = _cell_count(n_cells, "n_cells")
     t, maturity = np.broadcast_arrays(np.asarray(t, dtype=float),
                                       np.asarray(maturity, dtype=float))
     if not np.all((0.0 <= t) & (t <= maturity)):
@@ -313,53 +326,30 @@ def expectation_kernel(
     return out if out.ndim else float(out)
 
 
-def _psi2(w, p):
-    return 0.5 * np.abs(w) ** p
+def _lag_moments(n_cells: int, hurst: HurstParam):
+    """Bilinear moments M_kl(D) of the density between two unit cells at lag D.
 
+    M_kl(D) = integral over [0, 1]^2 of x^k y^l phi(D + x - y) dx dy for
+    D = -(n-1) .. n-1, at index D + n - 1, exact across the singularity.
+    With p = 2H, G2 = |w|^p/2, G3 = sign(w)|w|^(p+1)/(2(p+1)) and
+    G4 = |w|^(p+2)/(2(p+1)(p+2)) (G4' = G3, G3' = G2, G2'' = phi) and the
+    second difference d2(g)(D) = g(D+1) - 2g(D) + g(D-1):
 
-def _psi3(w, p):
-    return np.sign(w) * np.abs(w) ** (p + 1.0) / (2.0 * (p + 1.0))
-
-
-def _psi4(w, p):
-    return np.abs(w) ** (p + 2.0) / (2.0 * (p + 1.0) * (p + 2.0))
-
-
-def _bilinear_cov_moments(edges: np.ndarray, hurst: HurstParam):
-    """Exact (1, u, v, uv)-moments of the covariance density on all cell pairs.
-
-    Built from repeated antiderivatives of the density, so the moments are
-    exact across the diagonal singularity.  Returns four (n, n) arrays.
+        M00 = d2(G2)                       M10 = G2(D+1) - G2(D) - d2(G3)
+        M01 = d2(G3) - G2(D) + G2(D-1)     M11 = G3(D+1) - G3(D-1) - G2(D) - d2(G4)
     """
     p = 2.0 * hurst.h
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    c = edges[:-1][None, :]
-    d = edges[1:][None, :]
-
-    def corner(func, extra=None):
-        if extra is None:
-            return func(b - c, p) - func(a - c, p) - func(b - d, p) + func(a - d, p)
-        # terms of the form u^k psi(u - w) evaluated on the four corners
-        fb_c = extra(b) * func(b - c, p)
-        fa_c = extra(a) * func(a - c, p)
-        fb_d = extra(b) * func(b - d, p)
-        fa_d = extra(a) * func(a - d, p)
-        return fb_c - fa_c - fb_d + fa_d
-
-    q00 = corner(_psi2)
-    # Q10 = [u psi2(u-w) - psi3(u-w)] corner-evaluated
-    q10 = corner(_psi2, extra=lambda u: u) - corner(_psi3)
-    # The first moment of the density has antiderivative (p-1)*psi2, so the
-    # inner v-moment carries a (p-1) weight and Q11 = [u^2 psi2
-    # - (p+1) u psi3 + (p+1) psi4] corner-evaluated (p = 2H).
-    q11 = (
-        corner(_psi2, extra=lambda u: u**2)
-        - (p + 1.0) * corner(_psi3, extra=lambda u: u)
-        + (p + 1.0) * corner(_psi4)
-    )
-    q01 = q10.T
-    return q00, q10, q01, q11
+    w = np.arange(-n_cells, n_cells + 1, dtype=float)  # every D - 1, D, D + 1
+    g2 = 0.5 * np.abs(w) ** p
+    g3 = np.sign(w) * np.abs(w) ** (p + 1.0) / (2.0 * (p + 1.0))
+    g4 = np.abs(w) ** (p + 2.0) / (2.0 * (p + 1.0) * (p + 2.0))
+    lo, mid, hi = slice(None, -2), slice(1, -1), slice(2, None)
+    d2g3 = g3[hi] - 2.0 * g3[mid] + g3[lo]
+    m00 = g2[hi] - 2.0 * g2[mid] + g2[lo]
+    m10 = g2[hi] - g2[mid] - d2g3
+    m01 = d2g3 - (g2[mid] - g2[lo])
+    m11 = g3[hi] - g3[lo] - g2[mid] - (g4[hi] - 2.0 * g4[mid] + g4[lo])
+    return m00, m10, m01, m11
 
 
 def log_expectation(
@@ -368,16 +358,20 @@ def log_expectation(
     """integral_0^t e(s, T) ds, evaluated as half the Gaussian variance.
 
     By symmetry of the covariance density the time integral of the
-    expectation kernel equals
+    expectation kernel equals 0.5 * sum_j of the double integral over
+    [0, t]^2 of IV_j(u, T) IV_j(v, T) phi(u - v) du dv.  On n = ``n_cells``
+    cells of width h = t/n, IV_j is taken linear on cell i, v_i + d_i*x with
+    v_i its left-edge value and d_i = v_{i+1} - v_i, and integrated exactly:
+    exact for the flat model, second order otherwise.  As phi(h*w) =
+    h^(2H-2) phi(w), cells i and k contribute h^(2H) times the unit-cell
+    ``_lag_moments`` at lag D = i - k, so with the lag sums
+    C(u, w)(D) = sum_i u_i w_{i-D}, one convolution each, the value is
 
-        0.5 * sum_j double-integral over [0,t]^2 of
-              IV_j(u, T) IV_j(v, T) phi(u - v) du dv,
+        0.5 * h^(2H) * sum_j [M00.C(v,v) + M10.C(d,v) + M01.C(v,d) + M11.C(d,d)].
 
-    which is computed with piecewise-linear factors integrated exactly
-    against the density's bilinear cell moments -- exact for the flat
-    model, second order otherwise.  The moments depend only on t: several
-    maturities share one moment set and get an array of values back.
+    Several maturities share one moment set and get an array of values back.
     """
+    n_cells = _cell_count(n_cells, "n_cells")
     t = float(t)
     mats = [float(T) for T in np.atleast_1d(maturity)]
     if not all(0.0 <= t <= T for T in mats):
@@ -385,21 +379,21 @@ def log_expectation(
     out = np.zeros(len(mats))
     if t > 0.0:
         edges = np.linspace(0.0, t, n_cells + 1)
-        q00, q10, q01, q11 = _bilinear_cov_moments(edges, hurst)
-        a, b = edges[:-1], edges[1:]
+        scale = 0.5 * (t / n_cells) ** (2.0 * hurst.h)
+        m00, m10, m01, m11 = _lag_moments(n_cells, hurst)
         for m, T in enumerate(mats):
             total = 0.0
             for j in range(1, spec.dims + 1):
                 iv = np.asarray(integrated_vol(spec, j, edges, T), dtype=float)
-                slope = (iv[1:] - iv[:-1]) / (b - a)
-                intercept = iv[:-1] - slope * a
-                total += 0.5 * (
-                    intercept @ q00 @ intercept
-                    + intercept @ q01 @ slope
-                    + slope @ q10 @ intercept
-                    + slope @ q11 @ slope
+                v, d = iv[:-1], np.diff(iv)
+                # C(u, w) at lag D sits at index D + n - 1 of convolve(u, w[::-1])
+                total += (
+                    m00 @ np.convolve(v, v[::-1])
+                    + m10 @ np.convolve(d, v[::-1])
+                    + m01 @ np.convolve(v, d[::-1])
+                    + m11 @ np.convolve(d, d[::-1])
                 )
-            out[m] = total
+            out[m] = scale * total
     return out if np.ndim(maturity) else float(out[0])
 
 
@@ -420,6 +414,7 @@ def solve_market_price_of_risk(
     Rank-deficient factor systems fall back to the pseudo-inverse with the
     rank reported.
     """
+    theta_cells = _cell_count(theta_cells, "theta_cells")
     t = float(alpha_field.t_points[i])
     x_points = alpha_field.x_points
     if i == 0:

@@ -342,6 +342,142 @@ def test_expectation_kernel_over_several_maturities_matches_one_at_a_time(name):
     assert together.tobytes() == np.concatenate(alone).tobytes()
 
 
+# Reference copy of the corner-form log_expectation that built the four
+# (n, n) bilinear moment arrays of the density on absolute cell pairs, from
+# repeated antiderivatives evaluated at the four corners of every pair.
+def _psi2(w, p):
+    return 0.5 * np.abs(w) ** p
+
+
+def _psi3(w, p):
+    return np.sign(w) * np.abs(w) ** (p + 1.0) / (2.0 * (p + 1.0))
+
+
+def _psi4(w, p):
+    return np.abs(w) ** (p + 2.0) / (2.0 * (p + 1.0) * (p + 2.0))
+
+
+def _reference_bilinear_cov_moments(edges, hurst):
+    p = 2.0 * hurst.h
+    a = edges[:-1][:, None]
+    b = edges[1:][:, None]
+    c = edges[:-1][None, :]
+    d = edges[1:][None, :]
+
+    def corner(func, extra=None):
+        if extra is None:
+            return func(b - c, p) - func(a - c, p) - func(b - d, p) + func(a - d, p)
+        return (extra(b) * func(b - c, p) - extra(a) * func(a - c, p)
+                - extra(b) * func(b - d, p) + extra(a) * func(a - d, p))
+
+    q00 = corner(_psi2)
+    q10 = corner(_psi2, extra=lambda u: u) - corner(_psi3)
+    q11 = (
+        corner(_psi2, extra=lambda u: u**2)
+        - (p + 1.0) * corner(_psi3, extra=lambda u: u)
+        + (p + 1.0) * corner(_psi4)
+    )
+    return q00, q10, q10.T, q11
+
+
+def _reference_log_expectation(spec, hurst, t, mats, n_cells):
+    from fhjm.vol import integrated_vol
+
+    edges = np.linspace(0.0, t, n_cells + 1)
+    q00, q10, q01, q11 = _reference_bilinear_cov_moments(edges, hurst)
+    a, b = edges[:-1], edges[1:]
+    out = np.zeros(len(mats))
+    for m, T in enumerate(mats):
+        for j in range(1, spec.dims + 1):
+            iv = np.asarray(integrated_vol(spec, j, edges, T), dtype=float)
+            slope = (iv[1:] - iv[:-1]) / (b - a)
+            intercept = iv[:-1] - slope * a
+            out[m] += 0.5 * (intercept @ q00 @ intercept + intercept @ q01 @ slope
+                             + slope @ q10 @ intercept + slope @ q11 @ slope)
+    return out
+
+
+@pytest.mark.parametrize("h", [0.55, 0.7, 0.75, 0.95])
+@pytest.mark.parametrize("name", ["ho-lee", "hull-white", "two-factor", "tabulated"])
+def test_lag_moment_log_expectation_matches_corner_form(name, h):
+    spec = _reference_specs()[name]
+    hurst = HurstParam(h)
+    for n_cells in (1, 2, 16, 256):
+        for t in (0.25, 1.0, 3.0):
+            mats = [t, t + 0.4, t + 1.0, t + 2.5]
+            values = log_expectation(spec, hurst, t, mats, n_cells=n_cells)
+            ref = _reference_log_expectation(spec, hurst, t, mats, n_cells)
+            np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("h", [0.55, 0.7, 0.95])
+def test_lag_moments_structure(h):
+    from fhjm.drift import _lag_moments
+
+    hurst = HurstParam(h)
+    n = 48
+    m00, m10, m01, m11 = _lag_moments(n, hurst)
+    assert m00.shape == m10.shape == m01.shape == m11.shape == (2 * n - 1,)
+    # n unit cells square to the variance of B_H at time n
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1
+    assert m00[lag].sum() == pytest.approx(n ** (2 * h), rel=1e-12)
+    # swapping the two cells reverses the lag; the moments are differences
+    # of antiderivatives of size |D|^(2H+1) and |D|^(2H+2), so they agree to
+    # a few ulps of those
+    size = np.abs(np.arange(1 - n, n)) + 1.0
+    assert np.all(np.abs(m01 - m10[::-1]) <= 1e-15 * size ** (2 * h + 1))
+    assert np.all(np.abs(m11 - m11[::-1]) <= 1e-15 * size ** (2 * h + 2))
+    # the convolution pairs cell i of the first vector with cell i - D of
+    # the second: the dense form with lag i - k gives the same numbers
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    for moment in (m00, m10, m01, m11):
+        dense = x @ moment[lag] @ y
+        assert moment @ np.convolve(x, y[::-1]) == pytest.approx(dense, rel=1e-12)
+    assert x @ m10[lag] @ y != pytest.approx(x @ m01[lag] @ y, rel=1e-6)
+
+
+def test_log_expectation_memory_stays_linear_in_cells():
+    # the corner form held (n, n) arrays: 84 MB at 1024 cells
+    import tracemalloc
+
+    spec = _reference_specs()["two-factor"]
+    tracemalloc.start()
+    try:
+        log_expectation(spec, H70, 1.0, [1.0, 1.5, 2.0, 3.0], n_cells=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 16.0, "16", None])
+def test_log_expectation_rejects_bad_cell_counts(bad):
+    with pytest.raises(ValueError, match="n_cells"):
+        log_expectation(ho_lee(1.0), H75, 1.0, 2.0, n_cells=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 16.0, "16", None])
+def test_expectation_kernel_rejects_bad_cell_counts(bad):
+    with pytest.raises(ValueError, match="n_cells"):
+        expectation_kernel(ho_lee(1.0), H75, 1.0, 2.0, n_cells=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 16.0, "16", None])
+def test_drift_field_rejects_bad_cell_counts(bad):
+    tg = np.linspace(0, 1, 5)
+    with pytest.raises(ValueError, match="theta_cells"):
+        drift_field(ho_lee(1.0), H75, tg, tg, theta_cells=bad)
+
+
+@pytest.mark.parametrize("bad", [0, 2.5])
+def test_market_price_of_risk_rejects_bad_cell_counts(bad):
+    tg = np.linspace(0, 1, 5)
+    field = drift_field(ho_lee(1.0), H75, tg, tg, theta_cells=16)
+    with pytest.raises(ValueError, match="theta_cells"):
+        solve_market_price_of_risk(ho_lee(1.0), H75, field, 2, theta_cells=bad)
+
+
 def test_maturity_integral_over_arrays_matches_trapezoid():
     rng = np.random.default_rng(3)
     tg = np.linspace(0.0, 1.0, 9)
