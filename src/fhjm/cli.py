@@ -204,7 +204,8 @@ def cmd_consistency(cfg: ExperimentConfig, out: str) -> list:
     ts = np.linspace(cfg.t_grid.t_star / n_t, cfg.t_grid.t_star, n_t)
     zero_vol = block["zero_volatility"]
     spec = None if zero_vol else cfg.model
-    verdict = nagumo_full_check(family, spec, cfg.hurst, ts, ys)
+    xs, w = default_membership_grid(n=block["x_nodes"])
+    verdict = nagumo_full_check(family, spec, cfg.hurst, ts, ys, xs=xs, weights=w)
     xs2, w2 = default_membership_grid(n=2 * block["x_nodes"])
     verdict2 = nagumo_full_check(family, spec, cfg.hurst, ts, ys, xs=xs2, weights=w2)
     label = "consistent (trivial)" if (verdict.passed and zero_vol) else (

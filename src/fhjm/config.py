@@ -36,6 +36,12 @@ sibling.  An empty ``check.oscillation`` block means no probe.  A
 strategy ``name`` (``strategy_<i>`` when unset) names its ledger file:
 it holds no ``/``, ``\\`` or NUL, and the names are distinct.
 
+``portfolio`` reports the final value at every level of ``costs.k``, but
+it writes ``ledger_<name>.csv`` and counts ``admissibility_violations``
+at the last level in config order only.  ``consistency.x_nodes`` is the
+node count of the maturity grid on [0, 10] behind the verdict; the
+grid-doubling rerun uses twice as many.
+
 Rules across keys are the small functions after the table: the grids
 align; check pairs [t, T] satisfy 0 <= t <= min(T, t_star) and
 T <= x_max, t is a node of the time grid and T of the maturity grid;

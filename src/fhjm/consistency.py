@@ -95,7 +95,7 @@ class CurveFamily:
         if not self.domain_check(np.asarray(y, dtype=float)):
             raise ValueError(f"parameter {y!r} outside the domain of family {self.name}")
 
-    def partials_self_check(self, y, xs, rel_tol: float = 1e-6) -> float:
+    def partials_self_check(self, y, xs) -> float:
         """Max relative gap between analytic partials and central differences."""
         y = np.asarray(y, dtype=float)
         xs = np.asarray(xs, dtype=float)
@@ -176,13 +176,13 @@ class TangencyVerdict:
         )
 
 
-def default_membership_grid(n: int = 512, x_max: float = 10.0):
-    """Maturity grid and weights for membership tests.
+def default_membership_grid(n: int = 512):
+    """Maturity grid of ``n`` nodes on [0, 10] and weights for membership tests.
 
     Exponential weights keep constants and decaying exponentials
-    simultaneously well conditioned on [0, x_max].
+    simultaneously well conditioned on the grid.
     """
-    xs = np.linspace(0.0, x_max, n)
+    xs = np.linspace(0.0, 10.0, n)
     weights = np.exp(-xs / 4.0)
     return xs, weights
 
@@ -210,9 +210,7 @@ def tangent_residual(
     return num / den, int(rank)
 
 
-def check_shift_condition(
-    family: CurveFamily, y_samples, xs=None, weights=None, tolerance: float = PASS_TOLERANCE
-) -> TangencyVerdict:
+def check_shift_condition(family: CurveFamily, y_samples, xs=None, weights=None) -> TangencyVerdict:
     """Test whether dF/dx stays in the tangent span at each parameter sample."""
     if xs is None or weights is None:
         xs, weights = default_membership_grid()
@@ -222,12 +220,12 @@ def check_shift_condition(
         g = family.x_derivative(xs, np.asarray(y, dtype=float))
         res, _ = tangent_residual(family, y, g, xs, weights)
         worst = max(worst, res)
-        if res > tolerance:
+        if res > PASS_TOLERANCE:
             witnesses.append(("shift dF/dx", 0.0, np.asarray(y, float), res))
     # failures inside the refinement band could still be quadrature noise
     indeterminate = bool(witnesses) and max(w[3] for w in witnesses) <= REFINE_BAND
     return TangencyVerdict(
-        check="shift", passed=not witnesses, max_residual=worst, tolerance=tolerance,
+        check="shift", passed=not witnesses, max_residual=worst, tolerance=PASS_TOLERANCE,
         witnesses=witnesses, indeterminate=indeterminate,
     )
 
@@ -274,7 +272,6 @@ def check_drift_and_vol_condition(
     y_samples,
     xs=None,
     weights=None,
-    tolerance: float = PASS_TOLERANCE,
 ) -> TangencyVerdict:
     """Test drift curves and every factor volatility curve for span membership.
 
@@ -287,14 +284,14 @@ def check_drift_and_vol_condition(
     """
     if spec is None:
         return TangencyVerdict(
-            check="drift+vol", passed=True, max_residual=0.0, tolerance=tolerance
+            check="drift+vol", passed=True, max_residual=0.0, tolerance=PASS_TOLERANCE
         )
     if xs is None or weights is None:
         xs, weights = default_membership_grid()
     worst = 0.0
     witnesses = []
     vol_curves = [
-        (f"volatility factor {j}", np.asarray(eval_vol(spec, j, 0.0, xs, extrapolate="flat"), float))
+        (f"volatility factor {j}", np.asarray(eval_vol(spec, j, 0.0, xs), float))
         for j in range(1, spec.dims + 1)
     ]
     # the drift curves depend on t only: one set per t, shared by every y
@@ -306,7 +303,7 @@ def check_drift_and_vol_condition(
                 continue
             res, _ = tangent_residual(family, y, g, xs, weights)
             worst = max(worst, res)
-            if res > tolerance:
+            if res > PASS_TOLERANCE:
                 witnesses.append((label, 0.0, y, res))
         for t, components in drift_curves:
             for label, g in components:
@@ -314,7 +311,7 @@ def check_drift_and_vol_condition(
                     continue
                 res, _ = tangent_residual(family, y, g, xs, weights)
                 worst = max(worst, res)
-                if res > tolerance:
+                if res > PASS_TOLERANCE:
                     witnesses.append((label, t, y, res))
     # keep the most informative witnesses: largest residual per component
     best = {}
@@ -324,7 +321,7 @@ def check_drift_and_vol_condition(
     witnesses = sorted(best.values(), key=lambda w: -w[3])
     indeterminate = bool(witnesses) and max(w[3] for w in witnesses) <= REFINE_BAND
     return TangencyVerdict(
-        check="drift+vol", passed=not witnesses, max_residual=worst, tolerance=tolerance,
+        check="drift+vol", passed=not witnesses, max_residual=worst, tolerance=PASS_TOLERANCE,
         witnesses=witnesses, indeterminate=indeterminate,
     )
 
@@ -337,7 +334,6 @@ def nagumo_full_check(
     y_samples,
     xs=None,
     weights=None,
-    tolerance: float = PASS_TOLERANCE,
 ) -> TangencyVerdict:
     """Combined invariance verdict: shift AND (drift + volatility) tangency.
 
@@ -345,16 +341,14 @@ def nagumo_full_check(
     every noise direction in the tangent space) is equivalent to the two
     split conditions, so the verdict is their conjunction.
     """
-    shift = check_shift_condition(family, y_samples, xs, weights, tolerance)
-    dv = check_drift_and_vol_condition(
-        family, spec, hurst, t_samples, y_samples, xs, weights, tolerance
-    )
+    shift = check_shift_condition(family, y_samples, xs, weights)
+    dv = check_drift_and_vol_condition(family, spec, hurst, t_samples, y_samples, xs, weights)
     failed = [v for v in (shift, dv) if not v.passed]
     return TangencyVerdict(
         check="nagumo",
         passed=shift.passed and dv.passed,
         max_residual=max(shift.max_residual, dv.max_residual),
-        tolerance=tolerance,
+        tolerance=PASS_TOLERANCE,
         witnesses=shift.witnesses + dv.witnesses,
         indeterminate=bool(failed) and all(v.indeterminate for v in failed),
     )

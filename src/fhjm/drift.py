@@ -173,12 +173,14 @@ def drift_field(
     x_points = np.asarray(x_points, dtype=float)
     n = t_points.size - 1
     values = np.zeros((n + 1, x_points.size))
-    reach = x_points[-1] + t_points[-1]  # largest maturity argument, x + t
-    if any(isinstance(f, TabulatedVol) and reach > f.x_grid[-1] + 1e-12 for f in spec.factors):
+    # the maturity integrals start at x = 0 and the arguments reach x + t
+    reach = x_points[-1] + t_points[-1]
+    if any(isinstance(f, TabulatedVol) and (f.x_grid[0] > 1e-12 or reach > f.x_grid[-1] + 1e-12)
+           for f in spec.factors):
         import warnings
 
         warnings.warn(
-            "tabulated volatility extrapolated flat beyond its x-table for x + t arguments",
+            "tabulated volatility extrapolated flat outside its x-table for x + t arguments",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -197,7 +199,7 @@ def _theta_sums(factor, t: float, nodes: np.ndarray, w: np.ndarray, x: np.ndarra
         flat:       sigma*(x*m0 + m1)                  and  sigma*m0
         exp-decay:  (sigma/a)*(m0 - exp(-a*x)*E)       and  sigma*exp(-a*x)*E
 
-    A table is evaluated on the whole (theta, x) array, flat beyond its
+    A table is evaluated on the whole (theta, x) array, flat outside its
     x-columns (the integrands reach x + t).
     """
     if isinstance(factor, FlatVol):
@@ -210,7 +212,7 @@ def _theta_sums(factor, t: float, nodes: np.ndarray, w: np.ndarray, x: np.ndarra
         return (factor.sigma / a) * (w.sum() - damp * e), factor.sigma * damp * e
     th = nodes[:, None]
     span = np.maximum(x + t - th, 0.0)
-    return w @ factor.integral_in_x(th, span), w @ factor(th, span, extrapolate="flat")
+    return w @ factor.integral_in_x(th, span), w @ factor(th, span)
 
 
 def _drift_row(
@@ -230,7 +232,7 @@ def _drift_row(
     row = np.zeros(x_points.size)
     for j, factor in enumerate(spec.factors, start=1):
         iv_w, sig_w = _theta_sums(factor, t, thetas, w, x_points)
-        row += eval_vol(spec, j, t, x_points, extrapolate="flat") * iv_w
+        row += eval_vol(spec, j, t, x_points) * iv_w
         row += integrated_vol(spec, j, t, t + x_points) * sig_w
     return row
 
@@ -423,7 +425,7 @@ def solve_market_price_of_risk(
         target = _drift_row(spec, hurst, t, x_points, theta_cells)
     rhs = target - alpha_field.values[i]
     cols = np.stack(
-        [np.asarray(eval_vol(spec, j, t, x_points, extrapolate="flat"), dtype=float)
+        [np.asarray(eval_vol(spec, j, t, x_points), dtype=float)
          for j in range(1, spec.dims + 1)],
         axis=1,
     )

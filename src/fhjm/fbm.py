@@ -263,18 +263,15 @@ def _kernel_matrix(grid: TimeGrid, hurst: HurstParam, scale: float) -> np.ndarra
     return kmat
 
 
-def generate_volterra(
-    driver: BrownianDriver, hurst: HurstParam, scale: float | None = None
-) -> FbmPathSet:
+def generate_volterra(driver: BrownianDriver, hurst: HurstParam) -> FbmPathSet:
     """Moving-average transform of a Brownian driver through the Volterra kernel.
 
     ``beta(t_k) = sum_{j<k} K(t_k, s_j^mid) dW_j`` with the kernel scale
-    calibrated (by default) at the driver's own resolution, which pins the
-    discrete variance at the horizon to t^2H exactly.  The same driver
-    always produces the same paths.
+    calibrated at the driver's own resolution, or at 64 steps on coarser
+    grids, which pins the discrete variance at the horizon to t^2H.  The
+    same driver always produces the same paths.
     """
-    if scale is None:
-        scale = calibrate_kernel_scale(hurst, max(driver.grid.n_steps, 64))
+    scale = calibrate_kernel_scale(hurst, max(driver.grid.n_steps, 64))
     kmat = _kernel_matrix(driver.grid, hurst, scale)
     samples = np.einsum("kl,pjl->pjk", kmat, driver.increments, optimize=True)
     samples[:, :, 0] = 0.0
@@ -283,12 +280,7 @@ def generate_volterra(
     )
 
 
-def generate_polygonal(
-    driver: BrownianDriver,
-    hurst: HurstParam,
-    coarse_factor: int,
-    scale: float | None = None,
-) -> FbmPathSet:
+def generate_polygonal(driver: BrownianDriver, hurst: HurstParam, coarse_factor: int) -> FbmPathSet:
     """Kernel transform of the polygonally interpolated driver.
 
     The driver is linearly interpolated on the coarse partition of mesh
@@ -301,15 +293,13 @@ def generate_polygonal(
     coarse_factor = int(coarse_factor)
     if coarse_factor < 1 or n % coarse_factor != 0:
         raise ValueError("coarse_factor must be a positive divisor of n_steps")
-    if scale is None:
-        scale = calibrate_kernel_scale(hurst, max(n, 64))
     dt = driver.grid.dt
     # slope of the interpolated driver on each fine cell
     inc = driver.increments
     n_coarse = n // coarse_factor
     coarse_inc = inc.reshape(inc.shape[0], inc.shape[1], n_coarse, coarse_factor).sum(axis=3)
     slopes = np.repeat(coarse_inc / (coarse_factor * dt), coarse_factor, axis=2)
-    kmat = _kernel_matrix(driver.grid, hurst, scale)
+    kmat = _kernel_matrix(driver.grid, hurst, calibrate_kernel_scale(hurst, max(n, 64)))
     samples = np.einsum("kl,pjl->pjk", kmat * dt, slopes, optimize=True)
     samples[:, :, 0] = 0.0
     return FbmPathSet(

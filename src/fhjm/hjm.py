@@ -229,7 +229,7 @@ def _vol_cube(spec: VolatilitySpec, t_grid: TimeGrid, ext_points: np.ndarray) ->
     """sigma_j(t_i, x_q) on the extended maturity grid; shape (d, n, Q)."""
     t = t_grid.points[:-1, None]
     x = ext_points[None, :]
-    return np.stack([eval_vol(spec, j, t, x, extrapolate="flat") for j in range(1, spec.dims + 1)])
+    return np.stack([eval_vol(spec, j, t, x) for j in range(1, spec.dims + 1)])
 
 
 def simulate_forward(
@@ -493,10 +493,7 @@ def closed_form_bond(
         acc = init.values[i] + drift.values[ls, i - ls].sum() * dt
         noise = np.zeros(n_paths)
         for j in range(1, spec.dims + 1):
-            svals = np.asarray(
-                eval_vol(spec, j, tg.points[ls], (i - ls) * dt, extrapolate="flat"),
-                dtype=float,
-            )
+            svals = np.asarray(eval_vol(spec, j, tg.points[ls], (i - ls) * dt), dtype=float)
             noise += dbeta[:, j - 1, :i] @ svals
         short[:, i] = acc + noise
 

@@ -13,6 +13,10 @@ factor's ``integral_in_x``: closed form for the built-ins, and for tables
 exact for the piecewise-linear interpolant (a cumulative trapezoid per
 table row plus one partial cell, interpolated linearly in t).
 
+Tables are read flat in x outside their columns, below the first as well
+as beyond the last, both by the interpolant and by its maturity integral;
+t is clamped to the table's rows.
+
 ``validate_regularity`` is a report-only diagnostic that evaluates the
 four growth integrals a Gaussian forward-rate model needs for bond prices
 to be well defined, and flags each as finite when one grid refinement
@@ -21,7 +25,6 @@ moves the value by less than 10%.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +115,9 @@ class ExpDecayVol:
 class TabulatedVol:
     """Volatility given on a rectangular (t, x) table, bilinear in between.
 
-    Values must be finite.  Queries outside the table raise by default;
-    the drift engine asks for flat extrapolation in x beyond the last
-    column (with a warning) because its integrands reach x + t.
+    Values must be finite.  Queries outside the table are read flat: x is
+    clamped to the first and last columns, t to the first and last rows, so
+    the interpolant agrees with :meth:`integral_in_x` on both sides.
     """
 
     def __init__(self, t_grid, x_grid, values):
@@ -142,7 +145,7 @@ class TabulatedVol:
         if knots.size == 1:  # the whole table lies at x <= 0: flat from 0 on
             knots = np.array([0.0, 1.0])
         self._knots = knots
-        self._knot_values = self(t_grid[:, None], knots[None, :], extrapolate="flat")
+        self._knot_values = self(t_grid[:, None], knots[None, :])
         cells = 0.5 * np.diff(knots) * (self._knot_values[:, 1:] + self._knot_values[:, :-1])
         self._knot_integrals = np.zeros_like(self._knot_values)
         np.cumsum(cells, axis=1, out=self._knot_integrals[:, 1:])
@@ -154,17 +157,9 @@ class TabulatedVol:
         wt = (t - self.t_grid[it]) / (self.t_grid[it + 1] - self.t_grid[it])
         return it, wt
 
-    def __call__(self, t, x, extrapolate: str = "error"):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        t, x = np.broadcast_arrays(t, x)
-        if extrapolate == "error":
-            if np.any(x < self.x_grid[0]) or np.any(x > self.x_grid[-1]):
-                raise ValueError("maturity query outside tabulated x range")
-        elif extrapolate == "flat":
-            x = np.clip(x, self.x_grid[0], self.x_grid[-1])
-        else:
-            raise ValueError("extrapolate must be 'error' or 'flat'")
+    def __call__(self, t, x):
+        t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+        x = np.clip(x, self.x_grid[0], self.x_grid[-1])
         it, wt = self._t_cell(t)
         ix = np.clip(np.searchsorted(self.x_grid, x, side="right") - 1, 0, self.x_grid.size - 2)
         wx = (x - self.x_grid[ix]) / (self.x_grid[ix + 1] - self.x_grid[ix])
@@ -231,14 +226,14 @@ def hull_white(sigma: float, decay: float) -> VolatilitySpec:
     return VolatilitySpec(factors=(ExpDecayVol(sigma, decay),))
 
 
-def eval_vol(spec: VolatilitySpec, j: int, t, x, extrapolate: str = "error"):
-    """Evaluate factor j (1-based) at time t and time-to-maturity x."""
+def eval_vol(spec: VolatilitySpec, j: int, t, x):
+    """Evaluate factor j (1-based) at time t and time-to-maturity x.
+
+    A table is read flat in x outside its columns (see :class:`TabulatedVol`).
+    """
     if not (1 <= j <= spec.dims):
         raise ValueError(f"factor index {j} outside 1..{spec.dims}")
-    factor = spec.factors[j - 1]
-    if isinstance(factor, TabulatedVol):
-        return factor(t, x, extrapolate=extrapolate)
-    return factor(t, x)
+    return spec.factors[j - 1](t, x)
 
 
 def integrated_vol(spec: VolatilitySpec, j: int, s, maturity):
@@ -271,13 +266,6 @@ class RegularityReport:
         return all(self.finite.values())
 
 
-def _sup_norm_vol(spec: VolatilitySpec, t: float, xs: np.ndarray) -> float:
-    total = 0.0
-    for j in range(1, spec.dims + 1):
-        total += float(np.max(np.abs(eval_vol(spec, j, t, xs, extrapolate="flat"))) ** 2)
-    return math.sqrt(total)
-
-
 def _regularity_values(
     spec: VolatilitySpec, hurst: HurstParam, horizon: float, n: int, gamma_exp: float,
     drift_sup: callable,
@@ -286,7 +274,11 @@ def _regularity_values(
     edges = np.linspace(0.0, horizon, n + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     xs = np.linspace(0.0, horizon, n + 1)
-    sig_norm = np.array([_sup_norm_vol(spec, t, xs) for t in mids])
+    # |sigma_j(t, x)| on (factor, t-midpoint, maturity): its max over x gives the
+    # sup-norm in time, its norm over factors the pointwise norm
+    abs_vol = np.abs(np.stack([f(mids[:, None], xs[None, :]) for f in spec.factors]))
+    sig_norm = np.sqrt(np.sum(np.max(abs_vol, axis=2) ** 2, axis=0))
+    point_norm = np.sqrt(np.sum(abs_vol**2, axis=0))
     drift_norm = np.array([drift_sup(t) for t in mids])
 
     cells = cov_cell_integral(
@@ -299,17 +291,11 @@ def _regularity_values(
     w = mids**(-gamma_exp) * sig_norm
     g2 = float(w @ cells @ w)
     # quadruple integral: maturity-integrated factor norms against the density
-    iv = np.array(
-        [sum(abs(integrated_vol(spec, j, t, t + horizon)) for j in range(1, spec.dims + 1))
-         for t in mids]
-    )
+    iv = sum(np.abs(integrated_vol(spec, j, mids, mids + horizon)) for j in range(1, spec.dims + 1))
     g3 = float(iv @ cells @ iv)
     # triple integral: pointwise factor norms at common maturity
-    acc = 0.0
-    for x in xs:
-        v = np.array([_sup_norm_vol(spec, t, np.array([x])) for t in mids])
-        acc += float(v @ cells @ v) * (horizon / xs.size)
-    g4 = acc
+    quad_sum = np.einsum("ux,uv,vx->", point_norm, cells, point_norm, optimize=True)
+    g4 = float(quad_sum) * (horizon / xs.size)
     return {"coef_integrability": g1, "weighted_double": g2,
             "bond_quadruple": g3, "bond_triple": g4}
 

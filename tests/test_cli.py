@@ -471,6 +471,20 @@ def test_check_command_empty_block(tmp_path, tmp_config):
     assert json.loads((tmp_path / "c" / "check_report.json").read_text()) == {}
 
 
+def test_consistency_verdict_reads_x_nodes(tmp_path, tmp_config):
+    # the verdict itself, not only its grid-doubling rerun, uses x_nodes maturity nodes
+    details = []
+    for name, extra in (("default", {}), ("coarse", {"x_nodes": 64})):
+        cfg = smoke_config()
+        cfg["consistency"] = {"t_samples": 4, "y_samples": 8, "seed": 7, **extra}
+        out = tmp_path / name
+        r = run_cli("consistency", str(tmp_config(cfg, f"{name}.json")), "--out", str(out),
+                    cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        details.append(json.loads((out / "consistency_report.json").read_text())["detail"])
+    assert details[0]["max_residual"] != details[1]["max_residual"]
+
+
 def test_consistency_command_verdicts(tmp_path, tmp_config):
     cfg = smoke_config()
     cfg["consistency"] = {"family": "nelson-siegel", "t_samples": 4, "y_samples": 8, "seed": 7}

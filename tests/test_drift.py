@@ -221,6 +221,25 @@ def test_table_covering_every_argument_does_not_warn():
         drift_for_simulation(VolatilitySpec((table,)), H70, tg, xg, theta_cells=64)
 
 
+def test_table_starting_above_zero_warns_below():
+    # the maturity integrals start at x = 0, so a first column at 0.5 is read
+    # flat below it even when the table reaches past every x + t
+    import warnings
+
+    from fhjm.hjm import drift_for_simulation, simulation_grids
+    from fhjm.vol import TabulatedVol
+
+    tg, xg = simulation_grids(1.0, 8, 1.0, 8)  # x + t reaches 3
+    table = TabulatedVol([0, 1], [0.5, 1, 2, 4], [[0.011, 0.012, 0.013, 0.014]] * 2)
+    assert table(0.5, 0.0) == table(0.5, 0.5) == 0.011
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        drift_for_simulation(VolatilitySpec((table,)), H70, tg, xg, theta_cells=64)
+    assert [str(w.message) for w in caught] == [
+        "tabulated volatility extrapolated flat outside its x-table for x + t arguments"
+    ]
+
+
 # Reference copy of the slope/intercept product rule that evaluated the drift
 # rows and the expectation kernel before the hat-function weights: each
 # factor curve becomes per-cell slope and intercept arrays, integrated against
@@ -252,8 +271,8 @@ def _reference_drift_row(spec, t, x_points, theta_cells):
     row = np.zeros(x_points.size)
     for j in range(1, spec.dims + 1):
         iv = np.asarray(integrated_vol(spec, j, th, mat), dtype=float)
-        sig = np.asarray(eval_vol(spec, j, th, mat - th, extrapolate="flat"), dtype=float)
-        sig_t_x = np.asarray(eval_vol(spec, j, t, x_points, extrapolate="flat"), dtype=float)
+        sig = np.asarray(eval_vol(spec, j, th, mat - th), dtype=float)
+        sig_t_x = np.asarray(eval_vol(spec, j, t, x_points), dtype=float)
         int_sig_x = np.asarray(integrated_vol(spec, j, t, t + x_points), dtype=float)
         row += sig_t_x * _reference_integral(iv, a, b, m0, m1)
         row += int_sig_x * _reference_integral(sig, a, b, m0, m1)

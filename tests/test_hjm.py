@@ -245,7 +245,7 @@ def test_vol_cube_equals_per_step_evaluations():
     assert cube.shape == (3, 16, 33)
     for j in range(1, 4):
         for i in range(16):
-            ref = np.asarray(eval_vol(spec, j, tg.points[i], ext, extrapolate="flat"))
+            ref = np.asarray(eval_vol(spec, j, tg.points[i], ext))
             assert cube[j - 1, i].tobytes() == ref.tobytes(), (j, i)
 
 

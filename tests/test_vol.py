@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fhjm.kernels import HurstParam
+from fhjm.kernels import HurstParam, cov_cell_integral
 from fhjm.vol import (
+    _regularity_values,
     ExpDecayVol,
     FlatVol,
     TabulatedVol,
@@ -76,7 +79,7 @@ def _trapezoid_through_knots(tab, t, x):
     """
     nodes = tab.x_grid[(tab.x_grid > 0.0) & (tab.x_grid < x)]
     pts = np.concatenate(([0.0], nodes, [x]))
-    vals = tab(np.full(pts.shape, t), pts, extrapolate="flat")
+    vals = tab(np.full(pts.shape, t), pts)
     return float(np.trapezoid(vals, pts))
 
 
@@ -115,6 +118,24 @@ def test_tabulated_integral_flat_below_table():
         tab.integral_in_x(0.3, -0.1)
 
 
+def test_tabulated_call_and_integral_flat_on_both_sides():
+    values = [[0.011, 0.02, 0.015, 0.013], [0.017, 0.012, 0.019, 0.014]]
+    tab = TabulatedVol([0, 1], [0.5, 1, 2, 4], values)
+    for t in (0.0, 0.3, 1.0, 1.7):
+        first, last = tab(t, 0.5), tab(t, 4.0)
+        # below the first column: sigma is the first column's value, and so is
+        # the integral's slope from 0
+        assert tab(t, 0.0) == first and tab(t, 0.2) == first
+        for x in (0.1, 0.25, 0.5):
+            assert tab.integral_in_x(t, x) == pytest.approx(x * tab(t, 0.0), rel=1e-14)
+        # past the last column: sigma is the last column's value, and so is
+        # the integral's slope
+        assert tab(t, 5.0) == last and tab(t, 9.0) == last
+        for x1, x2 in ((4.0, 5.0), (4.5, 9.0)):
+            step = tab.integral_in_x(t, x2) - tab.integral_in_x(t, x1)
+            assert step == pytest.approx((x2 - x1) * last, rel=1e-12)
+
+
 def test_tabulated_integral_shapes():
     tab = TabulatedVol([0, 1], [0, 1, 2], [[0.01, 0.02, 0.01], [0.02, 0.01, 0.02]])
     scalar = tab.integral_in_x(0.5, 1.5)
@@ -127,7 +148,7 @@ def test_tabulated_integral_shapes():
     assert integrated_vol(spec, 1, np.zeros(5), 2.0).shape == (5,)
 
 
-def test_tabulated_rejects_nan_and_extrapolation():
+def test_tabulated_rejects_nan_and_reads_flat_outside():
     with pytest.raises(ValueError):
         TabulatedVol([0, 1], [0, 1], [[0.01, np.nan], [0.02, 0.01]])
     with pytest.raises(ValueError):
@@ -136,10 +157,8 @@ def test_tabulated_rejects_nan_and_extrapolation():
         TabulatedVol([0, 1], [0], [[0.01], [0.02]])
     tab = TabulatedVol([0, 1], [0, 1], [[0.01, 0.02], [0.02, 0.01]])
     spec = VolatilitySpec((tab,))
-    with pytest.raises(ValueError):
-        eval_vol(spec, 1, 0.5, 3.0)
-    # flat extrapolation clamps to the boundary column
-    assert eval_vol(spec, 1, 0.5, 3.0, extrapolate="flat") == pytest.approx(0.015)
+    # a query past the table reads the boundary column
+    assert eval_vol(spec, 1, 0.5, 3.0) == pytest.approx(0.015)
 
 
 def test_regularity_report_builtins_finite():
@@ -158,3 +177,57 @@ def test_regularity_report_with_drift():
     )
     assert rep.all_finite()
     assert rep.values["coef_integrability"] > 0
+
+
+def _sup_norm_vol(spec, t, xs):
+    total = 0.0
+    for j in range(1, spec.dims + 1):
+        total += float(np.max(np.abs(eval_vol(spec, j, t, xs))) ** 2)
+    return math.sqrt(total)
+
+
+def _regularity_values_per_point(spec, hurst, horizon, n, gamma_exp, drift_sup):
+    """Reference: the four growth integrals, one time or maturity point at a time."""
+    dt = horizon / n
+    edges = np.linspace(0.0, horizon, n + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    xs = np.linspace(0.0, horizon, n + 1)
+    sig_norm = np.array([_sup_norm_vol(spec, t, xs) for t in mids])
+    drift_norm = np.array([drift_sup(t) for t in mids])
+    cells = cov_cell_integral(
+        edges[:-1, None], edges[1:, None], edges[None, :-1], edges[None, 1:], hurst
+    )
+    g1 = float(np.sum(drift_norm) * dt + np.sum(sig_norm**2) * dt)
+    w = mids**(-gamma_exp) * sig_norm
+    g2 = float(w @ cells @ w)
+    iv = np.array(
+        [sum(abs(integrated_vol(spec, j, t, t + horizon)) for j in range(1, spec.dims + 1))
+         for t in mids]
+    )
+    g3 = float(iv @ cells @ iv)
+    acc = 0.0
+    for x in xs:
+        v = np.array([_sup_norm_vol(spec, t, np.array([x])) for t in mids])
+        acc += float(v @ cells @ v) * (horizon / xs.size)
+    return {"coef_integrability": g1, "weighted_double": g2,
+            "bond_quadruple": g3, "bond_triple": acc}
+
+
+@pytest.mark.parametrize("name", ["ho-lee", "hull-white", "two-factor", "tabulated"])
+def test_regularity_values_match_per_point_reference(name):
+    # the table covers neither x = 0 nor the whole horizon, so both flat tails enter
+    table = TabulatedVol([0.2, 0.6, 1.0], [0.5, 1.0, 1.5],
+                         [[0.01, 0.02, 0.015], [0.012, 0.018, 0.02], [0.02, 0.01, 0.011]])
+    spec = {
+        "ho-lee": ho_lee(0.01),
+        "hull-white": hull_white(0.01, 1.0),
+        "two-factor": VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 0.5))),
+        "tabulated": VolatilitySpec((table,)),
+    }[name]
+    hurst = HurstParam(0.7)
+    for n in (16, 32):
+        got = _regularity_values(spec, hurst, 2.0, n, 0.25, lambda t: 0.01 * t)
+        want = _regularity_values_per_point(spec, hurst, 2.0, n, 0.25, lambda t: 0.01 * t)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
