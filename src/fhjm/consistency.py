@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drift import DriftField, ho_lee_drift, hull_white_drift, _drift_row
+from .drift import (
+    DriftField,
+    _drift_row,
+    _warn_if_table_read_flat,
+    ho_lee_drift,
+    hull_white_drift,
+)
 from .kernels import FracOrder, HurstParam, frac_integral
 from .vol import ExpDecayVol, FlatVol, VolatilitySpec, eval_vol
 
@@ -288,6 +294,8 @@ def check_drift_and_vol_condition(
         )
     if xs is None or weights is None:
         xs, weights = default_membership_grid()
+    t_samples = [float(t) for t in t_samples]
+    _warn_if_table_read_flat(spec, float(np.max(xs)) + max(t_samples, default=0.0))
     worst = 0.0
     witnesses = []
     vol_curves = [
@@ -295,7 +303,7 @@ def check_drift_and_vol_condition(
         for j in range(1, spec.dims + 1)
     ]
     # the drift curves depend on t only: one set per t, shared by every y
-    drift_curves = [(t, _drift_components(spec, hurst, t, xs)) for t in map(float, t_samples)]
+    drift_curves = [(t, _drift_components(spec, hurst, t, xs)) for t in t_samples]
     for y in y_samples:
         y = np.asarray(y, dtype=float)
         for label, g in vol_curves:

@@ -52,6 +52,7 @@ from .kernels import (
     HurstParam,
     cov_segment_integral,
     cov_segment_moment,
+    _gauss_legendre_01,
 )
 from .vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec, eval_vol, integrated_vol
 
@@ -152,6 +153,24 @@ def _hat_weights(t, hurst: HurstParam, n_cells: int):
     return nodes, weights
 
 
+def _warn_if_table_read_flat(spec: VolatilitySpec, reach: float) -> None:
+    """RuntimeWarning when a tabulated factor is read flat outside its x-columns.
+
+    A drift at times up to t and maturities up to x integrates every factor
+    in x from 0 up to x + t, which ``reach`` bounds.  The warning points at
+    the caller of the function that calls this one.
+    """
+    if any(isinstance(f, TabulatedVol) and (f.x_grid[0] > 1e-12 or reach > f.x_grid[-1] + 1e-12)
+           for f in spec.factors):
+        import warnings
+
+        warnings.warn(
+            "tabulated volatility extrapolated flat outside its x-table for x + t arguments",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def drift_field(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -173,17 +192,7 @@ def drift_field(
     x_points = np.asarray(x_points, dtype=float)
     n = t_points.size - 1
     values = np.zeros((n + 1, x_points.size))
-    # the maturity integrals start at x = 0 and the arguments reach x + t
-    reach = x_points[-1] + t_points[-1]
-    if any(isinstance(f, TabulatedVol) and (f.x_grid[0] > 1e-12 or reach > f.x_grid[-1] + 1e-12)
-           for f in spec.factors):
-        import warnings
-
-        warnings.warn(
-            "tabulated volatility extrapolated flat outside its x-table for x + t arguments",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_if_table_read_flat(spec, x_points[-1] + t_points[-1])
     for i in range(1, n + 1):
         values[i] = _drift_row(spec, hurst, float(t_points[i]), x_points, theta_cells)
     return DriftField(t_points=t_points, x_points=x_points, values=values)
@@ -250,12 +259,6 @@ def ho_lee_drift(sigma: float, hurst: HurstParam, t, x):
     return out if out.ndim else float(out)
 
 
-_DAMP_GAUSS_N = 96
-_DAMP_X, _DAMP_W = np.polynomial.legendre.leggauss(_DAMP_GAUSS_N)
-_DAMP_X01 = 0.5 * (_DAMP_X + 1.0)
-_DAMP_W01 = 0.5 * _DAMP_W
-
-
 def exp_damped_cov_integral(decay: float, hurst: HurstParam, t):
     """J(t) = integral_0^t exp(-decay*u) * cov_density(u) du, exactly regularized.
 
@@ -267,9 +270,10 @@ def exp_damped_cov_integral(decay: float, hurst: HurstParam, t):
     h = hurst.h
     q = 2.0 * h - 1.0
     wmax = t**q
-    nodes = wmax[..., None] * _DAMP_X01
+    x01, w01 = _gauss_legendre_01(96)
+    nodes = wmax[..., None] * x01
     vals = np.exp(-decay * nodes ** (1.0 / q))
-    out = h * wmax * (vals * _DAMP_W01).sum(axis=-1)
+    out = h * wmax * (vals * w01).sum(axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -248,7 +248,7 @@ def generate_cholesky(
     samples = np.zeros((n_paths, dims, n + 1))
     # a stacked product, not one flat GEMM, keeps every path bitwise equal to
     # its own (dims, n) product whatever the batch
-    samples[:, :, 1:] = np.cumsum(z @ lower.T, axis=2)
+    np.cumsum(z @ lower.T, axis=2, out=samples[:, :, 1:])
     return FbmPathSet(grid=grid, dims=int(dims), n_paths=int(n_paths), samples=samples)
 
 

@@ -149,7 +149,9 @@ class BondSurface:
 
     ``prices`` is P[p, i, m] = P(t_i, T_m) and ``discounted`` Z = P / S0.
     The surface route sets P, and Z once discounted; the affine route sets
-    Z only, the one price every estimator reads.
+    Z only, the one price every estimator reads.  Indexing is (path, t, T)
+    either way, but the affine route's Z is a view of a maturity-major
+    (path, T, t) buffer, so code that needs a layout asks for it.
     """
 
     t_grid: TimeGrid
@@ -438,19 +440,34 @@ def affine_batches(
     per-path operation, so every path's bits are the same whatever the
     batch size.  Each batch carries Z only (``prices`` is None); cells the
     surface route leaves unpriced are NaN.
+
+    Each batch is priced in place in one maturity-major (paths, M, n + 1)
+    buffer, the cumulative sum running along its contiguous last axis;
+    ``discounted`` is that buffer's (path, t, T) view.  The factors are
+    added in factor order, as a sum over the factor axis would add them,
+    each after the first one maturity at a time, so no second buffer of
+    the batch's size is built.
     """
     n, dims = t_grid.n_steps, spec.dims
     mats = np.asarray(maturities, dtype=float)
     c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
+    g_mn = np.ascontiguousarray(g.transpose(0, 2, 1))  # (d, M, n)
+    c_mn = np.ascontiguousarray(c.T)  # (M, n + 1)
 
     def batch(offset: int) -> BondSurface:
         take = min(batch_size, n_paths - offset)
         dbeta = _generate_paths(method, t_grid, dims, take, hurst, seed, offset).increments()
-        log_z = np.empty((take, n + 1, mats.size))
-        log_z[:, 0] = 0.0
-        np.cumsum((dbeta[..., None] * g).sum(axis=1), axis=1, out=log_z[:, 1:])
-        log_z += c
-        return BondSurface(t_grid=t_grid, maturities=mats, discounted=np.exp(log_z, out=log_z))
+        buf = np.empty((take, mats.size, n + 1))
+        buf[:, :, 0] = 0.0
+        steps = buf[:, :, 1:]
+        np.multiply(dbeta[:, 0, None, :], g_mn[0], out=steps)
+        for j in range(1, dims):
+            for m in range(mats.size):
+                steps[:, m] += dbeta[:, j] * g_mn[j, m]
+        np.cumsum(steps, axis=2, out=steps)
+        buf += c_mn
+        np.exp(buf, out=buf)
+        return BondSurface(t_grid=t_grid, maturities=mats, discounted=buf.transpose(0, 2, 1))
 
     for offset in range(0, n_paths, batch_size):
         yield batch(offset)

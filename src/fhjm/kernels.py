@@ -23,14 +23,16 @@ All functions are pure and ufunc-like over numpy arrays; there is no
 shared mutable state.
 
 Only numpy and the standard library load with this module, because every
-command imports it.  A heavy import (``scipy.special``) stays inside the
-function that needs it, so its cost is paid only when that function runs.
+command imports it.  A heavy import (``scipy.special``, ``numpy.polynomial``)
+stays inside the function that needs it, so its cost is paid only when that
+function runs; Gauss-Legendre rules are built on first use and then cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -278,10 +280,13 @@ def frac_derivative(f: SampledFunction, order: FracOrder) -> SampledFunction:
     return SampledFunction(f.grid, out)
 
 
-_GAUSS_N = 48
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_N)
-_GAUSS_X01 = 0.5 * (_GAUSS_X + 1.0)
-_GAUSS_W01 = 0.5 * _GAUSS_W
+@cache
+def _gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``order`` points mapped to [0, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def volterra_kernel(t, s, hurst: HurstParam, scale: float):
@@ -302,9 +307,10 @@ def volterra_kernel(t, s, hurst: HurstParam, scale: float):
     p = h - 0.5
     t, s = np.broadcast_arrays(t, s)
     vmax = (t - s) ** p
-    nodes = vmax[..., None] * _GAUSS_X01            # v in (0, (t-s)^p)
+    x01, w01 = _gauss_legendre_01(48)
+    nodes = vmax[..., None] * x01            # v in (0, (t-s)^p)
     inner = (s[..., None] + nodes ** (1.0 / p)) ** p
-    integral = (vmax / p) * (inner * _GAUSS_W01).sum(axis=-1)
+    integral = (vmax / p) * (inner * w01).sum(axis=-1)
     out = scale * s ** (-p) * integral
     return out if out.ndim else float(out)
 

@@ -171,6 +171,7 @@ def check_quasi_martingale(
         if np.any(np.isnan(vals)):
             raise ValueError("panel pairs must satisfy t <= T on the surface")
         panel.append(vals)
+        del surface  # freed before the next batch is built
     if not panel:
         raise ValueError("no surfaces supplied")
     # one reduction over every path in path order, so the sums do not depend
@@ -207,6 +208,17 @@ def check_quasi_martingale(
     )
 
 
+def _band_deviation(surface: BondSurface, tau: float) -> np.ndarray:
+    """Per path, the largest |Z_tau(tau) / Z_t(T) - 1| over tau <= t <= T."""
+    z = surface.discounted
+    i_tau = surface.row(tau, "oscillation time")
+    diag = z[:, i_tau, surface.column(tau, "oscillation time")]
+    # region t >= tau, maturity >= t: NaN entries already encode t > T
+    with np.errstate(invalid="ignore"):
+        ratio = diag[:, None, None] / z[:, i_tau:, :]
+        return np.nanmax(np.abs(ratio - 1.0), axis=(1, 2))
+
+
 def oscillation_probe(discounted, thresholds, taus) -> OscillationReport:
     """Frequency of { sup_{tau <= t <= T} |Z_tau(tau)/Z_t(T) - 1| < k } per path.
 
@@ -224,17 +236,11 @@ def oscillation_probe(discounted, thresholds, taus) -> OscillationReport:
     for surface in _iter_surfaces(discounted):
         if surface.discounted is None:
             raise ValueError("oscillation_probe needs discounted surfaces")
-        z = surface.discounted
         for a, tau in enumerate(taus):
-            i_tau = surface.row(tau, "oscillation time")
-            diag = z[:, i_tau, surface.column(tau, "oscillation time")]
-            # region t >= tau, maturity >= t: NaN entries already encode t > T
-            region = z[:, i_tau:, :]
-            with np.errstate(invalid="ignore"):
-                ratio = diag[:, None, None] / region
-                dev = np.nanmax(np.abs(ratio - 1.0), axis=(1, 2))
+            dev = _band_deviation(surface, tau)
             counts[a] += (dev[:, None] < thresholds).sum(axis=0)
-        total += z.shape[0]
+        total += surface.n_paths
+        del surface  # freed before the next batch is built
     if total == 0:
         raise ValueError("no surfaces supplied")
     freq = counts / float(total)

@@ -485,6 +485,20 @@ def test_consistency_verdict_reads_x_nodes(tmp_path, tmp_config):
     assert details[0]["max_residual"] != details[1]["max_residual"]
 
 
+def test_consistency_warns_when_a_table_is_read_flat(tmp_path, tmp_config):
+    # the membership grid's drift curves read the table from x = 0 to 10 + t,
+    # far outside columns on [0.5, 2]; the drift command warns the same way
+    from fhjm.cli import main
+
+    cfg = json.loads((REPO / "demos" / "configs" / "smoke.json").read_text())
+    cfg["model"] = {"type": "tabulated", "t_grid": [0.0, 1.0], "x_grid": [0.5, 1.0, 2.0],
+                    "values": [[0.01, 0.012, 0.011], [0.011, 0.01, 0.012]]}
+    path = str(tmp_config(cfg))
+    for command in ("consistency", "drift"):
+        with pytest.warns(RuntimeWarning, match="extrapolated flat outside its x-table"):
+            assert main([command, path, "--out", str(tmp_path / command)]) == 0
+
+
 def test_consistency_command_verdicts(tmp_path, tmp_config):
     cfg = smoke_config()
     cfg["consistency"] = {"family": "nelson-siegel", "t_samples": 4, "y_samples": 8, "seed": 7}
@@ -575,6 +589,30 @@ def test_commands_leave_scipy_special_and_optimize_unloaded(tmp_path):
                     entry=("-c", probe))
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "[]", (command, r.stdout)
+
+
+def test_commands_leave_scipy_and_numpy_polynomial_unloaded(tmp_path):
+    # the manifest reads scipy's version from scipy/version.py, or from the
+    # module once loaded, and the Gauss-Legendre rules (numpy.polynomial)
+    # are built on first use
+    import scipy
+
+    from fhjm.cli import _scipy_version
+
+    assert _scipy_version() == scipy.__version__
+    config = REPO / "demos" / "configs" / "smoke.json"
+    probe = (
+        "import sys; from fhjm.cli import main; status = main(sys.argv[1:]); "
+        "print(sorted(m for m in ('scipy', 'numpy.polynomial') if m in sys.modules)); "
+        "sys.exit(status)"
+    )
+    for command in ("simulate", "drift", "check", "portfolio", "consistency"):
+        out = tmp_path / command
+        r = run_cli(command, str(config), "--out", str(out), cwd=tmp_path, entry=("-c", probe))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "[]", (command, r.stdout)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_quantiles_bitwise_equal_numpy_quantile():

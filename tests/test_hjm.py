@@ -321,3 +321,96 @@ def test_three_batch_run_builds_the_increment_gram_once(monkeypatch):
                                   maturities=[0.5, 1.0], batch_size=3))
     assert len(batches) == 3
     assert len(builds) == 1
+
+
+def _affine_oracle(c, g, dbeta):
+    # log Z = c + cumsum over l of sum_j dbeta_j_l * g_j(l, T), as a
+    # (paths, n + 1, M) array: the product over every factor, its sum over
+    # the factor axis, then the cumulative sum down the time axis
+    log_z = np.empty((dbeta.shape[0], dbeta.shape[2] + 1, g.shape[2]))
+    log_z[:, 0] = 0.0
+    np.cumsum((dbeta[..., None] * g).sum(axis=1), axis=1, out=log_z[:, 1:])
+    log_z += c
+    return np.exp(log_z)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_affine_batches_match_the_factor_sum_oracle_bit_for_bit(dims):
+    # the maturity-major buffer, filled factor by factor in place, gives the
+    # bits of the factor-axis sum; x_max < t_star leaves NaN cells
+    from fhjm.hjm import affine_batches, affine_log_discount
+    from fhjm.vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec
+
+    table = TabulatedVol([0.0, 0.5, 1.0], [0.0, 0.5, 2.5],
+                         [[0.01, 0.02, 0.015], [0.012, 0.011, 0.02], [0.03, 0.01, 0.02]])
+    spec = VolatilitySpec((table, ExpDecayVol(0.02, 1.5), FlatVol(0.013))[:dims])
+    tg, xg = simulation_grids(1.0, 32, 0.5, 16)
+    init = InitialCurve.from_table([0.0, 2.0], [0.01, 0.05], tg.dt, 49)
+    mats = [0.25, 0.5, 0.75, 1.0]
+    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=64)
+    c, g = affine_log_discount(spec, H75, drift, init, tg, xg, mats)
+    n_paths = 13
+    dbeta = generate_cholesky(tg, dims, n_paths, H75, seed=21).increments()
+    want = _affine_oracle(c, g, dbeta)
+    assert np.isnan(want).any() and not np.isnan(want).all()
+    for batch_size in (1, 7, n_paths):
+        batches = affine_batches(spec, H75, drift, init, tg, xg, n_paths=n_paths, seed=21,
+                                 maturities=mats, batch_size=batch_size)
+        have = np.concatenate([b.discounted for b in batches])
+        assert have.shape == want.shape
+        assert np.array_equal(have.view(np.uint64), want.view(np.uint64)), batch_size
+
+
+def test_affine_batch_is_a_maturity_major_view():
+    # (path, t, T) indexing over a (path, T, t) buffer: each maturity's time
+    # series is contiguous
+    from fhjm.hjm import affine_batches
+
+    tg, xg = simulation_grids(1.0, 16, 1.0, 16)
+    spec = ho_lee(0.01)
+    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 33)
+    (batch,) = affine_batches(spec, H75, drift, init, tg, xg, n_paths=5, seed=2,
+                              maturities=[0.5, 1.0], batch_size=5)
+    z = batch.discounted
+    assert z.shape == (5, 17, 2)
+    assert z.strides == (2 * 17 * 8, 8, 17 * 8)
+    assert batch.row(0.5, "t") == 8 and batch.column(1.0, "T") == 1
+    assert np.isfinite(z[:, 8, 0]).all() and np.isnan(z[:, 9, 0]).all()  # t > T unpriced
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_quasi_martingale_holds_one_affine_batch_at_a_time(dims):
+    # peak traced memory over three batches: one batch's Z plus the
+    # generator's (paths, d, n) buffers, not the previous batch's Z on top of
+    # a product, a factor sum and a cumulative sum, nor a second (paths, M, n)
+    # product for a later factor
+    import tracemalloc
+
+    from fhjm.hjm import affine_batches
+    from fhjm.noarb import check_quasi_martingale
+    from fhjm.vol import ExpDecayVol, FlatVol, VolatilitySpec
+
+    tg, xg = simulation_grids(2.0, 32, 2.0, 32)
+    spec = VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 1.5))[:dims])
+    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 65)
+    mats = [1.0, 1.5, 1.75, 2.0]
+    batch = 600
+    pairs = [(0.5, T) for T in mats]
+    z_bytes = batch * len(mats) * (tg.n_steps + 1) * 8
+    generator_bytes = 2 * batch * dims * tg.n_steps * 8  # the samples and their increments
+    batches = affine_batches(spec, H75, drift, init, tg, xg, n_paths=3 * batch, seed=4,
+                             maturities=mats, batch_size=batch)
+    check_quasi_martingale(  # warm the increment factor, off the traced run
+        affine_batches(spec, H75, drift, init, tg, xg, n_paths=2, seed=4, maturities=mats),
+        spec, H75, pairs,
+    )
+    tracemalloc.start()
+    try:
+        report = check_quasi_martingale(batches, spec, H75, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_paths == 3 * batch
+    assert peak < 1.5 * z_bytes + generator_bytes, (peak, z_bytes, generator_bytes)

@@ -303,3 +303,26 @@ def test_gate_on_expired_maturity_rejected():
     )
     with pytest.raises(ValueError, match="expired"):
         liquidation_value(strat, market, k=0.01)
+
+
+def test_ledger_bits_do_not_follow_the_surface_layout():
+    # affine batches hold Z as a maturity-major view.  With eight or more atom
+    # columns a BLAS dot sums in an order set by the operands' strides, but the
+    # ledger's column gather lays its copy out the same way from either layout
+    market = _noisy_market(n=16, n_paths=6, seed=9)
+    z = market.discounted
+    view = BondSurface(t_grid=market.t_grid, maturities=market.maturities,
+                       discounted=np.ascontiguousarray(z.transpose(0, 2, 1)).transpose(0, 2, 1))
+    assert not view.discounted.flags.c_contiguous
+    atoms = tuple((T, 0.3 + 0.1 * a) for a, T in enumerate(np.linspace(0.5, 1.0, 9)))
+    strat = Strategy(
+        legs=(StrategyLeg(0.0, 0.25, DiscreteMeasure(atoms)),
+              StrategyLeg(0.25, 0.5, DiscreteMeasure(atoms[::-1]))),
+        horizon=0.5,
+    )
+    for k in (0.0, 0.01):
+        want, have = liquidation_value(strat, market, k), liquidation_value(strat, view, k)
+        for name in ("gains", "costs", "liquidation", "value"):
+            assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+    assert (integration_by_parts_check(strat, view).tobytes()
+            == integration_by_parts_check(strat, market).tobytes())
