@@ -44,21 +44,15 @@ def _out_dir(args) -> str:
 
 
 def _scipy_version() -> str:
-    """``scipy.__version__``, read without importing scipy when it is not loaded.
+    """``scipy.__version__``, read from ``scipy/version.py`` without importing scipy.
 
-    A bare ``import scipy`` costs about 14 ms and 21 modules; its version
-    sits in ``scipy/version.py``, which imports nothing.
+    A bare ``import scipy`` costs about 14 ms and 21 modules; ``version.py``
+    imports nothing, and scipy's own ``__version__`` is taken from it.
     """
-    if "scipy" in sys.modules:
-        return sys.modules["scipy"].__version__
     import importlib.util
 
-    spec = importlib.util.find_spec("scipy")
-    path = os.path.join(list(spec.submodule_search_locations)[0], "version.py") if spec else ""
-    if not os.path.isfile(path):
-        import scipy
-
-        return scipy.__version__
+    root = list(importlib.util.find_spec("scipy").submodule_search_locations)[0]
+    path = os.path.join(root, "version.py")
     spec = importlib.util.spec_from_file_location("_scipy_version", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

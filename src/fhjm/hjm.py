@@ -444,9 +444,7 @@ def affine_batches(
     Each batch is priced in place in one maturity-major (paths, M, n + 1)
     buffer, the cumulative sum running along its contiguous last axis;
     ``discounted`` is that buffer's (path, t, T) view.  The factors are
-    added in factor order, as a sum over the factor axis would add them,
-    each after the first one maturity at a time, so no second buffer of
-    the batch's size is built.
+    added in factor order, as a sum over the factor axis would add them.
     """
     n, dims = t_grid.n_steps, spec.dims
     mats = np.asarray(maturities, dtype=float)
@@ -462,8 +460,7 @@ def affine_batches(
         steps = buf[:, :, 1:]
         np.multiply(dbeta[:, 0, None, :], g_mn[0], out=steps)
         for j in range(1, dims):
-            for m in range(mats.size):
-                steps[:, m] += dbeta[:, j] * g_mn[j, m]
+            steps += dbeta[:, j, None, :] * g_mn[j]
         np.cumsum(steps, axis=2, out=steps)
         buf += c_mn
         np.exp(buf, out=buf)

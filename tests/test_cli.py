@@ -575,37 +575,20 @@ def test_output_directory_env_var(tmp_path, tmp_config):
 
 
 def test_commands_leave_scipy_special_and_optimize_unloaded(tmp_path):
-    # only the fractional-calculus helpers and ``consistency`` need them, and
-    # importing scipy.special alone once took about 0.3 s of every command
+    # only the fractional-calculus helpers and ``family_fit_distance`` need
+    # them, and importing scipy.special alone once took about 0.3 s of every
+    # command; the manifest reads scipy's version from scipy/version.py, and
+    # the Gauss-Legendre rules (numpy.polynomial) are built on first use
+    import scipy
+
     config = REPO / "demos" / "configs" / "smoke.json"
+    modules = ("scipy", "scipy.special", "scipy.optimize", "numpy.polynomial")
     probe = (
         "import sys; from fhjm.cli import main; status = main(sys.argv[1:]); "
-        "print(sorted(m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules)); "
+        f"print(sorted(m for m in {modules!r} if m in sys.modules)); "
         "sys.exit(status)"
     )
     assert json.loads(config.read_text())["check"]["pairs"]
-    for command in ("simulate", "drift", "check", "portfolio"):
-        r = run_cli(command, str(config), "--out", str(tmp_path / command), cwd=tmp_path,
-                    entry=("-c", probe))
-        assert r.returncode == 0, r.stderr
-        assert r.stdout.splitlines()[-1] == "[]", (command, r.stdout)
-
-
-def test_commands_leave_scipy_and_numpy_polynomial_unloaded(tmp_path):
-    # the manifest reads scipy's version from scipy/version.py, or from the
-    # module once loaded, and the Gauss-Legendre rules (numpy.polynomial)
-    # are built on first use
-    import scipy
-
-    from fhjm.cli import _scipy_version
-
-    assert _scipy_version() == scipy.__version__
-    config = REPO / "demos" / "configs" / "smoke.json"
-    probe = (
-        "import sys; from fhjm.cli import main; status = main(sys.argv[1:]); "
-        "print(sorted(m for m in ('scipy', 'numpy.polynomial') if m in sys.modules)); "
-        "sys.exit(status)"
-    )
     for command in ("simulate", "drift", "check", "portfolio", "consistency"):
         out = tmp_path / command
         r = run_cli(command, str(config), "--out", str(out), cwd=tmp_path, entry=("-c", probe))
