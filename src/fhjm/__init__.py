@@ -65,7 +65,9 @@ from .hjm import (
     BondSurface,
     ForwardSurface,
     InitialCurve,
+    ZRows,
     affine_batches,
+    affine_rows,
     bond_surface,
     closed_form_bond,
     discounted_surface,

@@ -91,8 +91,11 @@ def _build_drift(cfg: ExperimentConfig):
 def _run(pipeline, cfg: ExperimentConfig, drift, **kwargs):
     """The config's Monte Carlo batches from ``pipeline``.
 
-    ``pipeline`` is ``hjm.simulate_batches`` or ``hjm.affine_batches``;
-    ``kwargs`` (the latter's ``maturities``) pass through.
+    ``pipeline`` is ``hjm.simulate_batches`` (whole surfaces, for
+    ``simulate``), ``hjm.affine_rows`` (Z as a stream of time rows, for
+    ``check``'s panel and probe) or ``hjm.affine_batches`` (those rows
+    gathered into whole Z surfaces, for the ledgers); ``kwargs`` (the
+    affine routes' ``maturities``) pass through.
     """
     return pipeline(
         cfg.model, cfg.hurst, drift, cfg.initial_curve, cfg.t_grid, cfg.x_grid,
@@ -153,7 +156,7 @@ CHECK_THRESHOLDS = {"drift_identity_max_gap": 1e-6, "z_level": 3.0, "z_exceedanc
 
 
 def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
-    from .hjm import affine_batches
+    from .hjm import affine_rows
     from .noarb import check_quasi_martingale, drift_identity_check, oscillation_probe
 
     report: dict = {}
@@ -177,7 +180,7 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
         ok = ok and report["drift_identity_pass"]
 
         qm = check_quasi_martingale(
-            _run(affine_batches, cfg, drift, maturities=maturities),
+            _run(affine_rows, cfg, drift, maturities=maturities),
             cfg.model, cfg.hurst, pairs, drift=drift,
         )
         report["quasi_martingale"] = json.loads(qm.to_json())
@@ -190,7 +193,7 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
     if osc is not None:
         # Z_tau(tau) sits on the diagonal, so the probe prices every time-grid maturity
         probe = oscillation_probe(
-            _run(affine_batches, cfg, drift, maturities=cfg.t_grid.points),
+            _run(affine_rows, cfg, drift, maturities=cfg.t_grid.points),
             osc["thresholds"], osc["taus"],
         )
         report["oscillation"] = json.loads(probe.to_json())

@@ -51,16 +51,19 @@ and their difference telescopes to
     g_j(l, T) = -[C_j(l, (T - t_l)/dt) - dt * sigma_j(t_l, 0) / 2],
 
 which does not depend on i.  A batch is therefore one cumulative sum over
-l of dbeta * g, per path and elementwise.  This is the discrete
-counterpart of the exponential formula on the simulator's own grid, not a
-copy of ``closed_form_bond``: that oracle integrates over maturity
-exactly and sits O(dt^2) away, while the affine route agrees with the
-surface route to rounding.
+l of dbeta * g, per path and elementwise, and time row i of Z needs only
+the sum up to l = i - 1, so the rows stream from one running sum.  This
+is the discrete counterpart of the exponential formula on the
+simulator's own grid, not a copy of ``closed_form_bond``: that oracle
+integrates over maturity exactly and sits O(dt^2) away, while the affine
+route agrees with the surface route to rounding.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,6 +77,7 @@ __all__ = [
     "InitialCurve",
     "ForwardSurface",
     "BondSurface",
+    "ZRows",
     "simulation_grids",
     "drift_for_simulation",
     "simulate_forward",
@@ -82,6 +86,7 @@ __all__ = [
     "discounted_surface",
     "simulate_batches",
     "affine_log_discount",
+    "affine_rows",
     "affine_batches",
     "closed_form_bond",
     "write_forward_csv",
@@ -144,24 +149,11 @@ class ForwardSurface:
 
 
 @dataclass(frozen=True)
-class BondSurface:
-    """Per-path prices on (t_i, T_m) cells, NaN where t_i > T_m.
-
-    ``prices`` is P[p, i, m] = P(t_i, T_m) and ``discounted`` Z = P / S0.
-    The surface route sets P, and Z once discounted; the affine route sets
-    Z only, the one price every estimator reads.  Indexing is (path, t, T)
-    either way, but the affine route's Z is a view of a maturity-major
-    (path, T, t) buffer, so code that needs a layout asks for it.
-    """
+class _Cells:
+    """The one (t, T) -> cell rule of discounted prices on (t_i, T_m) cells."""
 
     t_grid: TimeGrid
     maturities: np.ndarray
-    prices: np.ndarray | None = None
-    discounted: np.ndarray | None = None
-
-    @property
-    def n_paths(self) -> int:
-        return (self.discounted if self.prices is None else self.prices).shape[0]
 
     def row(self, t: float, role: str) -> int:
         """Index i with t_i = t within 1e-9; the error names ``role`` and t."""
@@ -177,6 +169,49 @@ class BondSurface:
         if hits.size == 0:
             raise ValueError(f"{role} {maturity} not among surface maturities")
         return int(hits[0])
+
+
+@dataclass(frozen=True)
+class BondSurface(_Cells):
+    """Per-path prices on (t_i, T_m) cells, NaN where t_i > T_m.
+
+    ``prices`` is P[p, i, m] = P(t_i, T_m) and ``discounted`` Z = P / S0.
+    The surface route sets P, and Z once discounted; the affine route sets
+    Z only.  Indexing is (path, t, T) either way, but the affine route's Z
+    is a view of a maturity-major (path, T, t) buffer, so code that needs a
+    layout asks for it.  The estimators of :mod:`fhjm.noarb` read Z one
+    time row at a time, through :meth:`z_rows`.
+    """
+
+    prices: np.ndarray | None = None
+    discounted: np.ndarray | None = None
+
+    @property
+    def n_paths(self) -> int:
+        return (self.discounted if self.prices is None else self.prices).shape[0]
+
+    def z_rows(self) -> "ZRows":
+        """Z as a :class:`ZRows` stream: row i is the (paths, M) view Z[:, i, :]."""
+        z = self.discounted
+        if z is None:
+            raise ValueError("the surface carries no discounted prices")
+        return ZRows(t_grid=self.t_grid, maturities=self.maturities, n_paths=z.shape[0],
+                     rows=lambda: (z[:, i] for i in range(z.shape[1])))
+
+
+@dataclass(frozen=True)
+class ZRows(_Cells):
+    """One batch of discounted prices as a stream of time rows.
+
+    Each call of ``rows()`` starts a fresh pass that yields Z[:, i, :],
+    shape (n_paths, M), for i = 0, 1, ..., n; a consumer reads each row as
+    it comes and may stop early, and rows it does not pull are never
+    computed.  :func:`affine_rows` makes them from one running sum;
+    :meth:`BondSurface.z_rows` reads them off a surface.
+    """
+
+    n_paths: int
+    rows: Callable[[], Iterator[np.ndarray]]
 
 
 def simulation_grids(t_star: float, n_steps: int, x_max: float, m_steps: int):
@@ -419,6 +454,65 @@ def affine_log_discount(
     return c, g
 
 
+def affine_rows(
+    spec: VolatilitySpec,
+    hurst: HurstParam,
+    drift: DriftField,
+    init: InitialCurve,
+    t_grid: TimeGrid,
+    x_grid: MaturityGrid,
+    n_paths: int,
+    seed: int,
+    maturities,
+    batch_size: int = 1000,
+    method: str = "cholesky",
+):
+    """Generator of :class:`ZRows` batches: discounted prices on ``maturities``, row by row.
+
+    The same paths as :func:`simulate_batches`, priced by the affine route
+    of :func:`affine_log_discount` instead of a forward surface.  A batch
+    keeps one running (paths, M) sum S: S_0 = 0, S_1 is the first step and
+    S_{l+1} = S_l + step_l, where step_l is factor 0's dbeta * g with the
+    later factors added in factor order.  Row i is exp(c[i] + S_i), the
+    bits of a cumulative sum over l of the factor-axis sum, NaN where the
+    surface route prices nothing.  Each path's rows are the same whatever
+    the batch size.
+
+    The batch's increments are drawn when it is yielded, its rows when they
+    are pulled; a consumer that stops early leaves the later rows
+    uncomputed.  Each row is a fresh array, and each pass over a batch
+    starts the running sum again from its increments.
+    """
+    n, dims = t_grid.n_steps, spec.dims
+    mats = np.asarray(maturities, dtype=float)
+    c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
+
+    def rows(dbeta: np.ndarray):
+        total = np.zeros((dbeta.shape[0], mats.size))
+        for i in range(n + 1):
+            if i:
+                step = dbeta[:, 0, i - 1, None] * g[0, i - 1]
+                for j in range(1, dims):
+                    step += dbeta[:, j, i - 1, None] * g[j, i - 1]
+                # S_1 is the step itself, as a cumulative sum starts: 0.0 + step
+                # would turn a -0.0 into 0.0
+                if i == 1:
+                    total = step
+                else:
+                    total += step
+            z = total + c[i]
+            np.exp(z, out=z)
+            yield z
+
+    def batch(offset: int) -> ZRows:
+        take = min(batch_size, n_paths - offset)
+        dbeta = _generate_paths(method, t_grid, dims, take, hurst, seed, offset).increments()
+        return ZRows(t_grid=t_grid, maturities=mats, n_paths=take, rows=partial(rows, dbeta))
+
+    for offset in range(0, n_paths, batch_size):
+        yield batch(offset)
+
+
 def affine_batches(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -434,40 +528,24 @@ def affine_batches(
 ):
     """Generator of discounted :class:`BondSurface` batches on ``maturities`` only.
 
-    The same paths as :func:`simulate_batches`, priced by the affine route
-    of :func:`affine_log_discount` instead of a forward surface: per path,
-    log Z is ``c`` plus one cumulative sum over l of dbeta * g.  That is a
-    per-path operation, so every path's bits are the same whatever the
-    batch size.  Each batch carries Z only (``prices`` is None); cells the
-    surface route leaves unpriced are NaN.
-
-    Each batch is priced in place in one maturity-major (paths, M, n + 1)
-    buffer, the cumulative sum running along its contiguous last axis;
-    ``discounted`` is that buffer's (path, t, T) view.  The factors are
-    added in factor order, as a sum over the factor axis would add them.
+    The rows of :func:`affine_rows`, gathered into one whole surface per
+    batch, for code that reads Z along t (the ledger).  Each batch carries
+    Z only (``prices`` is None); cells the surface route leaves unpriced
+    are NaN.  Its rows fill one maturity-major (paths, M, n + 1) buffer, and
+    ``discounted`` is that buffer's (path, t, T) view, so each maturity's
+    time series is contiguous.
     """
-    n, dims = t_grid.n_steps, spec.dims
-    mats = np.asarray(maturities, dtype=float)
-    c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
-    g_mn = np.ascontiguousarray(g.transpose(0, 2, 1))  # (d, M, n)
-    c_mn = np.ascontiguousarray(c.T)  # (M, n + 1)
 
-    def batch(offset: int) -> BondSurface:
-        take = min(batch_size, n_paths - offset)
-        dbeta = _generate_paths(method, t_grid, dims, take, hurst, seed, offset).increments()
-        buf = np.empty((take, mats.size, n + 1))
-        buf[:, :, 0] = 0.0
-        steps = buf[:, :, 1:]
-        np.multiply(dbeta[:, 0, None, :], g_mn[0], out=steps)
-        for j in range(1, dims):
-            steps += dbeta[:, j, None, :] * g_mn[j]
-        np.cumsum(steps, axis=2, out=steps)
-        buf += c_mn
-        np.exp(buf, out=buf)
-        return BondSurface(t_grid=t_grid, maturities=mats, discounted=buf.transpose(0, 2, 1))
+    def fill(batch: ZRows) -> BondSurface:
+        buf = np.empty((batch.n_paths, batch.maturities.size, t_grid.n_steps + 1))
+        for i, row in enumerate(batch.rows()):
+            buf[:, :, i] = row
+        return BondSurface(t_grid=t_grid, maturities=batch.maturities,
+                           discounted=buf.transpose(0, 2, 1))
 
-    for offset in range(0, n_paths, batch_size):
-        yield batch(offset)
+    for batch in affine_rows(spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
+                             maturities, batch_size=batch_size, method=method):
+        yield fill(batch)
 
 
 def closed_form_bond(

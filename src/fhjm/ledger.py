@@ -209,7 +209,15 @@ def _holdings_series(strategy: Strategy, surface: BondSurface):
                 raise ValueError("gate maturity already expired at the rebalance time")
             active = z <= gate.level if gate.op == "<=" else z >= gate.level
         held[active, i0 + 1 : i1 + 1] = weights
-    return held, np.nan_to_num(surface.discounted[:, :, cols], nan=0.0)
+    # the price columns in a column-major (C, paths, n + 1) buffer, the strides
+    # of numpy's own gather z[:, :, cols]: with eight or more columns a BLAS
+    # dot's summation order follows the strides, so the layout is stated here
+    # rather than left to the gather
+    z = np.empty((len(cols), surface.n_paths, surface.t_grid.n_steps + 1))
+    for c, col in enumerate(cols):
+        z[c] = surface.discounted[:, :, col]
+    np.nan_to_num(z, copy=False, nan=0.0)
+    return held, z.transpose(1, 2, 0)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

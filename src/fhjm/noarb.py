@@ -16,10 +16,17 @@ at (tau, tau); a strictly positive frequency at small k is the desk-scale
 counterpart of the positive-probability condition under which arbitrarily
 small proportional costs remove arbitrage.
 
-Surfaces can be supplied as one discounted :class:`~fhjm.hjm.BondSurface`
-or as any iterable of them (batches); statistics accumulate in a fixed
-deterministic order, so results are identical run to run and do not
-depend on batch sizing.
+Prices reach both estimators as time rows of Z, one batch after another:
+:class:`~fhjm.hjm.ZRows` batches, such as :func:`~fhjm.hjm.affine_rows`
+streams from one running sum, or discounted
+:class:`~fhjm.hjm.BondSurface` objects, whose rows
+:meth:`~fhjm.hjm.BondSurface.z_rows` hands over; either one batch or any
+iterable of them.  The panel copies its pair cells and stops pulling rows
+after the last pair row; the probe keeps Z_tau(tau) and one running max
+per tau.  Each batch is released before the next is pulled, and
+statistics accumulate in a fixed deterministic order, so results are
+identical run to run and do not depend on batch sizing or on which form
+the rows came in.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import DriftField, expectation_kernel, log_expectation
-from .hjm import BondSurface
+from .hjm import BondSurface, ZRows
 from .kernels import HurstParam
 from .vol import VolatilitySpec
 
@@ -132,10 +139,13 @@ def drift_identity_check(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _iter_surfaces(discounted) -> list:
-    if isinstance(discounted, BondSurface):
-        return [discounted]
-    return discounted
+def _row_batches(discounted):
+    """Each batch of ``discounted`` as :class:`ZRows`, holding none once yielded."""
+    if isinstance(discounted, (BondSurface, ZRows)):
+        discounted = [discounted]
+    # map keeps no reference to the previous batch while the next is built
+    return map(lambda batch: batch.z_rows() if isinstance(batch, BondSurface) else batch,
+               discounted)
 
 
 def check_quasi_martingale(
@@ -147,31 +157,38 @@ def check_quasi_martingale(
 ) -> QuasiMartingaleReport:
     """Panel z-scores of mean discounted prices against their t = 0 values.
 
-    ``discounted`` is a discounted surface or an iterable of batch
-    surfaces (the Monte Carlo set).  The target P(0, T) is read off the
+    ``discounted`` is the Monte Carlo set: one batch or an iterable of
+    batches, each a :class:`~fhjm.hjm.ZRows` stream or a discounted
+    surface.  Rows after the last pair row are not pulled.  The target P(0, T) is read off the
     t = 0 row, which is path independent.  When ``drift`` is given, the
     deterministic decomposition check (drift maturity integral vs
     expectation kernel, integrated in t) is reported as ``identity_gap``.
     """
     targets = None
-    pair_idx = None
+    at_row = None
     panel = []
-    for surface in _iter_surfaces(discounted):
-        if surface.discounted is None:
-            raise ValueError("check_quasi_martingale needs discounted surfaces")
-        if pair_idx is None:
+    for batch in _row_batches(discounted):
+        if at_row is None:
             pair_idx = [
-                (surface.row(t, "panel time"), surface.column(T, "panel maturity"))
+                (batch.row(t, "panel time"), batch.column(T, "panel maturity"))
                 for t, T in pairs
             ]
-            targets = np.array([surface.discounted[0, 0, m] for (_, m) in pair_idx])
-        vals = np.stack(
-            [surface.discounted[:, i, m] for (i, m) in pair_idx], axis=1
-        )
+            at_row = {}  # row -> [(pair, column)]
+            for p, (i, m) in enumerate(pair_idx):
+                at_row.setdefault(i, []).append((p, m))
+            last = max(at_row)
+        vals = np.empty((batch.n_paths, len(pair_idx)))
+        for i, row in enumerate(batch.rows()):
+            if targets is None:
+                targets = np.array([row[0, m] for (_, m) in pair_idx])
+            for p, m in at_row.get(i, ()):
+                vals[:, p] = row[:, m]
+            if i == last:
+                break  # later rows are never pulled
         if np.any(np.isnan(vals)):
             raise ValueError("panel pairs must satisfy t <= T on the surface")
         panel.append(vals)
-        del surface  # freed before the next batch is built
+        del batch, row  # freed before the next batch is built
     if not panel:
         raise ValueError("no surfaces supplied")
     # one reduction over every path in path order, so the sums do not depend
@@ -208,24 +225,43 @@ def check_quasi_martingale(
     )
 
 
-def _band_deviation(surface: BondSurface, tau: float) -> np.ndarray:
-    """Per path, the largest |Z_tau(tau) / Z_t(T) - 1| over tau <= t <= T."""
-    z = surface.discounted
-    i_tau = surface.row(tau, "oscillation time")
-    diag = z[:, i_tau, surface.column(tau, "oscillation time")]
-    # region t >= tau, maturity >= t: NaN entries already encode t > T
-    with np.errstate(invalid="ignore"):
-        ratio = diag[:, None, None] / z[:, i_tau:, :]
-        return np.nanmax(np.abs(ratio - 1.0), axis=(1, 2))
+def _band_maxima(batch: ZRows, starts) -> np.ndarray:
+    """(len(starts), paths): per tau, the largest |Z_tau(tau) / Z_t(T) - 1| over tau <= t <= T.
+
+    ``starts`` holds each tau's (row, column).  The rows stream past once:
+    a tau's running max takes in each row from its own on, over the row's
+    live columns T >= t; ``np.fmax`` skips the NaN cells, as ``np.nanmax``
+    does over a whole region.
+    """
+    t_points = batch.t_grid.points
+    first = min((i for i, _ in starts), default=t_points.size)
+    diags = [None] * len(starts)
+    worst = np.full((len(starts), batch.n_paths), np.nan)
+    for i, row in enumerate(batch.rows()):
+        if i < first:
+            continue
+        live = row[:, batch.maturities >= t_points[i] - 1e-9]
+        for a, (i_tau, m_tau) in enumerate(starts):
+            if i == i_tau:
+                diags[a] = row[:, m_tau, None].copy()
+            if i >= i_tau and live.shape[1]:
+                with np.errstate(invalid="ignore"):
+                    dev = np.divide(diags[a], live)
+                    dev -= 1.0
+                np.abs(dev, out=dev)
+                np.fmax(worst[a], np.fmax.reduce(dev, axis=1), out=worst[a])
+    return worst
 
 
 def oscillation_probe(discounted, thresholds, taus) -> OscillationReport:
     """Frequency of { sup_{tau <= t <= T} |Z_tau(tau)/Z_t(T) - 1| < k } per path.
 
-    ``taus`` must sit on the time grid and the surface maturities must
-    include the grid (Z_tau(tau) is read off the diagonal).  Frequencies
-    are nonincreasing as k decreases and equal 1 for large k on bounded
-    surfaces.
+    ``discounted`` is one batch or an iterable of batches, each a
+    :class:`~fhjm.hjm.ZRows` stream or a discounted surface.  ``taus``
+    must sit on the time grid and the surface maturities must include
+    them (Z_tau(tau) is read off the diagonal).  Unpriced (NaN)
+    cells do not count.  Frequencies are nonincreasing as k decreases and
+    equal 1 for large k on bounded surfaces.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds <= 0):
@@ -233,14 +269,17 @@ def oscillation_probe(discounted, thresholds, taus) -> OscillationReport:
     taus = np.asarray(taus, dtype=float)
     counts = np.zeros((taus.size, thresholds.size), dtype=np.int64)
     total = 0
-    for surface in _iter_surfaces(discounted):
-        if surface.discounted is None:
-            raise ValueError("oscillation_probe needs discounted surfaces")
-        for a, tau in enumerate(taus):
-            dev = _band_deviation(surface, tau)
-            counts[a] += (dev[:, None] < thresholds).sum(axis=0)
-        total += surface.n_paths
-        del surface  # freed before the next batch is built
+    starts = None
+    for batch in _row_batches(discounted):
+        if starts is None:
+            starts = [
+                (batch.row(tau, "oscillation time"), batch.column(tau, "oscillation time"))
+                for tau in taus
+            ]
+        worst = _band_maxima(batch, starts)
+        counts += (worst[:, :, None] < thresholds).sum(axis=1)
+        total += batch.n_paths
+        del batch  # freed before the next batch is built
     if total == 0:
         raise ValueError("no surfaces supplied")
     freq = counts / float(total)

@@ -326,3 +326,23 @@ def test_ledger_bits_do_not_follow_the_surface_layout():
             assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), (k, name)
     assert (integration_by_parts_check(strat, view).tobytes()
             == integration_by_parts_check(strat, market).tobytes())
+
+
+def test_ledger_price_columns_have_the_gather_strides():
+    # (paths, n + 1, C) over a column-major (C, paths, n + 1) buffer, the
+    # layout numpy gives z[:, :, cols]; the ledger's dot products follow it
+    from fhjm.ledger import _holdings_series
+
+    market = _noisy_market(n=16, n_paths=6, seed=9)
+    z = market.discounted
+    view = BondSurface(t_grid=market.t_grid, maturities=market.maturities,
+                       discounted=np.ascontiguousarray(z.transpose(0, 2, 1)).transpose(0, 2, 1))
+    atoms = tuple((T, 1.0) for T in np.linspace(0.5, 1.0, 9))
+    strat = Strategy(legs=(StrategyLeg(0.0, 0.5, DiscreteMeasure(atoms)),), horizon=0.5)
+    cols = [market.column(T, "atom") for T, _ in atoms]
+    for surface in (market, view):
+        _, have = _holdings_series(strat, surface)
+        assert have.shape == (6, 17, 9)
+        assert have.strides == (17 * 8, 8, 6 * 17 * 8)
+        assert have.strides == surface.discounted[:, :, cols].strides
+        assert have.tobytes() == np.nan_to_num(z[:, :, cols], nan=0.0).tobytes()

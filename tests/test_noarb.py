@@ -9,6 +9,7 @@ from fhjm.hjm import (
     BondSurface,
     InitialCurve,
     affine_batches,
+    affine_rows,
     drift_for_simulation,
     simulation_grids,
 )
@@ -169,3 +170,119 @@ def test_estimators_name_an_off_grid_time_or_absent_maturity(estimate, message):
     z[:, tg.points[:, None] > mats[None, :] + 1e-12] = np.nan
     with pytest.raises(ValueError, match=message):
         estimate(BondSurface(t_grid=tg, maturities=mats, discounted=z))
+
+
+def _stream_and_surface(dims, n_paths, seed=13):
+    """An affine row stream's inputs and its whole-surface oracle on the probe's maturities.
+
+    The oracle prices Z as one (paths, n + 1, M) array: the product over
+    every factor, its sum over the factor axis, a cumulative sum down the
+    time axis, + c and exp.  x_max < t_star leaves unpriced NaN cells.
+    """
+    from fhjm.fbm import generate_cholesky
+    from fhjm.hjm import affine_log_discount
+    from fhjm.vol import ExpDecayVol, FlatVol, VolatilitySpec
+
+    spec = VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 1.5))[:dims])
+    tg, xg = simulation_grids(2.0, 32, 1.5, 24)
+    fld = drift_for_simulation(spec, H70, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 57)
+    c, g = affine_log_discount(spec, H70, fld, init, tg, xg, tg.points)
+    dbeta = generate_cholesky(tg, dims, n_paths, H70, seed=seed).increments()
+    log_z = np.empty((n_paths, tg.n_steps + 1, tg.n_steps + 1))
+    log_z[:, 0] = 0.0
+    np.cumsum((dbeta[..., None] * g).sum(axis=1), axis=1, out=log_z[:, 1:])
+    log_z += c
+    surface = BondSurface(t_grid=tg, maturities=tg.points, discounted=np.exp(log_z))
+    assert np.isnan(surface.discounted[:, 0]).any()  # T - t > x_max is unpriced
+
+    def stream(batch_size):
+        return affine_rows(spec, H70, fld, init, tg, xg, n_paths=n_paths, seed=seed,
+                           maturities=tg.points, batch_size=batch_size)
+
+    return spec, surface, stream
+
+
+def _band_deviation_oracle(z, i_tau, m_tau):
+    # the whole-region form: per path, nanmax of |Z_tau(tau) / Z_t(T) - 1| over t >= tau
+    with np.errstate(invalid="ignore"):
+        ratio = z[:, i_tau, m_tau, None, None] / z[:, i_tau:, :]
+        return np.nanmax(np.abs(ratio - 1.0), axis=(1, 2))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_streamed_panel_and_probe_match_the_whole_surface_bit_for_bit(dims):
+    n_paths = 40
+    spec, surface, stream = _stream_and_surface(dims, n_paths)
+    z = surface.discounted
+    pairs = [(0.0, 1.0), (0.25, 1.0), (0.5, 1.5), (1.0, 1.5), (0.5, 2.0)]
+    taus = [0.0, 0.5, 1.0]
+    # thresholds at the oracle's own deviations, so frequencies sit strictly inside (0, 1)
+    devs = [_band_deviation_oracle(z, surface.row(tau, "t"), surface.column(tau, "T"))
+            for tau in taus]
+    ks = sorted({float(np.median(d)) for d in devs} | {10.0})
+    want_freq = np.array([[(d < k).mean() for k in ks] for d in devs])
+    assert ((want_freq > 0) & (want_freq < 1)).any()
+
+    want_qm = check_quasi_martingale(surface, spec, H70, pairs)
+    want_probe = oscillation_probe(surface, ks, taus)
+    assert np.array_equal(want_probe.frequencies, want_freq)
+    for batch_size in (1, 7, n_paths):
+        # one set of batches for both estimators: each pass reprices its rows
+        batches = list(stream(batch_size))
+        qm = check_quasi_martingale(batches, spec, H70, pairs)
+        for name in ("targets", "means", "std_errors", "z_scores"):
+            assert getattr(qm, name).tobytes() == getattr(want_qm, name).tobytes(), name
+        probe = oscillation_probe(batches, ks, taus)
+        assert probe.frequencies.tobytes() == want_probe.frequencies.tobytes(), batch_size
+        assert probe.n_paths == n_paths
+
+
+def test_panel_computes_no_row_after_its_last_pair_row():
+    import dataclasses
+    import inspect
+
+    spec, _, stream = _stream_and_surface(1, 12)
+    pairs = [(0.25, 1.0), (0.75, 1.5), (0.5, 2.0)]  # last pair row: t = 0.75, row 12
+    generators, pulled = [], []
+
+    def tally(rows):
+        for i, row in enumerate(rows):
+            pulled.append(i)
+            yield row
+
+    def watched(batches):
+        for batch in batches:
+            rows = batch.rows()
+            generators.append(rows)
+            yield dataclasses.replace(batch, rows=lambda rows=rows: tally(rows))
+
+    check_quasi_martingale(watched(stream(5)), spec, H70, pairs)
+    assert pulled == list(range(13)) * 3
+    for gen in generators:
+        # each batch's stream stopped at row 12, suspended with rows 13..32 unpriced
+        assert inspect.getgeneratorstate(gen) == inspect.GEN_SUSPENDED
+        assert inspect.getgeneratorlocals(gen)["i"] == 12
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_oscillation_probe_holds_a_few_rows_of_one_batch(dims):
+    # peak traced memory over three batches on every grid maturity: a small
+    # multiple of one batch's increments and one (paths, n + 1) row, not the
+    # batch's (paths, n + 1, n + 1) surface and ratio arrays
+    import tracemalloc
+
+    spec, _, stream = _stream_and_surface(dims, 600)
+    n = 32
+    batch = 200
+    increment_bytes = batch * dims * n * 8
+    row_bytes = batch * (n + 1) * 8
+    oscillation_probe(stream(batch), [0.01], [0.0])  # warm the increment factor
+    tracemalloc.start()
+    try:
+        report = oscillation_probe(stream(batch), [0.001, 0.01], [0.0, 0.5, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_paths == 600
+    assert peak < 6 * (increment_bytes + row_bytes), (peak, increment_bytes + row_bytes)
