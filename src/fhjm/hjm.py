@@ -543,9 +543,9 @@ def affine_batches(
         return BondSurface(t_grid=t_grid, maturities=batch.maturities,
                            discounted=buf.transpose(0, 2, 1))
 
-    for batch in affine_rows(spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
-                             maturities, batch_size=batch_size, method=method):
-        yield fill(batch)
+    # map holds no batch once filled: a ZRows keeps its increments for replays
+    yield from map(fill, affine_rows(spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
+                                     maturities, batch_size=batch_size, method=method))
 
 
 def closed_form_bond(

@@ -159,10 +159,11 @@ def check_quasi_martingale(
 
     ``discounted`` is the Monte Carlo set: one batch or an iterable of
     batches, each a :class:`~fhjm.hjm.ZRows` stream or a discounted
-    surface.  Rows after the last pair row are not pulled.  The target P(0, T) is read off the
-    t = 0 row, which is path independent.  When ``drift`` is given, the
-    deterministic decomposition check (drift maturity integral vs
-    expectation kernel, integrated in t) is reported as ``identity_gap``.
+    surface.  Rows after the last pair row are not pulled.  The target
+    P(0, T) is read off the t = 0 row, which is path independent.  When
+    ``drift`` is given, the deterministic decomposition check (drift
+    maturity integral vs expectation kernel, integrated in t) is reported
+    as ``identity_gap``.
     """
     targets = None
     at_row = None
@@ -177,7 +178,7 @@ def check_quasi_martingale(
             for p, (i, m) in enumerate(pair_idx):
                 at_row.setdefault(i, []).append((p, m))
             last = max(at_row)
-        vals = np.empty((batch.n_paths, len(pair_idx)))
+        vals = np.full((batch.n_paths, len(pair_idx)), np.nan)
         for i, row in enumerate(batch.rows()):
             if targets is None:
                 targets = np.array([row[0, m] for (_, m) in pair_idx])
