@@ -148,12 +148,8 @@ class ForwardSurface:
         return self.rates[:, :, 0]
 
 
-@dataclass(frozen=True)
 class _Cells:
-    """The one (t, T) -> cell rule of discounted prices on (t_i, T_m) cells."""
-
-    t_grid: TimeGrid
-    maturities: np.ndarray
+    """The one (t, T) -> cell rule over a class's ``t_grid`` and ``maturities``."""
 
     def row(self, t: float, role: str) -> int:
         """Index i with t_i = t within 1e-9; the error names ``role`` and t."""
@@ -183,6 +179,8 @@ class BondSurface(_Cells):
     time row at a time, through :meth:`z_rows`.
     """
 
+    t_grid: TimeGrid
+    maturities: np.ndarray
     prices: np.ndarray | None = None
     discounted: np.ndarray | None = None
 
@@ -210,6 +208,8 @@ class ZRows(_Cells):
     :meth:`BondSurface.z_rows` reads them off a surface.
     """
 
+    t_grid: TimeGrid
+    maturities: np.ndarray
     n_paths: int
     rows: Callable[[], Iterator[np.ndarray]]
 
