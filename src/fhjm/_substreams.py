@@ -103,17 +103,24 @@ def _state_words(seed: int, paths: np.ndarray) -> np.ndarray:
     return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def path_normals(seed: int, path_offset: int, n_paths: int, shape: tuple) -> np.ndarray:
+def path_normals(seed: int, path_offset: int, n_paths: int, shape: tuple,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals of shape ``(n_paths, *shape)``; row p from path ``path_offset + p``.
 
     Row p equals ``default_rng(SeedSequence((seed, path_offset + p)))
     .standard_normal(shape)`` bit for bit.  Seeds are any integer >= 0 and
-    path indices any integer in [0, 2**64).
+    path indices any integer in [0, 2**64).  ``out``, a float64 array of
+    that shape whose last axis is contiguous (a slice of a larger path
+    buffer, say), receives the draws in place of a new array and is
+    returned.  The generator fills contiguous arrays only, so a path whose
+    block is not contiguous is filled one last-axis row at a time in C
+    order: the same draws as one call over the block.
     """
     seed, path_offset, n_paths = int(seed), int(path_offset), int(n_paths)
     if seed < 0 or path_offset < 0 or path_offset + n_paths > 1 << 64:
         raise ValueError("need seed >= 0 and path indices in [0, 2**64)")
-    out = np.empty((n_paths, *shape))
+    if out is None:
+        out = np.empty((n_paths, *shape))
     bit_generator = np.random.PCG64(0)  # its state is overwritten for every path
     generator = np.random.Generator(bit_generator)
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
@@ -124,5 +131,10 @@ def path_normals(seed: int, path_offset: int, n_paths: int, shape: tuple) -> np.
         value = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
         state["state"] = {"state": value, "inc": inc}
         bit_generator.state = state
-        generator.standard_normal(out=out[p])
+        block = out[p]
+        if block.flags.c_contiguous:
+            generator.standard_normal(out=block)
+        else:
+            for index in np.ndindex(block.shape[:-1]):
+                generator.standard_normal(out=block[index])
     return out

@@ -294,8 +294,10 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
         for surface in batches:
             for s_i, (strategy, fh) in enumerate(zip(strategies, files)):
                 residuals[s_i].append(integration_by_parts_check(strategy, surface))
+                # one ledger per strategy and batch; each cost level only reprices V
+                ledger = liquidation_value(strategy, surface, k=cfg.cost_levels[0])
                 for k in cfg.cost_levels:
-                    res = liquidation_value(strategy, surface, k=k)
+                    res = ledger.at(k)
                     finals[s_i][f"{k:g}"].append(res.final_values())
                 floors[s_i].append(res.admissibility_floor())
                 write_ledger_csv(res, fh, offset=offset, header=offset == 0)

@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 MAX_CHOLESKY_STEPS = 4096
+# paths per stacked product, cumulative sum or difference done in place on a
+# batch's samples: the temporaries of a batch stay one chunk in size
+CHUNK_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,12 @@ def _increment_factor(grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
     return lower
 
 
+def _path_chunks(samples: np.ndarray):
+    """Views of ``samples`` over successive runs of at most ``CHUNK_PATHS`` paths."""
+    for start in range(0, samples.shape[0], CHUNK_PATHS):
+        yield samples[start:start + CHUNK_PATHS]
+
+
 def generate_cholesky(
     grid: TimeGrid,
     dims: int,
@@ -239,16 +248,23 @@ def generate_cholesky(
     batched generation reproduces exactly the paths a single large call
     would produce.  Limited to ``n_steps <= 4096``: the factor is a dense
     n x n array and each path costs one O(n^2) product.
+
+    The batch lives in one (n_paths, dims, n + 1) array: the normals are
+    drawn straight into ``samples[:, :, 1:]``, and each chunk of
+    ``CHUNK_PATHS`` paths is turned into its cumulative sum of
+    ``z @ lower.T`` in place, so the only temporary is one chunk's product.
     """
     if grid.n_steps > MAX_CHOLESKY_STEPS:
         raise ValueError(f"n_steps > {MAX_CHOLESKY_STEPS} exceeds the factorization budget")
     lower = _increment_factor(grid, hurst)
     n = grid.n_steps
-    z = path_normals(seed, path_offset, n_paths, (dims, n))
-    samples = np.zeros((n_paths, dims, n + 1))
+    samples = np.empty((n_paths, dims, n + 1))
+    samples[:, :, 0] = 0.0
+    path_normals(seed, path_offset, n_paths, (dims, n), out=samples[:, :, 1:])
     # a stacked product, not one flat GEMM, keeps every path bitwise equal to
-    # its own (dims, n) product whatever the batch
-    np.cumsum(z @ lower.T, axis=2, out=samples[:, :, 1:])
+    # its own (dims, n) product whatever the chunk or the batch
+    for chunk in _path_chunks(samples[:, :, 1:]):
+        np.cumsum(chunk @ lower.T, axis=2, out=chunk)
     return FbmPathSet(grid=grid, dims=int(dims), n_paths=int(n_paths), samples=samples)
 
 
@@ -263,17 +279,31 @@ def _kernel_matrix(grid: TimeGrid, hurst: HurstParam, scale: float) -> np.ndarra
     return kmat
 
 
+@lru_cache(maxsize=1)
+def _volterra_matrix(grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
+    """Read-only kernel matrix of the Volterra generators, built once per (grid, hurst).
+
+    The kernel scale is calibrated at the grid's own resolution, or at 64
+    steps on coarser grids.
+    """
+    scale = calibrate_kernel_scale(hurst, max(grid.n_steps, 64))
+    kmat = _kernel_matrix(grid, hurst, scale)
+    kmat.flags.writeable = False
+    return kmat
+
+
 def generate_volterra(driver: BrownianDriver, hurst: HurstParam) -> FbmPathSet:
     """Moving-average transform of a Brownian driver through the Volterra kernel.
 
     ``beta(t_k) = sum_{j<k} K(t_k, s_j^mid) dW_j`` with the kernel scale
     calibrated at the driver's own resolution, or at 64 steps on coarser
     grids, which pins the discrete variance at the horizon to t^2H.  The
-    same driver always produces the same paths.
+    same driver always produces the same paths, and each path the same
+    bits whatever the batch: the transform is one stacked (dims, n) product
+    per path, never one flat product over the batch, whose rounding would
+    follow the row count.
     """
-    scale = calibrate_kernel_scale(hurst, max(driver.grid.n_steps, 64))
-    kmat = _kernel_matrix(driver.grid, hurst, scale)
-    samples = np.einsum("kl,pjl->pjk", kmat, driver.increments, optimize=True)
+    samples = driver.increments @ _volterra_matrix(driver.grid, hurst).T
     samples[:, :, 0] = 0.0
     return FbmPathSet(
         grid=driver.grid, dims=driver.dims, n_paths=driver.n_paths, samples=samples
@@ -299,8 +329,7 @@ def generate_polygonal(driver: BrownianDriver, hurst: HurstParam, coarse_factor:
     n_coarse = n // coarse_factor
     coarse_inc = inc.reshape(inc.shape[0], inc.shape[1], n_coarse, coarse_factor).sum(axis=3)
     slopes = np.repeat(coarse_inc / (coarse_factor * dt), coarse_factor, axis=2)
-    kmat = _kernel_matrix(driver.grid, hurst, calibrate_kernel_scale(hurst, max(n, 64)))
-    samples = np.einsum("kl,pjl->pjk", kmat * dt, slopes, optimize=True)
+    samples = slopes @ (_volterra_matrix(driver.grid, hurst) * dt).T  # per path, as above
     samples[:, :, 0] = 0.0
     return FbmPathSet(
         grid=driver.grid, dims=driver.dims, n_paths=driver.n_paths, samples=samples

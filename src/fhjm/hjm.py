@@ -69,7 +69,14 @@ import numpy as np
 
 from ._table import write_rows
 from .drift import DriftField
-from .fbm import BrownianDriver, FbmPathSet, TimeGrid, generate_cholesky, generate_volterra
+from .fbm import (
+    BrownianDriver,
+    FbmPathSet,
+    TimeGrid,
+    _path_chunks,
+    generate_cholesky,
+    generate_volterra,
+)
 from .kernels import HurstParam
 from .vol import MaturityGrid, VolatilitySpec, eval_vol, integrated_vol
 
@@ -385,6 +392,20 @@ def _generate_paths(method, t_grid, dims, n_paths, hurst, seed, offset) -> FbmPa
     raise ValueError(f"unknown generation method {method!r}")
 
 
+def _path_increments(method, t_grid, dims, n_paths, hurst, seed, offset) -> np.ndarray:
+    """The increments of :func:`_generate_paths`' paths, made in their own samples.
+
+    The path set is private here, so each chunk of its samples is
+    differenced in place and the (paths, dims, n) increments come back as
+    the view ``samples[:, :, 1:]``: the bits of ``FbmPathSet.increments``,
+    with no second batch-sized array.
+    """
+    samples = _generate_paths(method, t_grid, dims, n_paths, hurst, seed, offset).samples
+    for chunk in _path_chunks(samples):
+        chunk[:, :, 1:] = np.diff(chunk, axis=2)
+    return samples[:, :, 1:]
+
+
 def simulate_batches(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -480,8 +501,11 @@ def affine_rows(
 
     The batch's increments are drawn when it is yielded, its rows when they
     are pulled; a consumer that stops early leaves the later rows
-    uncomputed.  Each row is a fresh array, and each pass over a batch
-    starts the running sum again from its increments.
+    uncomputed.  The increments are the batch's own samples, differenced in
+    place (:func:`_path_increments`), so a batch holds one
+    (paths, d, n + 1) array besides its rows.  Each row is a fresh array,
+    and each pass over a batch starts the running sum again from its
+    increments.
     """
     n, dims = t_grid.n_steps, spec.dims
     mats = np.asarray(maturities, dtype=float)
@@ -506,7 +530,7 @@ def affine_rows(
 
     def batch(offset: int) -> ZRows:
         take = min(batch_size, n_paths - offset)
-        dbeta = _generate_paths(method, t_grid, dims, take, hurst, seed, offset).increments()
+        dbeta = _path_increments(method, t_grid, dims, take, hurst, seed, offset)
         return ZRows(t_grid=t_grid, maturities=mats, n_paths=take, rows=partial(rows, dbeta))
 
     for offset in range(0, n_paths, batch_size):

@@ -28,7 +28,7 @@ resolution).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,6 +142,18 @@ class LedgerResult:
     value: np.ndarray        # V_t^k
     k: float
 
+    def at(self, k: float) -> "LedgerResult":
+        """The same ledger at cost level ``k``: only ``value`` and ``k`` are new.
+
+        Gains, costs and the liquidation charge do not depend on k, so one
+        ledger serves every cost level with the bits of its own
+        :func:`liquidation_value` call.
+        """
+        if k < 0:
+            raise ValueError("transaction cost k must be nonnegative")
+        return replace(self, value=_value(self.gains, self.costs, self.liquidation, k),
+                       k=float(k))
+
     def final_values(self) -> np.ndarray:
         return self.value[:, -1]
 
@@ -220,6 +232,11 @@ def _holdings_series(strategy: Strategy, surface: BondSurface):
     return held, z.transpose(1, 2, 0)
 
 
+def _value(gains: np.ndarray, costs: np.ndarray, liq: np.ndarray, k: float) -> np.ndarray:
+    """V = gains - k * costs - k * liq, the one expression every cost level takes."""
+    return gains - k * costs - k * liq
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching last-axis rows, each one BLAS dot as ``a[r] @ b[r]``."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
@@ -238,7 +255,8 @@ def liquidation_value(strategy: Strategy, surface: BondSurface, k: float) -> Led
 
     so V_0 = 0 and the opening trade is charged from the first step on.
     The sums over l are one cumulative sum over [0, step_0, step_1, ...];
-    every array of the result is (n_paths, n + 1).
+    every array of the result is (n_paths, n + 1).  For other cost levels
+    on the same surface, take :meth:`LedgerResult.at` of the result.
     """
     if k < 0:
         raise ValueError("transaction cost k must be nonnegative")
@@ -250,7 +268,7 @@ def liquidation_value(strategy: Strategy, surface: BondSurface, k: float) -> Led
     liq = _row_dots(np.abs(held), z)
     return LedgerResult(
         times=surface.t_grid.points, gains=gains, costs=costs, liquidation=liq,
-        value=gains - k * costs - k * liq, k=float(k),
+        value=_value(gains, costs, liq, k), k=float(k),
     )
 
 

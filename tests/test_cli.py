@@ -62,15 +62,17 @@ def test_simulate_smoke_under_ten_seconds(tmp_path, tmp_config):
 
 
 def test_simulate_byte_identical_and_thread_invariant(tmp_path, tmp_config):
-    path = tmp_config(smoke_config())
-    for out, threads in (("a", "1"), ("b", "1"), ("c", "2")):
-        r = run_cli("simulate", str(path), "--out", str(tmp_path / out), cwd=tmp_path,
-                    extra_env={"OPENBLAS_NUM_THREADS": threads})
-        assert r.returncode == 0, r.stderr
-    for name in ("paths.csv", "forward.csv", "bonds.csv"):
-        a = (tmp_path / "a" / name).read_bytes()
-        assert a == (tmp_path / "b" / name).read_bytes()
-        assert a == (tmp_path / "c" / name).read_bytes()
+    for method in ("cholesky", "volterra"):
+        path = tmp_config(smoke_config(mc={"n_paths": 100, "seed": 42, "method": method,
+                                           "batch_size": 64}), f"{method}.json")
+        for out, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+            r = run_cli("simulate", str(path), "--out", str(tmp_path / method / out),
+                        cwd=tmp_path, extra_env={"OPENBLAS_NUM_THREADS": threads})
+            assert r.returncode == 0, r.stderr
+        for name in ("paths.csv", "forward.csv", "bonds.csv"):
+            a = (tmp_path / method / "a" / name).read_bytes()
+            assert a == (tmp_path / method / "b" / name).read_bytes(), (method, name)
+            assert a == (tmp_path / method / "c" / name).read_bytes(), (method, name)
 
 
 def _gated_config(maturity=0.5, level=1.0):
@@ -301,22 +303,28 @@ def test_one_key_edits_fail_as_config_errors_or_run(cfg):
 
 def test_outputs_independent_of_batch_size(tmp_path):
     config = json.loads((REPO / "demos" / "configs" / "smoke.json").read_text())
-    for batch in (7, 20):
-        config["mc"]["batch_size"] = batch
-        path = tmp_path / f"batch{batch}.json"
-        path.write_text(json.dumps(config))
+    # each generator's per-path products give every path the same bits in a
+    # batch of one as in a batch of all
+    for method, batches in (("cholesky", (7, 20)), ("volterra", (1, 7, 20))):
+        for batch in batches:
+            mc = {**config["mc"], "method": method, "batch_size": batch}
+            path = tmp_path / f"{method}{batch}.json"
+            path.write_text(json.dumps({**config, "mc": mc}))
+            for command in ("simulate", "check", "portfolio"):
+                r = run_cli(command, str(path), "--paths", "20",
+                            "--out", str(tmp_path / f"{method}{command}{batch}"), cwd=tmp_path)
+                assert r.returncode == 0, r.stderr
         for command in ("simulate", "check", "portfolio"):
-            r = run_cli(command, str(path), "--paths", "20",
-                        "--out", str(tmp_path / f"{command}{batch}"), cwd=tmp_path)
-            assert r.returncode == 0, r.stderr
-    for command in ("simulate", "check", "portfolio"):
-        small, whole = tmp_path / f"{command}7", tmp_path / f"{command}20"
-        names = sorted(p.name for p in whole.iterdir())
-        assert names == sorted(p.name for p in small.iterdir())
-        # manifest.json records the config, whose batch_size differs by design
-        for name in names:
-            if name != "manifest.json":
-                assert (small / name).read_bytes() == (whole / name).read_bytes(), name
+            whole = tmp_path / f"{method}{command}20"
+            names = sorted(p.name for p in whole.iterdir())
+            for batch in batches[:-1]:
+                small = tmp_path / f"{method}{command}{batch}"
+                assert names == sorted(p.name for p in small.iterdir())
+                # manifest.json records the config, whose batch_size differs by design
+                for name in names:
+                    if name != "manifest.json":
+                        assert (small / name).read_bytes() == (whole / name).read_bytes(), (
+                            method, batch, name)
 
     # the panel statistics sum every path in one order, whatever the batches
     del config["check"]["oscillation"]
@@ -547,6 +555,33 @@ def test_portfolio_command(tmp_path, tmp_config):
     assert stats["final_value"]["0"]["mean"] == pytest.approx(0.0, abs=1e-6)
     ledger = (tmp_path / "p" / "ledger_buyhold.csv").read_text().strip().split("\n")
     assert ledger[0] == "path_id,t,gains,cost,liquidation,V"
+
+
+def test_portfolio_builds_one_ledger_per_strategy_and_batch(tmp_path, tmp_config, monkeypatch):
+    # the cost levels reprice one ledger; the pairing check builds the other
+    # holdings series
+    from fhjm import ledger
+    from fhjm.cli import main
+
+    calls = {"ledger": 0, "holdings": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ledger, "liquidation_value", counted("ledger", ledger.liquidation_value))
+    monkeypatch.setattr(ledger, "_holdings_series", counted("holdings", ledger._holdings_series))
+    cfg = json.loads((REPO / "demos" / "configs" / "smoke.json").read_text())
+    cfg["mc"].update(n_paths=10, batch_size=4)  # three batches
+    cfg["strategies"].append({"name": "short", "legs": [
+        {"from": 0.0, "to": 0.5, "atoms": [{"T": 0.5, "w": -1.0}]}]})
+    cfg["costs"]["k"] = [0.0, 0.005, 0.01]
+    assert main(["portfolio", str(tmp_config(cfg)), "--out", str(tmp_path / "p")]) == 0
+    assert calls == {"ledger": 2 * 3, "holdings": 2 * 2 * 3}
+    summary = json.loads((tmp_path / "p" / "portfolio_summary.json").read_text())
+    assert sorted(summary["short"]["final_value"]) == ["0", "0.005", "0.01"]
 
 
 def test_portfolio_requires_strategies(tmp_path, tmp_config):

@@ -290,15 +290,19 @@ def test_affine_route_rows_do_not_depend_on_batch_size():
     drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
     init = InitialCurve.flat(0.03, tg.dt, 33)
 
-    def run(batch_size):
-        batches = list(affine_batches(spec, H75, drift, init, tg, xg, n_paths=10, seed=8,
-                                      maturities=[0.5, 1.0], batch_size=batch_size))
+    def run(batch_size, method):
+        batches = list(affine_batches(spec, H75, drift, init, tg, xg, n_paths=20, seed=8,
+                                      maturities=[0.5, 1.0], batch_size=batch_size,
+                                      method=method))
         assert all(b.prices is None for b in batches)
         return np.concatenate([b.discounted for b in batches])
 
-    whole = run(10)
-    for batch_size in (1, 3):
-        assert run(batch_size).tobytes() == whole.tobytes()
+    # a flat product over a batch rounds each row by the row count; the
+    # generators' per-path products do not
+    for method in ("cholesky", "volterra"):
+        whole = run(20, method)
+        for batch_size in (1, 3, 7):
+            assert run(batch_size, method).tobytes() == whole.tobytes(), (method, batch_size)
 
 
 def test_three_batch_run_builds_the_increment_gram_once(monkeypatch):

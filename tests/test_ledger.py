@@ -346,3 +346,22 @@ def test_ledger_price_columns_have_the_gather_strides():
         assert have.strides == (17 * 8, 8, 6 * 17 * 8)
         assert have.strides == surface.discounted[:, :, cols].strides
         assert have.tobytes() == np.nan_to_num(z[:, :, cols], nan=0.0).tobytes()
+
+
+def test_one_ledger_serves_every_cost_level_bit_for_bit():
+    # gains, costs and the liquidation charge do not depend on k, so a
+    # ledger repriced at k has the bits of its own liquidation_value call
+    market = _noisy_market(n=16, n_paths=6, seed=9)
+    strat = Strategy(
+        legs=(StrategyLeg(0.0, 0.5, DiscreteMeasure(((0.75, 1.0), (1.0, -0.5)))),
+              StrategyLeg(0.5, 1.0, DiscreteMeasure(((1.0, 2.0),)))),
+        horizon=1.0,
+    )
+    ledger = liquidation_value(strat, market, k=0.0)
+    for k in (0.0, 0.005, 0.01, 0.05):
+        want, have = liquidation_value(strat, market, k), ledger.at(k)
+        assert have.k == want.k == k
+        for name in ("times", "gains", "costs", "liquidation", "value"):
+            assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ledger.at(-0.01)
