@@ -347,4 +347,3 @@ def test_one_batch_of_increments_holds_one_path_array_and_one_chunk(dims):
         tracemalloc.stop()
     assert dbeta.base is not None and dbeta.base.nbytes == samples_bytes
     assert peak < 1.3 * (samples_bytes + chunk_bytes), (peak, samples_bytes, chunk_bytes)
-

@@ -327,6 +327,28 @@ def test_three_batch_run_builds_the_increment_gram_once(monkeypatch):
     assert len(builds) == 1
 
 
+def test_three_volterra_batches_build_the_kernel_matrix_once(monkeypatch):
+    from fhjm import fbm
+    from fhjm.hjm import affine_batches
+
+    build, builds = fbm._kernel_matrix, []
+
+    def counted(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(fbm, "_kernel_matrix", counted)
+    fbm._volterra_matrix.cache_clear()
+    tg, xg = simulation_grids(1.0, 16, 1.0, 16)
+    spec = ho_lee(0.01)
+    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 33)
+    batches = list(affine_batches(spec, H75, drift, init, tg, xg, n_paths=9, seed=8,
+                                  maturities=[0.5, 1.0], batch_size=3, method="volterra"))
+    assert len(batches) == 3
+    assert len(builds) == 1
+
+
 def _affine_oracle(c, g, dbeta):
     # log Z = c + cumsum over l of sum_j dbeta_j_l * g_j(l, T), as a
     # (paths, n + 1, M) array: the product over every factor, its sum over
