@@ -62,11 +62,15 @@ from .drift import (
     solve_market_price_of_risk,
 )
 from .hjm import (
+    AffinePairs,
     BondSurface,
     ForwardSurface,
     InitialCurve,
+    PairPrices,
     ZRows,
     affine_batches,
+    affine_draws,
+    affine_pairs,
     affine_rows,
     bond_surface,
     closed_form_bond,
@@ -84,9 +88,11 @@ from .noarb import (
 from .ledger import (
     DiscreteMeasure,
     Gate,
+    Holdings,
     LedgerResult,
     Strategy,
     StrategyLeg,
+    holdings,
     integration_by_parts_check,
     liquidation_value,
     total_variation,

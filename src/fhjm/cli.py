@@ -92,10 +92,9 @@ def _run(pipeline, cfg: ExperimentConfig, drift, **kwargs):
     """The config's Monte Carlo batches from ``pipeline``.
 
     ``pipeline`` is ``hjm.simulate_batches`` (whole surfaces, for
-    ``simulate``), ``hjm.affine_rows`` (Z as a stream of time rows, for
-    ``check``'s panel and probe) or ``hjm.affine_batches`` (those rows
-    gathered into whole Z surfaces, for the ledgers); ``kwargs`` (the
-    affine routes' ``maturities``) pass through.
+    ``simulate``), ``hjm.affine_draws`` (pair prices and time rows of Z from
+    one draw, for ``check``'s panel and probe) or ``hjm.affine_batches``
+    (whole Z surfaces, for the ledgers); ``kwargs`` pass through.
     """
     return pipeline(
         cfg.model, cfg.hurst, drift, cfg.initial_curve, cfg.t_grid, cfg.x_grid,
@@ -104,10 +103,22 @@ def _run(pipeline, cfg: ExperimentConfig, drift, **kwargs):
     )
 
 
+def _require_sampler(cfg: ExperimentConfig) -> None:
+    """A ConfigError, before any compute, when ``mc.method`` cannot draw on ``grids.n_steps``."""
+    from .fbm import MAX_CHOLESKY_STEPS
+
+    if cfg.method == "cholesky" and cfg.t_grid.n_steps > MAX_CHOLESKY_STEPS:
+        raise ConfigError(
+            f"grids.n_steps = {cfg.t_grid.n_steps} exceeds {MAX_CHOLESKY_STEPS}, the most "
+            f"that mc.method 'cholesky' draws on; use 'volterra' or a coarser grid"
+        )
+
+
 def cmd_simulate(cfg: ExperimentConfig, out: str) -> list:
     from .fbm import write_paths_csv
     from .hjm import simulate_batches, write_bond_csv, write_forward_csv
 
+    _require_sampler(cfg)
     batches = _run(simulate_batches, cfg, _build_drift(cfg))
     with (
         open(os.path.join(out, "paths.csv"), "w") as fh_paths,
@@ -155,8 +166,16 @@ def cmd_drift(cfg: ExperimentConfig, out: str) -> list:
 CHECK_THRESHOLDS = {"drift_identity_max_gap": 1e-6, "z_level": 3.0, "z_exceedances_max": 1}
 
 
+def _probe_rows(draws, kept: list):
+    """The probe's rows of each draw, with the draw's pair prices (if any) added to ``kept``."""
+    for prices, rows in draws:
+        if prices is not None:
+            kept.append(prices)
+        yield rows
+
+
 def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
-    from .hjm import affine_rows
+    from .hjm import affine_draws
     from .noarb import check_quasi_martingale, drift_identity_check, oscillation_probe
 
     report: dict = {}
@@ -167,7 +186,19 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
             json.dump({}, fh, indent=2)
         return ["check_report.json"], True
 
+    _require_sampler(cfg)
     drift = _build_drift(cfg)
+    # one draw per path: the panel reads its pair prices, and the probe the
+    # rows of every time-grid maturity, where Z_tau(tau) sits on the diagonal
+    draws = _run(affine_draws, cfg, drift, pairs=pairs,
+                 row_maturities=None if osc is None else cfg.t_grid.points)
+    if osc is not None:
+        kept = []  # the panel's prices wait for it while the probe streams the rows
+        probe = oscillation_probe(_probe_rows(draws, kept), osc["thresholds"], osc["taus"])
+        report["oscillation"] = json.loads(probe.to_json())
+        draws = kept
+    else:
+        draws = (prices for prices, _ in draws)
 
     if pairs:
         maturities = sorted({T for _, T in pairs})
@@ -179,24 +210,13 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
         report["drift_identity_pass"] = bool(gap <= CHECK_THRESHOLDS["drift_identity_max_gap"])
         ok = ok and report["drift_identity_pass"]
 
-        qm = check_quasi_martingale(
-            _run(affine_rows, cfg, drift, maturities=maturities),
-            cfg.model, cfg.hurst, pairs, drift=drift,
-        )
+        qm = check_quasi_martingale(draws, cfg.model, cfg.hurst, pairs, drift=drift)
         report["quasi_martingale"] = json.loads(qm.to_json())
         report["quasi_martingale_pass"] = bool(
             np.all(np.isfinite(qm.z_scores))
             and qm.n_exceeding(CHECK_THRESHOLDS["z_level"]) <= CHECK_THRESHOLDS["z_exceedances_max"]
         )
         ok = ok and report["quasi_martingale_pass"]
-
-    if osc is not None:
-        # Z_tau(tau) sits on the diagonal, so the probe prices every time-grid maturity
-        probe = oscillation_probe(
-            _run(affine_rows, cfg, drift, maturities=cfg.t_grid.points),
-            osc["thresholds"], osc["taus"],
-        )
-        report["oscillation"] = json.loads(probe.to_json())
 
     with open(os.path.join(out, "check_report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -267,6 +287,7 @@ def _quantiles(values: np.ndarray, qs) -> list:
 
 def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
     from .ledger import (
+        holdings,
         integration_by_parts_check,
         liquidation_value,
         total_variation,
@@ -287,15 +308,19 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
         | {leg.gate.maturity for strategy in strategies for leg in strategy.legs
            if leg.gate.kind == "threshold"}
     )
+    _require_sampler(cfg)
     batches = _run(affine_batches, cfg, _build_drift(cfg), maturities=maturities)
     offset = 0
     with ExitStack() as stack:
         files = [stack.enter_context(open(os.path.join(out, f), "w")) for f in outputs]
         for surface in batches:
             for s_i, (strategy, fh) in enumerate(zip(strategies, files)):
-                residuals[s_i].append(integration_by_parts_check(strategy, surface))
-                # one ledger per strategy and batch; each cost level only reprices V
-                ledger = liquidation_value(strategy, surface, k=cfg.cost_levels[0])
+                # one holdings series and one ledger per strategy and batch;
+                # each cost level only reprices V
+                series = holdings(strategy, surface)
+                residuals[s_i].append(integration_by_parts_check(strategy, series))
+                ledger = liquidation_value(strategy, series, k=cfg.cost_levels[0])
+                del series  # freed before the ledger is repriced and written
                 for k in cfg.cost_levels:
                     res = ledger.at(k)
                     finals[s_i][f"{k:g}"].append(res.final_values())

@@ -48,7 +48,10 @@ T <= x_max, t is a node of the time grid and T of the maturity grid;
 oscillation times, leg boundaries, atom and gate maturities
 are nodes of the time grid on [0, t_star]; a check panel needs two paths
 (also after ``--paths``); a table initial curve has increasing ``x``, one
-``value`` per ``x``, and covers [0, t_star + x_max].
+``value`` per ``x``, and covers [0, t_star + x_max].  One rule depends on
+the command and lives in the CLI: ``mc.method`` ``cholesky`` draws on at
+most 4096 ``grids.n_steps``, checked before any compute by every command
+that draws paths; ``drift`` and ``consistency`` draw none.
 
 :meth:`ExperimentConfig.from_dict` returns resolved values: the grids,
 initial curve, model and strategies built, the panel pairs as float
@@ -171,15 +174,20 @@ class _Same(str):
 
 _REQUIRED = object()
 _ABSENT = object()
-_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 # dotted key: (kind, default, bound), a bound being ((op, limit), ...).  The
-# drift grows as sigma**2, so sigma stays where its square is far from overflow.
+# bounds on sigma, on the initial rates and on k keep every price, account and
+# ledger value finite: a forward-rate volatility above 10 per year^H, a rate
+# beyond 1000 % a year or a cost above the notional is no market, and beyond
+# them bond prices and ledger values overflow to inf before they reach a file.
+# The caps on counts that buy work in proportion (cells, samples, nodes) keep
+# an integral float such as 6e16 from asking for petabytes.
 _KEYS = {
     "model": (_object, _REQUIRED, None),
     "model.factors": (_nonempty(_objects), None, None),
     "model.type": (_choice("ho-lee", "hull-white", "tabulated"), _REQUIRED, None),
-    "model.sigma": (_float, _REQUIRED, ((">", 0.0), ("<", 1e100))),
+    "model.sigma": (_float, _REQUIRED, ((">", 0.0), ("<=", 10.0))),
     "model.decay": (_float, _REQUIRED, ((">", 0.0),)),
     "hurst": (_float, _REQUIRED, ((">", 0.5), ("<", 1.0))),
     "grids": (_values, {}, None),
@@ -189,16 +197,16 @@ _KEYS = {
     "grids.m_steps": (_int, _Same("n_steps"), ((">=", 1),)),
     "initial_curve": (_values, {"type": "flat", "rate": 0.0}, None),
     "initial_curve.type": (_choice("flat", "table"), _REQUIRED, None),
-    "initial_curve.rate": (_float, None, None),
+    "initial_curve.rate": (_float, None, ((">=", -10.0), ("<=", 10.0))),
     "initial_curve.x": (_floats, None, None),
-    "initial_curve.value": (_floats, None, None),
+    "initial_curve.value": (_floats, None, ((">=", -10.0), ("<=", 10.0))),
     "mc": (_values, {}, None),
     "mc.n_paths": (_int, 100, ((">=", 1),)),
     "mc.seed": (_int, 0, ((">=", 0),)),
     "mc.method": (_choice("cholesky", "volterra"), "cholesky", None),
     "mc.batch_size": (_int, 2000, ((">=", 1),)),
     "drift": (_values, {}, None),
-    "drift.theta_cells": (_int, 512, ((">=", 16),)),
+    "drift.theta_cells": (_int, 512, ((">=", 16), ("<=", 65536))),
     "check": (_values, {}, None),
     "check.pairs": (_pairs, [], None),
     "check.oscillation": (_probe, None, None),
@@ -218,17 +226,17 @@ _KEYS = {
     "strategies[].legs[].gate.op": (_choice("<=", ">="), _REQUIRED, None),
     "strategies[].legs[].gate.level": (_float, _REQUIRED, None),
     "costs": (_values, {}, None),
-    "costs.k": (_nonempty(_floats), [0.01], ((">=", 0.0),)),
+    "costs.k": (_nonempty(_floats), [0.01], ((">=", 0.0), ("<=", 1.0))),
     "costs.admissibility_bound": (_float, 10.0, None),
     "consistency": (_values, {}, None),
     "consistency.family": (_choice("nelson-siegel"), "nelson-siegel", None),
     "consistency.decay_fixed": (_float, None, ((">", 0.0),)),
-    "consistency.t_samples": (_int, 8, ((">=", 1),)),
-    "consistency.y_samples": (_int, 50, ((">=", 1),)),
+    "consistency.t_samples": (_int, 8, ((">=", 1), ("<=", 4096))),
+    "consistency.y_samples": (_int, 50, ((">=", 1), ("<=", 65536))),
     "consistency.y_box": (_box, [[0.0, 0.06], [-0.03, 0.03], [-0.02, 0.02], [0.3, 3.0]], None),
     "consistency.seed": (_int, 7, ((">=", 0),)),
     "consistency.zero_volatility": (_bool, False, None),
-    "consistency.x_nodes": (_int, 512, ((">=", 2),)),
+    "consistency.x_nodes": (_int, 512, ((">=", 2), ("<=", 65536))),
 }
 
 

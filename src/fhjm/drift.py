@@ -171,6 +171,10 @@ def _warn_if_table_read_flat(spec: VolatilitySpec, reach: float) -> None:
         )
 
 
+# t-rows of the drift field that share one hat-weight array
+BLOCK_ROWS = 16
+
+
 def drift_field(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -185,7 +189,9 @@ def drift_field(
     the simulator needs arguments up to x_max + t_star).  Each time slice
     integrates over ``theta_cells`` uniform cells regardless of how early
     the slice sits, which keeps the factor-interpolation error uniformly
-    small even where the two closed-form terms nearly cancel.
+    small even where the two closed-form terms nearly cancel.  The rows
+    are built ``BLOCK_ROWS`` at a time, each row with the bits it has on
+    its own.
     """
     theta_cells = _cell_count(theta_cells, "theta_cells")
     t_points = np.asarray(t_points, dtype=float)
@@ -193,57 +199,79 @@ def drift_field(
     n = t_points.size - 1
     values = np.zeros((n + 1, x_points.size))
     _warn_if_table_read_flat(spec, x_points[-1] + t_points[-1])
-    for i in range(1, n + 1):
-        values[i] = _drift_row(spec, hurst, float(t_points[i]), x_points, theta_cells)
+    for start in range(1, n + 1, BLOCK_ROWS):
+        block = slice(start, min(start + BLOCK_ROWS, n + 1))
+        values[block] = _drift_rows(spec, hurst, t_points[block], x_points, theta_cells)
     return DriftField(t_points=t_points, x_points=x_points, values=values)
 
 
-def _theta_sums(factor, t: float, nodes: np.ndarray, w: np.ndarray, x: np.ndarray):
-    """The two theta-integrals of one factor at time t, as curves in x (a flat one as a scalar).
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching last-axis rows, each one BLAS dot as ``a[r] @ b[r]``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    Returns ``w @ IV(theta, x + t)`` and ``w @ sigma(theta, x + t - theta)``.
-    A built-in factor depends on the lag s = t - theta only through
-    m0 = sum(w), m1 = sum(w*s) and E = sum(w*exp(-decay*s)):
+
+def _theta_sums(factor, t: np.ndarray, nodes: np.ndarray, w: np.ndarray, x: np.ndarray):
+    """The two theta-integrals of one factor at the times ``t`` (rows, 1), as (rows, x) curves.
+
+    Returns ``w @ IV(theta, x + t)`` and ``w @ sigma(theta, x + t - theta)``
+    row by row (a curve flat in x as a (rows, 1) column).  A built-in
+    factor depends on the lag s = t - theta only through m0 = sum(w),
+    m1 = sum(w*s) and E = sum(w*exp(-decay*s)):
 
         flat:       sigma*(x*m0 + m1)                  and  sigma*m0
         exp-decay:  (sigma/a)*(m0 - exp(-a*x)*E)       and  sigma*exp(-a*x)*E
 
-    A table is evaluated on the whole (theta, x) array, flat outside its
-    x-columns (the integrands reach x + t).
+    A table is evaluated on each row's whole (theta, x) array, flat outside
+    its x-columns (the integrands reach x + t).
     """
     if isinstance(factor, FlatVol):
-        m0 = w.sum()
-        return factor.sigma * (x * m0 + w @ (t - nodes)), factor.sigma * m0
+        m0 = w.sum(axis=-1, keepdims=True)
+        m1 = _row_dots(w, t - nodes)[:, None]
+        return factor.sigma * (x * m0 + m1), factor.sigma * m0
     if isinstance(factor, ExpDecayVol):
         a = factor.decay
         damp = np.exp(-a * x)
-        e = w @ np.exp(-a * (t - nodes))
-        return (factor.sigma / a) * (w.sum() - damp * e), factor.sigma * damp * e
-    th = nodes[:, None]
-    span = np.maximum(x + t - th, 0.0)
-    return w @ factor.integral_in_x(th, span), w @ factor(th, span)
+        m0 = w.sum(axis=-1, keepdims=True)
+        e = _row_dots(w, np.exp(-a * (t - nodes)))[:, None]
+        return (factor.sigma / a) * (m0 - damp * e), factor.sigma * damp * e
+    iv_w = np.empty((t.shape[0], x.size))
+    sig_w = np.empty((t.shape[0], x.size))
+    for r in range(t.shape[0]):
+        th = nodes[r, :, None]
+        span = np.maximum(x + t[r] - th, 0.0)
+        iv_w[r] = w[r] @ factor.integral_in_x(th, span)
+        sig_w[r] = w[r] @ factor(th, span)
+    return iv_w, sig_w
 
 
-def _drift_row(
+def _drift_rows(
     spec: VolatilitySpec,
     hurst: HurstParam,
-    t: float,
+    ts: np.ndarray,
     x_points: np.ndarray,
     theta_cells: int,
 ) -> np.ndarray:
-    """One time slice of the drift from the hat weights of its theta-cells.
+    """Time slices of the drift at the positive times ``ts``, from their hat weights.
 
     Each factor adds sigma(t, x) * (w @ IV) + IV(t, t + x) * (w @ sigma);
     ``_theta_sums`` reduces both theta-integrals to three sums for the
-    built-ins and keeps the dense (theta, x) product for tables only.
+    built-ins and keeps the dense (theta, x) product for tables only.  The
+    weights are taken row-major, so each row's sums run in the order of
+    a one-row call.
     """
-    thetas, w = _hat_weights(t, hurst, theta_cells)
-    row = np.zeros(x_points.size)
+    thetas, w = (np.ascontiguousarray(a) for a in _hat_weights(ts, hurst, theta_cells))
+    t = ts[:, None]
+    rows = np.zeros((ts.size, x_points.size))
     for j, factor in enumerate(spec.factors, start=1):
         iv_w, sig_w = _theta_sums(factor, t, thetas, w, x_points)
-        row += eval_vol(spec, j, t, x_points) * iv_w
-        row += integrated_vol(spec, j, t, t + x_points) * sig_w
-    return row
+        rows += eval_vol(spec, j, t, x_points) * iv_w
+        rows += integrated_vol(spec, j, t, t + x_points) * sig_w
+    return rows
+
+
+def _drift_row(spec: VolatilitySpec, hurst: HurstParam, t: float, x_points, theta_cells: int):
+    """The drift's time slice at one time t > 0."""
+    return _drift_rows(spec, hurst, np.array([float(t)]), x_points, theta_cells)[0]
 
 
 def ho_lee_drift(sigma: float, hurst: HurstParam, t, x):

@@ -57,6 +57,15 @@ is the discrete counterpart of the exponential formula on the
 simulator's own grid, not a copy of ``closed_form_bond``: that oracle
 integrates over maturity exactly and sits O(dt^2) away, while the affine
 route agrees with the surface route to rounding.
+
+Every path generator is linear in its driver too: dbeta_j = A b_j for the
+Brownian increments b_j = sqrt(dt) * w_j of ``BrownianDriver.generate``.
+So on a fixed list of (t_i, T) cells, log Z = c(i, T) + sum_j b_j . h_j
+with h_j = A[:i]^T g_j[:i, T]: one (d * n, P) matrix, built once per run
+(``AffinePairs``), prices every path from its normals in O(d * n * P),
+without its path or its rows.  ``check``'s panel takes this route, and its
+probe reads the rows of the same draw (``affine_draws``); the row stream
+stays for the ledger and as the oracle of both.
 """
 
 from __future__ import annotations
@@ -64,16 +73,20 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from ._table import write_rows
 from .drift import DriftField
 from .fbm import (
+    CHUNK_PATHS,
     BrownianDriver,
     FbmPathSet,
     TimeGrid,
+    _increment_factor,
     _path_chunks,
+    _volterra_matrix,
     generate_cholesky,
     generate_volterra,
 )
@@ -85,6 +98,8 @@ __all__ = [
     "ForwardSurface",
     "BondSurface",
     "ZRows",
+    "PairPrices",
+    "AffinePairs",
     "simulation_grids",
     "drift_for_simulation",
     "simulate_forward",
@@ -95,6 +110,8 @@ __all__ = [
     "affine_log_discount",
     "affine_rows",
     "affine_batches",
+    "affine_pairs",
+    "affine_draws",
     "closed_form_bond",
     "write_forward_csv",
     "write_bond_csv",
@@ -219,6 +236,52 @@ class ZRows(_Cells):
     maturities: np.ndarray
     n_paths: int
     rows: Callable[[], Iterator[np.ndarray]]
+
+
+class PairPrices(NamedTuple):
+    """Discounted prices of one batch of paths on a fixed list of (t, T) cells.
+
+    ``values[p, q]`` is Z(t_q, T_q) on path p, and ``targets[q]`` is
+    Z(0, T_q), which no path changes.  A named tuple, as
+    :class:`AffinePairs`: a dataclass costs ten times as much at import.
+    """
+
+    pairs: tuple
+    targets: np.ndarray
+    values: np.ndarray
+
+    @property
+    def n_paths(self) -> int:
+        return self.values.shape[0]
+
+
+class AffinePairs(NamedTuple):
+    """log Z on a list of (t, T) cells as one affine map of a path's driver increments.
+
+    Each generator is linear in its Brownian driver: factor j's increments
+    are dbeta_j = A b_j, where b_j = sqrt(dt) * w_j are the driver
+    increments of :meth:`~fhjm.fbm.BrownianDriver.generate` and A is
+    L / sqrt(dt) for ``cholesky`` (L the increment factor) or D K for
+    ``volterra`` (K the kernel matrix, D its row difference).  So at the
+    pair q = (t_i, T), with ``c`` and ``g`` of :func:`affine_log_discount`,
+
+        log Z = c(i, T) + sum_j b_j . h_jq,    h_jq = A[:i]^T g_j[:i, T],
+
+    and one (d * n, P) matrix ``h`` prices every path of a run.  A path's
+    prices are one (1, d * n) @ (d * n, P) product of their own, so their
+    bits do not depend on how many paths share a call.
+    """
+
+    pairs: tuple
+    c: np.ndarray  # (P,) c at the pair cells
+    h: np.ndarray  # (d * n, P)
+    targets: np.ndarray  # (P,) Z(0, T) of each pair
+
+    def prices(self, increments: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Z on the pairs, written to ``out`` (paths, P), of driver increments (paths, d, n)."""
+        np.matmul(increments.reshape(increments.shape[0], 1, -1), self.h, out=out[:, None])
+        out += self.c
+        return np.exp(out, out=out)
 
 
 def simulation_grids(t_star: float, n_steps: int, x_max: float, m_steps: int):
@@ -475,6 +538,30 @@ def affine_log_discount(
     return c, g
 
 
+def _z_rows(c: np.ndarray, g: np.ndarray, dbeta: np.ndarray):
+    """Rows exp(c[i] + S_i), i = 0 .. n, of one batch's increments ``dbeta`` (paths, d, n).
+
+    S is one running (paths, M) sum: S_0 = 0, S_1 the first step and
+    S_{l+1} = S_l + step_l, where step_l is factor 0's dbeta * g with the
+    later factors added in factor order.
+    """
+    total = np.zeros((dbeta.shape[0], c.shape[1]))
+    for i in range(c.shape[0]):
+        if i:
+            step = dbeta[:, 0, i - 1, None] * g[0, i - 1]
+            for j in range(1, g.shape[0]):
+                step += dbeta[:, j, i - 1, None] * g[j, i - 1]
+            # S_1 is the step itself, as a cumulative sum starts: 0.0 + step
+            # would turn a -0.0 into 0.0
+            if i == 1:
+                total = step
+            else:
+                total += step
+        z = total + c[i]
+        np.exp(z, out=z)
+        yield z
+
+
 def affine_rows(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -507,31 +594,14 @@ def affine_rows(
     and each pass over a batch starts the running sum again from its
     increments.
     """
-    n, dims = t_grid.n_steps, spec.dims
     mats = np.asarray(maturities, dtype=float)
     c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
 
-    def rows(dbeta: np.ndarray):
-        total = np.zeros((dbeta.shape[0], mats.size))
-        for i in range(n + 1):
-            if i:
-                step = dbeta[:, 0, i - 1, None] * g[0, i - 1]
-                for j in range(1, dims):
-                    step += dbeta[:, j, i - 1, None] * g[j, i - 1]
-                # S_1 is the step itself, as a cumulative sum starts: 0.0 + step
-                # would turn a -0.0 into 0.0
-                if i == 1:
-                    total = step
-                else:
-                    total += step
-            z = total + c[i]
-            np.exp(z, out=z)
-            yield z
-
     def batch(offset: int) -> ZRows:
         take = min(batch_size, n_paths - offset)
-        dbeta = _path_increments(method, t_grid, dims, take, hurst, seed, offset)
-        return ZRows(t_grid=t_grid, maturities=mats, n_paths=take, rows=partial(rows, dbeta))
+        dbeta = _path_increments(method, t_grid, spec.dims, take, hurst, seed, offset)
+        return ZRows(t_grid=t_grid, maturities=mats, n_paths=take,
+                     rows=partial(_z_rows, c, g, dbeta))
 
     for offset in range(0, n_paths, batch_size):
         yield batch(offset)
@@ -570,6 +640,103 @@ def affine_batches(
     # map holds no batch once filled: a ZRows keeps its increments for replays
     yield from map(fill, affine_rows(spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
                                      maturities, batch_size=batch_size, method=method))
+
+
+def _driver_map(method: str, t_grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
+    """A (n, n) with dbeta = A b for one factor's driver increments b (see :class:`AffinePairs`)."""
+    if method == "cholesky":
+        return _increment_factor(t_grid, hurst) / np.sqrt(t_grid.dt)
+    if method == "volterra":
+        kmat = _volterra_matrix(t_grid, hurst)
+        return kmat[1:] - kmat[:-1]
+    raise ValueError(f"unknown generation method {method!r}")
+
+
+def affine_pairs(
+    spec: VolatilitySpec,
+    hurst: HurstParam,
+    drift: DriftField,
+    init: InitialCurve,
+    t_grid: TimeGrid,
+    x_grid: MaturityGrid,
+    pairs,
+    method: str = "cholesky",
+) -> AffinePairs:
+    """The :class:`AffinePairs` map of ``pairs`` for paths from ``method``'s generator.
+
+    A pair off the grid, or past the maturities the surface route prices,
+    is a ``ValueError`` under the cell rule of :class:`BondSurface`; a pair
+    with t > T prices as NaN.
+    """
+    pairs = tuple((float(t), float(T)) for t, T in pairs)
+    mats = np.array(sorted({T for _, T in pairs}))
+    cells = BondSurface(t_grid=t_grid, maturities=mats)  # the cell rule only
+    rows = [cells.row(t, "panel time") for t, _ in pairs]
+    cols = [cells.column(T, "panel maturity") for _, T in pairs]
+    c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
+    reach = np.arange(t_grid.n_steps)[:, None] < np.array(rows)  # l < i for each pair
+    h = _driver_map(method, t_grid, hurst).T @ (g[:, :, cols] * reach)
+    return AffinePairs(pairs=pairs, c=c[rows, cols], h=h.reshape(-1, len(pairs)),
+                       targets=np.exp(c[0, cols]))
+
+
+def affine_draws(
+    spec: VolatilitySpec,
+    hurst: HurstParam,
+    drift: DriftField,
+    init: InitialCurve,
+    t_grid: TimeGrid,
+    x_grid: MaturityGrid,
+    n_paths: int,
+    seed: int,
+    pairs=(),
+    row_maturities=None,
+    batch_size: int = 1000,
+    method: str = "cholesky",
+):
+    """Generator of ``(PairPrices | None, ZRows | None)`` per batch, both from one draw per path.
+
+    The same paths as :func:`affine_rows`, drawn as driver increments b
+    through :meth:`~fhjm.fbm.BrownianDriver.generate`, ``CHUNK_PATHS`` paths
+    at a time.  With ``pairs``, each chunk is priced on them by the
+    :func:`affine_pairs` map into the batch's (paths, P) values, so no
+    (paths, d, n) array outlives its chunk.  With ``row_maturities``, the
+    batch's increments A b (one stacked product per path) become a
+    :class:`ZRows` stream on those maturities, the running sum of
+    :func:`affine_rows`.  A part not asked for is None.  Both agree with
+    :func:`affine_rows` to rounding, and each path's values are the same
+    whatever the batch size.
+    """
+    panel = None
+    if pairs:
+        panel = affine_pairs(spec, hurst, drift, init, t_grid, x_grid, pairs, method=method)
+    if row_maturities is not None:
+        amap = _driver_map(method, t_grid, hurst)
+        mats = np.asarray(row_maturities, dtype=float)
+        c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
+
+    def batch(offset: int):
+        take = min(batch_size, n_paths - offset)
+        values = None if panel is None else np.empty((take, len(panel.pairs)))
+        dbeta = None if row_maturities is None else np.empty((take, spec.dims, t_grid.n_steps))
+        for start in range(0, take, CHUNK_PATHS):
+            stop = min(start + CHUNK_PATHS, take)
+            b = BrownianDriver.generate(t_grid, spec.dims, stop - start, seed,
+                                        path_offset=offset + start).increments
+            if values is not None:
+                panel.prices(b, out=values[start:stop])
+            if dbeta is not None:
+                # one stacked (d, n) @ (n, n) product per path, as the generators take
+                np.matmul(b, amap.T, out=dbeta[start:stop])
+        prices = None if panel is None else PairPrices(panel.pairs, panel.targets, values)
+        rows = None
+        if dbeta is not None:
+            rows = ZRows(t_grid=t_grid, maturities=mats, n_paths=take,
+                         rows=partial(_z_rows, c, g, dbeta))
+        return prices, rows
+
+    for offset in range(0, n_paths, batch_size):
+        yield batch(offset)
 
 
 def closed_form_bond(

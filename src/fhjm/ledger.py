@@ -16,6 +16,9 @@ price), so lookahead is impossible by construction.
 
 Every function takes the whole surface and computes the same sums on all
 its paths at once, over the maturity columns the strategy's atoms use.
+:func:`holdings` gathers those columns and the gated positions once, and
+the ledger and the pairing check both accept its result in place of the
+surface.
 
 ``integration_by_parts_check`` verifies the discrete pairing identity
 
@@ -29,10 +32,12 @@ resolution).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ._table import write_rows
+from .drift import _row_dots
 from .hjm import BondSurface
 
 __all__ = [
@@ -41,7 +46,9 @@ __all__ = [
     "StrategyLeg",
     "Strategy",
     "LedgerResult",
+    "Holdings",
     "total_variation",
+    "holdings",
     "liquidation_value",
     "integration_by_parts_check",
     "write_ledger_csv",
@@ -192,15 +199,27 @@ def total_variation(strategy: Strategy) -> float:
     return float(jumps)
 
 
-def _holdings_series(strategy: Strategy, surface: BondSurface):
-    """Gated holdings and discounted prices on the atoms' maturity columns.
+class Holdings(NamedTuple):
+    """A strategy's gated holdings against one surface, over its atoms' maturity columns.
 
-    Returns ``(held, z)``, both (n_paths, n + 1, C) over the C surface
-    columns that the strategy's atoms use, in surface order: ``held[p, i]``
-    is the position carried into t_i on path p (held over (t_{i-1}, t_i],
-    zero at t_0), and ``z`` the discounted prices with NaN read as 0.  A
-    threshold gate is one mask over paths, read off the discounted price
-    at its leg's start.
+    ``held`` and ``z`` are (n_paths, n + 1, C) over the C surface columns
+    that the strategy's atoms use, in surface order: ``held[p, i]`` is the
+    position carried into t_i on path p (held over (t_{i-1}, t_i], zero at
+    t_0), and ``z`` the discounted prices with NaN read as 0.
+    """
+
+    times: np.ndarray
+    held: np.ndarray
+    z: np.ndarray
+
+
+def holdings(strategy: Strategy, surface: BondSurface) -> Holdings:
+    """The :class:`Holdings` of ``strategy`` on a discounted surface.
+
+    A threshold gate is one mask over paths, read off the discounted price
+    at its leg's start.  :func:`liquidation_value` and
+    :func:`integration_by_parts_check` take the result in place of the
+    surface, so one series serves both.
     """
     if surface.discounted is None:
         raise ValueError("the ledger needs a discounted surface")
@@ -229,7 +248,12 @@ def _holdings_series(strategy: Strategy, surface: BondSurface):
     for c, col in enumerate(cols):
         z[c] = surface.discounted[:, :, col]
     np.nan_to_num(z, copy=False, nan=0.0)
-    return held, z.transpose(1, 2, 0)
+    return Holdings(times=surface.t_grid.points, held=held, z=z.transpose(1, 2, 0))
+
+
+def _series(strategy: Strategy, surface) -> Holdings:
+    """``surface`` if it is already a :class:`Holdings`, else the strategy's holdings on it."""
+    return surface if isinstance(surface, Holdings) else holdings(strategy, surface)
 
 
 def _value(gains: np.ndarray, costs: np.ndarray, liq: np.ndarray, k: float) -> np.ndarray:
@@ -237,12 +261,7 @@ def _value(gains: np.ndarray, costs: np.ndarray, liq: np.ndarray, k: float) -> n
     return gains - k * costs - k * liq
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching last-axis rows, each one BLAS dot as ``a[r] @ b[r]``."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def liquidation_value(strategy: Strategy, surface: BondSurface, k: float) -> LedgerResult:
+def liquidation_value(strategy: Strategy, surface, k: float) -> LedgerResult:
     """Ledger of V_t^k on every discounted path, evaluated at every grid node.
 
     At node t_j (holdings over (t_i, t_{i+1}] are hold[i], so the position
@@ -257,22 +276,25 @@ def liquidation_value(strategy: Strategy, surface: BondSurface, k: float) -> Led
     The sums over l are one cumulative sum over [0, step_0, step_1, ...];
     every array of the result is (n_paths, n + 1).  For other cost levels
     on the same surface, take :meth:`LedgerResult.at` of the result.
+    ``surface`` is a discounted surface or the strategy's :class:`Holdings`
+    on one.
     """
     if k < 0:
         raise ValueError("transaction cost k must be nonnegative")
-    held, z = _holdings_series(strategy, surface)
+    series = _series(strategy, surface)
+    held, z = series.held, series.z
     steps = np.zeros((2,) + held.shape[:2])
     steps[0, :, 1:] = _row_dots(held[:, 1:], np.diff(z, axis=1))
     steps[1, :, 1:] = _row_dots(np.abs(np.diff(held, axis=1)), z[:, :-1])
     gains, costs = np.cumsum(steps, axis=2)
     liq = _row_dots(np.abs(held), z)
     return LedgerResult(
-        times=surface.t_grid.points, gains=gains, costs=costs, liquidation=liq,
+        times=series.times, gains=gains, costs=costs, liquidation=liq,
         value=_value(gains, costs, liq, k), k=float(k),
     )
 
 
-def integration_by_parts_check(strategy: Strategy, surface: BondSurface) -> np.ndarray:
+def integration_by_parts_check(strategy: Strategy, surface) -> np.ndarray:
     """Per-path residual of the discrete pairing identity, shape (n_paths,).
 
     With mu the (gated) holdings on one maturity T, mu_i the position held
@@ -280,11 +302,12 @@ def integration_by_parts_check(strategy: Strategy, surface: BondSurface) -> np.n
     sum_i G_{t_{i+1}} (mu_{i+1} - mu_i) + sum_i mu_i (G_{t_{i+1}} - G_{t_i})
     - [G_N mu_N - G_0 mu_0] is an exact telescoping zero for
     piecewise-constant mu.  Returns its absolute value, summed over the
-    atoms' maturity columns in surface order.
+    atoms' maturity columns in surface order.  ``surface`` is a discounted
+    surface or the strategy's :class:`Holdings` on one.
     """
-    held, z = _holdings_series(strategy, surface)
-    mu = np.ascontiguousarray(held.transpose(0, 2, 1))  # (n_paths, C, n + 1)
-    g = np.ascontiguousarray(z.transpose(0, 2, 1))
+    series = _series(strategy, surface)
+    mu = np.ascontiguousarray(series.held.transpose(0, 2, 1))  # (n_paths, C, n + 1)
+    g = np.ascontiguousarray(series.z.transpose(0, 2, 1))
     pairing = _row_dots(g[..., 1:], np.diff(mu)) + _row_dots(mu[..., :-1], np.diff(g))
     boundary = g[..., -1] * mu[..., -1] - g[..., 0] * mu[..., 0]
     return np.abs(pairing - boundary).sum(axis=-1)

@@ -16,17 +16,20 @@ at (tau, tau); a strictly positive frequency at small k is the desk-scale
 counterpart of the positive-probability condition under which arbitrarily
 small proportional costs remove arbitrage.
 
-Prices reach both estimators as time rows of Z, one batch after another:
+Prices reach both estimators one batch after another, either one batch or
+any iterable of them.  The probe reads time rows of Z:
 :class:`~fhjm.hjm.ZRows` batches, such as :func:`~fhjm.hjm.affine_rows`
-streams from one running sum, or discounted
-:class:`~fhjm.hjm.BondSurface` objects, whose rows
-:meth:`~fhjm.hjm.BondSurface.z_rows` hands over; either one batch or any
-iterable of them.  The panel copies its pair cells and stops pulling rows
-after the last pair row; the probe keeps Z_tau(tau) and one running max
-per tau.  Each batch is released before the next is pulled, and
+and :func:`~fhjm.hjm.affine_draws` stream from one running sum, or
+discounted :class:`~fhjm.hjm.BondSurface` objects, whose rows
+:meth:`~fhjm.hjm.BondSurface.z_rows` hands over; it keeps Z_tau(tau) and
+one running max per tau.  The panel takes the same row batches, copies
+its pair cells and stops pulling rows after the last pair row, or takes
+:class:`~fhjm.hjm.PairPrices`, the pair cells already priced, which
+``fhjm check`` reads off each path's normals (:class:`~fhjm.hjm.AffinePairs`).
+Either way its means, standard errors and z-scores come from one
+reduction.  Each batch is released before the next is pulled, and
 statistics accumulate in a fixed deterministic order, so results are
-identical run to run and do not depend on batch sizing or on which form
-the rows came in.
+identical run to run and do not depend on batch sizing.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import DriftField, expectation_kernel, log_expectation
-from .hjm import BondSurface, ZRows
+from .hjm import BondSurface, PairPrices, ZRows
 from .kernels import HurstParam
 from .vol import VolatilitySpec
 
@@ -140,12 +143,48 @@ def drift_identity_check(
 
 
 def _row_batches(discounted):
-    """Each batch of ``discounted`` as :class:`ZRows`, holding none once yielded."""
-    if isinstance(discounted, (BondSurface, ZRows)):
+    """Each batch of ``discounted`` as :class:`ZRows` (or as it came, for
+    :class:`PairPrices`), holding none once yielded."""
+    if isinstance(discounted, (BondSurface, ZRows, PairPrices)):
         discounted = [discounted]
     # map keeps no reference to the previous batch while the next is built
     return map(lambda batch: batch.z_rows() if isinstance(batch, BondSurface) else batch,
                discounted)
+
+
+def _pair_values(discounted, pairs):
+    """``(targets, values)`` of each batch: Z(0, T) and the (paths, P) Z(t, T) of each pair.
+
+    A :class:`PairPrices` batch carries both; a row stream gives its pair
+    cells row by row, and no row after the last pair row is pulled.
+    """
+    pairs = tuple((float(t), float(T)) for t, T in pairs)
+    at_row = None
+    for batch in _row_batches(discounted):
+        if isinstance(batch, PairPrices):
+            if batch.pairs != pairs:
+                raise ValueError(f"prices for pairs {batch.pairs} given for the panel {pairs}")
+            yield batch.targets, batch.values
+            continue
+        if at_row is None:
+            pair_idx = [
+                (batch.row(t, "panel time"), batch.column(T, "panel maturity"))
+                for t, T in pairs
+            ]
+            at_row = {}  # row -> [(pair, column)]
+            for p, (i, m) in enumerate(pair_idx):
+                at_row.setdefault(i, []).append((p, m))
+            last = max(at_row)
+        vals = np.full((batch.n_paths, len(pair_idx)), np.nan)
+        for i, row in enumerate(batch.rows()):
+            if i == 0:
+                targets = np.array([row[0, m] for (_, m) in pair_idx])
+            for p, m in at_row.get(i, ()):
+                vals[:, p] = row[:, m]
+            if i == last:
+                break  # later rows are never pulled
+        del batch, row  # freed before the next batch is built
+        yield targets, vals
 
 
 def check_quasi_martingale(
@@ -158,50 +197,33 @@ def check_quasi_martingale(
     """Panel z-scores of mean discounted prices against their t = 0 values.
 
     ``discounted`` is the Monte Carlo set: one batch or an iterable of
-    batches, each a :class:`~fhjm.hjm.ZRows` stream or a discounted
-    surface.  Rows after the last pair row are not pulled.  The target
-    P(0, T) is read off the t = 0 row, which is path independent.  When
-    ``drift`` is given, the deterministic decomposition check (drift
-    maturity integral vs expectation kernel, integrated in t) is reported
-    as ``identity_gap``.
+    batches, each a :class:`~fhjm.hjm.ZRows` stream, a discounted surface
+    or the :class:`~fhjm.hjm.PairPrices` of these ``pairs``.  Rows after
+    the last pair row are not pulled.  The target P(0, T) is the t = 0
+    price, which is path independent.  When ``drift`` is given, the
+    deterministic decomposition check (drift maturity integral vs
+    expectation kernel, integrated in t) is reported as ``identity_gap``.
     """
-    targets = None
-    at_row = None
     panel = []
-    for batch in _row_batches(discounted):
-        if at_row is None:
-            pair_idx = [
-                (batch.row(t, "panel time"), batch.column(T, "panel maturity"))
-                for t, T in pairs
-            ]
-            at_row = {}  # row -> [(pair, column)]
-            for p, (i, m) in enumerate(pair_idx):
-                at_row.setdefault(i, []).append((p, m))
-            last = max(at_row)
-        vals = np.full((batch.n_paths, len(pair_idx)), np.nan)
-        for i, row in enumerate(batch.rows()):
-            if targets is None:
-                targets = np.array([row[0, m] for (_, m) in pair_idx])
-            for p, m in at_row.get(i, ()):
-                vals[:, p] = row[:, m]
-            if i == last:
-                break  # later rows are never pulled
-        if np.any(np.isnan(vals)):
-            raise ValueError("panel pairs must satisfy t <= T on the surface")
+    for targets, vals in _pair_values(discounted, pairs):
         panel.append(vals)
-        del batch, row  # freed before the next batch is built
     if not panel:
         raise ValueError("no surfaces supplied")
     # one reduction over every path in path order, so the sums do not depend
     # on how the paths were batched; deviations from the target avoid the
-    # catastrophic cancellation a raw sum-of-squares would suffer at tiny variances
-    dev = np.concatenate(panel) - targets[None, :]
+    # catastrophic cancellation a raw sum-of-squares would suffer at tiny
+    # variances.  The deviations and their squares share one array.
+    dev = np.concatenate(panel)
+    del panel, vals
+    if np.any(np.isnan(dev)):
+        raise ValueError("panel pairs must satisfy t <= T on the surface")
+    dev -= targets
     count = dev.shape[0]
     if count < 2:
         raise ValueError("need at least two paths for standard errors")
     mean_dev = dev.sum(axis=0) / count
     means = targets + mean_dev
-    variances = ((dev**2).sum(axis=0) - count * mean_dev**2) / (count - 1)
+    variances = (np.square(dev, out=dev).sum(axis=0) - count * mean_dev**2) / (count - 1)
     std_errors = np.sqrt(np.maximum(variances, 0.0) / count)
     z = mean_dev / np.where(std_errors > 0, std_errors, np.inf)
 

@@ -288,6 +288,8 @@ def one_key_edits(draw):
 @settings(max_examples=60, deadline=None)
 @given(cfg=one_key_edits())
 def test_one_key_edits_fail_as_config_errors_or_run(cfg):
+    # a config that parses either runs (exit 0) or fails as a config error
+    # (exit 1) in every command, never as a runtime error (exit 2)
     from fhjm.cli import main
     from fhjm.config import ConfigError, ExperimentConfig
 
@@ -299,6 +301,33 @@ def test_one_key_edits_fail_as_config_errors_or_run(cfg):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["drift", str(path), "--out", tmp]) == 0
+        for command in ("simulate", "check", "portfolio", "consistency"):
+            out = str(Path(tmp) / command)
+            assert main([command, str(path), "--out", out, "--paths", "3"]) in (0, 1), command
+
+
+@pytest.mark.parametrize("command, block", [
+    ("simulate", {}),
+    ("portfolio", {}),
+    ("check", {"check": {"pairs": [[0.25, 0.75]]}}),
+    ("check", {"check": {"oscillation": {"taus": [0.0]}}}),
+])
+def test_grid_past_the_cholesky_cap_is_a_config_error(command, block, tmp_path, capsys):
+    # refused before the drift field is built: nothing is written
+    from fhjm.cli import main
+    from fhjm.fbm import MAX_CHOLESKY_STEPS
+
+    n = MAX_CHOLESKY_STEPS + 4  # keeps every smoke.json time a grid node
+    cfg = {**SMOKE, "grids": {"t_star": 1.0, "n_steps": n, "x_max": 1.0, "m_steps": n}, **block}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([command, str(path), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "config error" in err and "grids.n_steps" in err and "mc.method" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_outputs_independent_of_batch_size(tmp_path):
@@ -558,8 +587,8 @@ def test_portfolio_command(tmp_path, tmp_config):
 
 
 def test_portfolio_builds_one_ledger_per_strategy_and_batch(tmp_path, tmp_config, monkeypatch):
-    # the cost levels reprice one ledger; the pairing check builds the other
-    # holdings series
+    # the cost levels reprice one ledger, and the pairing check reads the
+    # ledger's holdings series
     from fhjm import ledger
     from fhjm.cli import main
 
@@ -572,16 +601,37 @@ def test_portfolio_builds_one_ledger_per_strategy_and_batch(tmp_path, tmp_config
         return wrapper
 
     monkeypatch.setattr(ledger, "liquidation_value", counted("ledger", ledger.liquidation_value))
-    monkeypatch.setattr(ledger, "_holdings_series", counted("holdings", ledger._holdings_series))
+    monkeypatch.setattr(ledger, "holdings", counted("holdings", ledger.holdings))
     cfg = json.loads((REPO / "demos" / "configs" / "smoke.json").read_text())
     cfg["mc"].update(n_paths=10, batch_size=4)  # three batches
     cfg["strategies"].append({"name": "short", "legs": [
         {"from": 0.0, "to": 0.5, "atoms": [{"T": 0.5, "w": -1.0}]}]})
     cfg["costs"]["k"] = [0.0, 0.005, 0.01]
     assert main(["portfolio", str(tmp_config(cfg)), "--out", str(tmp_path / "p")]) == 0
-    assert calls == {"ledger": 2 * 3, "holdings": 2 * 2 * 3}
+    assert calls == {"ledger": 2 * 3, "holdings": 2 * 3}
     summary = json.loads((tmp_path / "p" / "portfolio_summary.json").read_text())
     assert sorted(summary["short"]["final_value"]) == ["0", "0.005", "0.01"]
+
+
+def test_check_draws_each_path_once_for_the_panel_and_the_probe(tmp_path, monkeypatch):
+    # smoke.json has both pairs and a probe: one draw of driver increments per
+    # path feeds the panel's prices and the probe's rows
+    from fhjm import fbm, hjm
+    from fhjm.cli import main
+
+    drawn, generate = [], fbm.BrownianDriver.generate.__func__
+
+    def counted(cls, grid, dims, n_paths, seed, path_offset=0):
+        drawn.extend(range(path_offset, path_offset + n_paths))
+        return generate(cls, grid, dims, n_paths, seed, path_offset)
+
+    monkeypatch.setattr(fbm.BrownianDriver, "generate", classmethod(counted))
+    monkeypatch.setattr(hjm, "_generate_paths", None)  # no path from the row route
+    config = REPO / "demos" / "configs" / "smoke.json"
+    assert main(["check", str(config), "--out", str(tmp_path)]) == 0
+    assert drawn == list(range(SMOKE["mc"]["n_paths"]))
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["quasi_martingale"]["n_paths"] == report["oscillation"]["n_paths"] == 100
 
 
 def test_portfolio_requires_strategies(tmp_path, tmp_config):

@@ -514,3 +514,43 @@ def test_maturity_integral_over_arrays_matches_trapezoid():
     for bad in (0.01, 2.5, -0.03125):
         with pytest.raises(ValueError):
             field.maturity_integral(np.array([1, 2]), np.array([0.5, bad]))
+
+
+def _drift_one_row_at_a_time(spec, hurst, t_points, x, theta_cells):
+    """The drift field built the way it was before rows came in blocks: one
+    hat-weight call, three sums and one row per grid time."""
+    from fhjm.drift import _hat_weights
+    from fhjm.vol import integrated_vol
+
+    values = np.zeros((t_points.size, x.size))
+    for i in range(1, t_points.size):
+        t = float(t_points[i])
+        nodes, w = _hat_weights(t, hurst, theta_cells)
+        for j, factor in enumerate(spec.factors, start=1):
+            if isinstance(factor, FlatVol):
+                m0 = w.sum()
+                iv_w, sig_w = factor.sigma * (x * m0 + w @ (t - nodes)), factor.sigma * m0
+            else:
+                a = factor.decay
+                damp = np.exp(-a * x)
+                e = w @ np.exp(-a * (t - nodes))
+                iv_w, sig_w = (factor.sigma / a) * (w.sum() - damp * e), factor.sigma * damp * e
+            values[i] += eval_vol(spec, j, t, x) * iv_w
+            values[i] += integrated_vol(spec, j, t, t + x) * sig_w
+    return values
+
+
+@pytest.mark.parametrize("cells", [64, 512, 1024])
+@pytest.mark.parametrize("name", ["ho-lee", "hull-white", "two-factor"])
+def test_drift_rows_in_blocks_have_the_bits_of_one_row_at_a_time(name, cells):
+    # 37 positive rows: two whole blocks and a partial one
+    from fhjm.drift import BLOCK_ROWS
+
+    spec = {"ho-lee": ho_lee(0.01), "hull-white": hull_white(0.01, 1.3),
+            "two-factor": VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 0.7)))}[name]
+    tg = np.linspace(0.0, 1.0, 38)
+    xg = np.linspace(0.0, 2.0, 75)
+    assert (tg.size - 1) % BLOCK_ROWS
+    have = drift_field(spec, H70, tg, xg, theta_cells=cells).values
+    want = _drift_one_row_at_a_time(spec, H70, tg, xg, cells)
+    assert np.array_equal(have.view(np.uint64), want.view(np.uint64))

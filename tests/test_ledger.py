@@ -331,7 +331,7 @@ def test_ledger_bits_do_not_follow_the_surface_layout():
 def test_ledger_price_columns_have_the_gather_strides():
     # (paths, n + 1, C) over a column-major (C, paths, n + 1) buffer, the
     # layout numpy gives z[:, :, cols]; the ledger's dot products follow it
-    from fhjm.ledger import _holdings_series
+    from fhjm.ledger import holdings
 
     market = _noisy_market(n=16, n_paths=6, seed=9)
     z = market.discounted
@@ -341,11 +341,30 @@ def test_ledger_price_columns_have_the_gather_strides():
     strat = Strategy(legs=(StrategyLeg(0.0, 0.5, DiscreteMeasure(atoms)),), horizon=0.5)
     cols = [market.column(T, "atom") for T, _ in atoms]
     for surface in (market, view):
-        _, have = _holdings_series(strat, surface)
+        have = holdings(strat, surface).z
         assert have.shape == (6, 17, 9)
         assert have.strides == (17 * 8, 8, 6 * 17 * 8)
         assert have.strides == surface.discounted[:, :, cols].strides
         assert have.tobytes() == np.nan_to_num(z[:, :, cols], nan=0.0).tobytes()
+
+
+def test_one_holdings_series_serves_the_ledger_and_the_pairing_check():
+    # a prebuilt series in place of the surface gives the bits of a surface call
+    from fhjm.ledger import holdings
+
+    market = _noisy_market(n=16, n_paths=6, seed=9)
+    strat = Strategy(
+        legs=(StrategyLeg(0.0, 0.5, DiscreteMeasure(((0.75, 1.0), (1.0, -0.5))),
+                          Gate("threshold", 1.0, "<=", 0.99)),
+              StrategyLeg(0.5, 1.0, DiscreteMeasure(((1.0, 2.0),)))),
+        horizon=1.0,
+    )
+    series = holdings(strat, market)
+    want, have = liquidation_value(strat, market, 0.01), liquidation_value(strat, series, 0.01)
+    for name in ("times", "gains", "costs", "liquidation", "value"):
+        assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (integration_by_parts_check(strat, series).tobytes()
+            == integration_by_parts_check(strat, market).tobytes())
 
 
 def test_one_ledger_serves_every_cost_level_bit_for_bit():

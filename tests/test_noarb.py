@@ -286,3 +286,111 @@ def test_oscillation_probe_holds_a_few_rows_of_one_batch(dims):
         tracemalloc.stop()
     assert report.n_paths == 600
     assert peak < 6 * (increment_bytes + row_bytes), (peak, increment_bytes + row_bytes)
+
+
+def _normals_setup(dims):
+    from fhjm.vol import ExpDecayVol, FlatVol, VolatilitySpec
+
+    spec = VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 1.5))[:dims])
+    tg, xg = simulation_grids(2.0, 32, 2.0, 32)
+    drift = drift_for_simulation(spec, H70, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 65)
+    pairs = [(0.25, 1.0), (0.5, 1.0), (0.5, 2.0), (1.25, 1.5), (2.0, 2.0), (0.0, 1.5)]
+    return spec, tg, xg, drift, init, pairs
+
+
+def _panel_from_normals(spec, tg, xg, drift, init, pairs, n_paths, batch_size, method):
+    from fhjm.hjm import affine_draws
+
+    draws = affine_draws(spec, H70, drift, init, tg, xg, n_paths=n_paths, seed=11, pairs=pairs,
+                         batch_size=batch_size, method=method)
+    return [prices for prices, rows in draws if rows is None]
+
+
+@pytest.mark.parametrize("method", ["cholesky", "volterra"])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_panel_from_the_normals_matches_the_row_stream(dims, method):
+    # the row stream is the oracle: the same paths, priced by the running sum
+    # of dbeta . g; the normals route prices them as c + b . h
+    spec, tg, xg, drift, init, pairs = _normals_setup(dims)
+    mats = sorted({T for _, T in pairs})
+    want = check_quasi_martingale(
+        affine_rows(spec, H70, drift, init, tg, xg, n_paths=500, seed=11, maturities=mats,
+                    batch_size=200, method=method),
+        spec, H70, pairs)
+    have = check_quasi_martingale(
+        _panel_from_normals(spec, tg, xg, drift, init, pairs, 500, 200, method),
+        spec, H70, pairs)
+    assert have.n_paths == want.n_paths == 500
+    assert have.targets.tobytes() == want.targets.tobytes()
+    live = want.std_errors > 0  # the (0, T) pair has no spread
+    assert live.sum() == len(pairs) - 1
+    np.testing.assert_allclose(have.means, want.means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(have.std_errors[live], want.std_errors[live], rtol=1e-12, atol=0)
+    # z is a mean difference over its standard error: near z = 0 its rounding
+    # is absolute, so the bound is relative to max(|z|, 1)
+    dz = np.abs(have.z_scores[live] - want.z_scores[live])
+    assert np.all(dz <= 1e-12 * np.maximum(np.abs(want.z_scores[live]), 1.0)), dz
+
+
+@pytest.mark.parametrize("method", ["cholesky", "volterra"])
+def test_panel_from_the_normals_has_the_same_bits_in_any_batch(method):
+    spec, tg, xg, drift, init, pairs = _normals_setup(2)
+
+    def values(batch_size):
+        batches = _panel_from_normals(spec, tg, xg, drift, init, pairs, 20, batch_size, method)
+        return np.concatenate([b.values for b in batches])
+
+    whole = values(20)
+    assert whole.shape == (20, len(pairs))
+    for batch_size in (1, 7):
+        assert values(batch_size).view(np.uint64).tobytes() == whole.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("method", ["cholesky", "volterra"])
+def test_probe_rows_from_the_normals_match_the_row_stream(method):
+    # the probe reads rows built from the same draw as the panel's prices
+    from fhjm.hjm import affine_draws
+
+    spec, tg, xg, drift, init, pairs = _normals_setup(2)
+    mats = tg.points
+    want = np.concatenate([np.stack(list(b.rows())) for b in affine_rows(
+        spec, H70, drift, init, tg, xg, n_paths=9, seed=11, maturities=mats, batch_size=4,
+        method=method)], axis=1)
+    have = np.concatenate([np.stack(list(rows.rows())) for _, rows in affine_draws(
+        spec, H70, drift, init, tg, xg, n_paths=9, seed=11, row_maturities=mats, batch_size=4,
+        method=method)], axis=1)
+    assert np.array_equal(np.isnan(have), np.isnan(want))
+    np.testing.assert_allclose(have, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_panel_from_the_normals_holds_no_batch_of_paths(dims):
+    # batches of 2000 paths, drawn CHUNK_PATHS at a time: past the first batch,
+    # which builds the run's map, the peak (a chunk's normals and their
+    # scaled copy) stays below half of one (paths, d, n) batch array, which
+    # the row route holds per batch
+    import itertools
+    import tracemalloc
+
+    from fhjm.hjm import affine_draws
+
+    spec, _, _, _, _, _ = _normals_setup(dims)
+    tg, xg = simulation_grids(4.0, 256, 1.0, 64)
+    drift = drift_for_simulation(spec, H70, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 321)
+    pairs = [(0.5, 1.0), (0.25, 0.75)]
+    batch = 2000
+    batch_bytes = batch * dims * tg.n_steps * 8
+    draws = affine_draws(spec, H70, drift, init, tg, xg, n_paths=3 * batch, seed=4, pairs=pairs,
+                         batch_size=batch)
+    first, _ = next(draws)
+    tracemalloc.start()
+    try:
+        report = check_quasi_martingale(
+            itertools.chain([first], (prices for prices, _ in draws)), spec, H70, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_paths == 3 * batch
+    assert peak < 0.5 * batch_bytes, (peak, batch_bytes)
