@@ -71,7 +71,6 @@ from .hjm import (
     affine_batches,
     affine_draws,
     affine_pairs,
-    affine_rows,
     bond_surface,
     closed_form_bond,
     discounted_surface,

@@ -94,7 +94,8 @@ def _run(pipeline, cfg: ExperimentConfig, drift, **kwargs):
     ``pipeline`` is ``hjm.simulate_batches`` (whole surfaces, for
     ``simulate``), ``hjm.affine_draws`` (pair prices and time rows of Z from
     one draw, for ``check``'s panel and probe) or ``hjm.affine_batches``
-    (whole Z surfaces, for the ledgers); ``kwargs`` pass through.
+    (the same draw's rows gathered into whole Z surfaces, for the ledgers);
+    ``kwargs`` pass through.
     """
     return pipeline(
         cfg.model, cfg.hurst, drift, cfg.initial_curve, cfg.t_grid, cfg.x_grid,

@@ -40,7 +40,9 @@ it holds no ``/``, ``\\`` or NUL, and the names are distinct.
 it writes ``ledger_<name>.csv`` and counts ``admissibility_violations``
 at the last level in config order only.  ``consistency.x_nodes`` is the
 node count of the maturity grid on [0, 10] behind the verdict; the
-grid-doubling rerun uses twice as many.
+grid-doubling rerun uses twice as many.  ``consistency.y_box`` draws the
+Nelson-Siegel parameters y1..y4 uniformly, and its fourth pair, the decay
+y4, has lo > 1e-12.
 
 Rules across keys are the small functions after the table: the grids
 align; check pairs [t, T] satisfy 0 <= t <= min(T, t_star) and
@@ -147,6 +149,8 @@ def _box(value, name: str) -> list:
     box = [_floats(pair, name) for pair in _list(value, name)]
     _require(len(box) == 4 and all(len(p) == 2 and p[0] < p[1] for p in box),
              f"{name} must be 4 pairs [lo, hi] with lo < hi, got {box}")
+    # the family's domain is |y4| > 1e-12, taken on the side of decay_fixed > 0
+    _require(box[3][0] > 1e-12, f"{name} decay pair must have lo > 1e-12, got {box[3]}")
     return box
 
 

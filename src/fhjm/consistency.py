@@ -372,7 +372,7 @@ def controlled_path(
 ):
     """Deterministic trajectory of the control system generating the support.
 
-    ``controls`` is a list (one per factor) of :class:`SampledFunction`
+    ``controls`` is a list (one per factor) of :class:`~fhjm.kernels.SampledFunction`
     on the simulation time grid; each is mapped through the fractional
     integral of order H - 1/2 and then drives the transport recursion in
     place of the noise increments:

@@ -59,8 +59,9 @@ __all__ = [
 ]
 
 MAX_CHOLESKY_STEPS = 4096
-# paths per stacked product, cumulative sum or difference done in place on a
-# batch's samples: the temporaries of a batch stay one chunk in size
+# paths per draw and stacked product: the Cholesky sampler's cumulative sums
+# run in place on a batch's samples, and hjm.affine_draws draws its driver
+# increments, so the temporaries of a batch stay one chunk in size
 CHUNK_PATHS = 256
 
 
@@ -224,12 +225,6 @@ def _increment_factor(grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
     return lower
 
 
-def _path_chunks(samples: np.ndarray):
-    """Views of ``samples`` over successive runs of at most ``CHUNK_PATHS`` paths."""
-    for start in range(0, samples.shape[0], CHUNK_PATHS):
-        yield samples[start:start + CHUNK_PATHS]
-
-
 def generate_cholesky(
     grid: TimeGrid,
     dims: int,
@@ -263,7 +258,8 @@ def generate_cholesky(
     path_normals(seed, path_offset, n_paths, (dims, n), out=samples[:, :, 1:])
     # a stacked product, not one flat GEMM, keeps every path bitwise equal to
     # its own (dims, n) product whatever the chunk or the batch
-    for chunk in _path_chunks(samples[:, :, 1:]):
+    for start in range(0, n_paths, CHUNK_PATHS):
+        chunk = samples[start:start + CHUNK_PATHS, :, 1:]
         np.cumsum(chunk @ lower.T, axis=2, out=chunk)
     return FbmPathSet(grid=grid, dims=int(dims), n_paths=int(n_paths), samples=samples)
 

@@ -63,9 +63,11 @@ Brownian increments b_j = sqrt(dt) * w_j of ``BrownianDriver.generate``.
 So on a fixed list of (t_i, T) cells, log Z = c(i, T) + sum_j b_j . h_j
 with h_j = A[:i]^T g_j[:i, T]: one (d * n, P) matrix, built once per run
 (``AffinePairs``), prices every path from its normals in O(d * n * P),
-without its path or its rows.  ``check``'s panel takes this route, and its
-probe reads the rows of the same draw (``affine_draws``); the row stream
-stays for the ledger and as the oracle of both.
+without its path or its rows.  ``check``'s panel takes this route, and
+its probe and the ledger read the running-sum rows of dbeta = A b from the
+same draw (``affine_draws``, ``affine_batches``).  The oracles of both are
+the surface route (``simulate_batches``) and the whole-batch formula:
+log Z = c + cumsum(dbeta . g) over the exact sampler's increments.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from .fbm import (
     FbmPathSet,
     TimeGrid,
     _increment_factor,
-    _path_chunks,
     _volterra_matrix,
     generate_cholesky,
     generate_volterra,
@@ -108,7 +109,6 @@ __all__ = [
     "discounted_surface",
     "simulate_batches",
     "affine_log_discount",
-    "affine_rows",
     "affine_batches",
     "affine_pairs",
     "affine_draws",
@@ -228,7 +228,7 @@ class ZRows(_Cells):
     Each call of ``rows()`` starts a fresh pass that yields Z[:, i, :],
     shape (n_paths, M), for i = 0, 1, ..., n; a consumer reads each row as
     it comes and may stop early, and rows it does not pull are never
-    computed.  :func:`affine_rows` makes them from one running sum;
+    computed.  :func:`affine_draws` makes them from one running sum;
     :meth:`BondSurface.z_rows` reads them off a surface.
     """
 
@@ -455,20 +455,6 @@ def _generate_paths(method, t_grid, dims, n_paths, hurst, seed, offset) -> FbmPa
     raise ValueError(f"unknown generation method {method!r}")
 
 
-def _path_increments(method, t_grid, dims, n_paths, hurst, seed, offset) -> np.ndarray:
-    """The increments of :func:`_generate_paths`' paths, made in their own samples.
-
-    The path set is private here, so each chunk of its samples is
-    differenced in place and the (paths, dims, n) increments come back as
-    the view ``samples[:, :, 1:]``: the bits of ``FbmPathSet.increments``,
-    with no second batch-sized array.
-    """
-    samples = _generate_paths(method, t_grid, dims, n_paths, hurst, seed, offset).samples
-    for chunk in _path_chunks(samples):
-        chunk[:, :, 1:] = np.diff(chunk, axis=2)
-    return samples[:, :, 1:]
-
-
 def simulate_batches(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -562,51 +548,6 @@ def _z_rows(c: np.ndarray, g: np.ndarray, dbeta: np.ndarray):
         yield z
 
 
-def affine_rows(
-    spec: VolatilitySpec,
-    hurst: HurstParam,
-    drift: DriftField,
-    init: InitialCurve,
-    t_grid: TimeGrid,
-    x_grid: MaturityGrid,
-    n_paths: int,
-    seed: int,
-    maturities,
-    batch_size: int = 1000,
-    method: str = "cholesky",
-):
-    """Generator of :class:`ZRows` batches: discounted prices on ``maturities``, row by row.
-
-    The same paths as :func:`simulate_batches`, priced by the affine route
-    of :func:`affine_log_discount` instead of a forward surface.  A batch
-    keeps one running (paths, M) sum S: S_0 = 0, S_1 is the first step and
-    S_{l+1} = S_l + step_l, where step_l is factor 0's dbeta * g with the
-    later factors added in factor order.  Row i is exp(c[i] + S_i), the
-    bits of a cumulative sum over l of the factor-axis sum, NaN where the
-    surface route prices nothing.  Each path's rows are the same whatever
-    the batch size.
-
-    The batch's increments are drawn when it is yielded, its rows when they
-    are pulled; a consumer that stops early leaves the later rows
-    uncomputed.  The increments are the batch's own samples, differenced in
-    place (:func:`_path_increments`), so a batch holds one
-    (paths, d, n + 1) array besides its rows.  Each row is a fresh array,
-    and each pass over a batch starts the running sum again from its
-    increments.
-    """
-    mats = np.asarray(maturities, dtype=float)
-    c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
-
-    def batch(offset: int) -> ZRows:
-        take = min(batch_size, n_paths - offset)
-        dbeta = _path_increments(method, t_grid, spec.dims, take, hurst, seed, offset)
-        return ZRows(t_grid=t_grid, maturities=mats, n_paths=take,
-                     rows=partial(_z_rows, c, g, dbeta))
-
-    for offset in range(0, n_paths, batch_size):
-        yield batch(offset)
-
-
 def affine_batches(
     spec: VolatilitySpec,
     hurst: HurstParam,
@@ -622,7 +563,7 @@ def affine_batches(
 ):
     """Generator of discounted :class:`BondSurface` batches on ``maturities`` only.
 
-    The rows of :func:`affine_rows`, gathered into one whole surface per
+    The rows of :func:`affine_draws`, gathered into one whole surface per
     batch, for code that reads Z along t (the ledger).  Each batch carries
     Z only (``prices`` is None); cells the surface route leaves unpriced
     are NaN.  Its rows fill one maturity-major (paths, M, n + 1) buffer, and
@@ -630,7 +571,8 @@ def affine_batches(
     time series is contiguous.
     """
 
-    def fill(batch: ZRows) -> BondSurface:
+    def fill(draw) -> BondSurface:
+        _, batch = draw
         buf = np.empty((batch.n_paths, batch.maturities.size, t_grid.n_steps + 1))
         for i, row in enumerate(batch.rows()):
             buf[:, :, i] = row
@@ -638,8 +580,9 @@ def affine_batches(
                            discounted=buf.transpose(0, 2, 1))
 
     # map holds no batch once filled: a ZRows keeps its increments for replays
-    yield from map(fill, affine_rows(spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
-                                     maturities, batch_size=batch_size, method=method))
+    yield from map(fill, affine_draws(spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
+                                      row_maturities=maturities, batch_size=batch_size,
+                                      method=method))
 
 
 def _driver_map(method: str, t_grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
@@ -696,16 +639,18 @@ def affine_draws(
 ):
     """Generator of ``(PairPrices | None, ZRows | None)`` per batch, both from one draw per path.
 
-    The same paths as :func:`affine_rows`, drawn as driver increments b
-    through :meth:`~fhjm.fbm.BrownianDriver.generate`, ``CHUNK_PATHS`` paths
-    at a time.  With ``pairs``, each chunk is priced on them by the
+    The same paths as :func:`simulate_batches`, drawn as driver increments
+    b through :meth:`~fhjm.fbm.BrownianDriver.generate`, ``CHUNK_PATHS``
+    paths at a time.  With ``pairs``, each chunk is priced on them by the
     :func:`affine_pairs` map into the batch's (paths, P) values, so no
     (paths, d, n) array outlives its chunk.  With ``row_maturities``, the
-    batch's increments A b (one stacked product per path) become a
-    :class:`ZRows` stream on those maturities, the running sum of
-    :func:`affine_rows`.  A part not asked for is None.  Both agree with
-    :func:`affine_rows` to rounding, and each path's values are the same
-    whatever the batch size.
+    batch's increments dbeta = A b (one stacked product per path) become a
+    :class:`ZRows` stream on those maturities: row i is exp(c[i] + S_i), S
+    the running sum of :func:`_z_rows`, NaN where the surface route prices
+    nothing.  A consumer that stops early leaves the later rows uncomputed,
+    and each pass starts the sum again.  A part not asked for is None.
+    Both agree with the surface route to rounding, and each path's values
+    are the same whatever the batch size.
     """
     panel = None
     if pairs:

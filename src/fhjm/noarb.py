@@ -18,18 +18,17 @@ small proportional costs remove arbitrage.
 
 Prices reach both estimators one batch after another, either one batch or
 any iterable of them.  The probe reads time rows of Z:
-:class:`~fhjm.hjm.ZRows` batches, such as :func:`~fhjm.hjm.affine_rows`
-and :func:`~fhjm.hjm.affine_draws` stream from one running sum, or
-discounted :class:`~fhjm.hjm.BondSurface` objects, whose rows
-:meth:`~fhjm.hjm.BondSurface.z_rows` hands over; it keeps Z_tau(tau) and
-one running max per tau.  The panel takes the same row batches, copies
-its pair cells and stops pulling rows after the last pair row, or takes
-:class:`~fhjm.hjm.PairPrices`, the pair cells already priced, which
-``fhjm check`` reads off each path's normals (:class:`~fhjm.hjm.AffinePairs`).
-Either way its means, standard errors and z-scores come from one
-reduction.  Each batch is released before the next is pulled, and
-statistics accumulate in a fixed deterministic order, so results are
-identical run to run and do not depend on batch sizing.
+:class:`~fhjm.hjm.ZRows` batches, such as :func:`~fhjm.hjm.affine_draws`
+streams from one running sum, or discounted :class:`~fhjm.hjm.BondSurface`
+objects, whose rows :meth:`~fhjm.hjm.BondSurface.z_rows` hands over; it
+keeps Z_tau(tau) and one running max per tau.  The panel takes the same
+row batches, copies its pair cells and stops pulling rows after the last
+pair row, or takes :class:`~fhjm.hjm.PairPrices`, the pair cells already
+priced, which ``fhjm check`` reads off each path's normals
+(:class:`~fhjm.hjm.AffinePairs`).  Either way its means, standard errors
+and z-scores come from one reduction.  Each batch is released before the
+next is pulled, and statistics accumulate in a fixed deterministic order,
+so results are identical run to run and do not depend on batch sizing.
 """
 
 from __future__ import annotations

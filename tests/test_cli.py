@@ -565,6 +565,41 @@ def test_consistency_command_verdicts(tmp_path, tmp_config):
     assert rep3["verdict"] == "consistent (trivial)"
 
 
+def test_consistency_box_outside_the_family_domain_is_a_config_error(tmp_path, tmp_config,
+                                                                      capsys):
+    # the family's domain is |y4| > 1e-12: these boxes once reached the solver
+    # and exited 2 (an SVD that did not converge, a parameter outside the
+    # domain, an overflow in exp); [-1, 1] ran only because a draw within
+    # 1e-12 of 0 is unlikely
+    from fhjm.cli import main
+
+    level = [[0.0, 0.06], [-0.03, 0.03], [-0.02, 0.02]]
+    boxes = (
+        [[-1e300, 1e300]] * 4,
+        [[0.0, 1e-300]] * 4,
+        level + [[0.0, 1e-300]],
+        level + [[-200.0, -100.0]],
+        level + [[-1.0, 1.0]],
+    )
+    for i, box in enumerate(boxes):
+        cfg = smoke_config(consistency={"t_samples": 4, "y_samples": 10, "seed": 7, "y_box": box})
+        out = tmp_path / f"bad{i}"
+        assert main(["consistency", str(tmp_config(cfg, f"bad{i}.json")), "--out", str(out)]) == 1
+        stderr = capsys.readouterr().err
+        assert "config error" in stderr and "consistency.y_box" in stderr, box
+        assert not (out / "consistency_report.json").exists()
+
+    for i, box in enumerate((None, level + [[100.0, 200.0]])):
+        block = {"t_samples": 4, "y_samples": 10, "seed": 7}
+        if box is not None:
+            block["y_box"] = box
+        out = tmp_path / f"good{i}"
+        cfg = tmp_config(smoke_config(consistency=block), f"good{i}.json")
+        assert main(["consistency", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "consistency_report.json").read_text())
+        assert report["verdict"] in ("consistent", "inconsistent")
+
+
 def test_portfolio_command(tmp_path, tmp_config):
     cfg = smoke_config(initial_curve={"type": "flat", "rate": 0.0})
     cfg["model"]["sigma"] = 1e-8  # effectively deterministic flat market
@@ -632,6 +667,28 @@ def test_check_draws_each_path_once_for_the_panel_and_the_probe(tmp_path, monkey
     assert drawn == list(range(SMOKE["mc"]["n_paths"]))
     report = json.loads((tmp_path / "check_report.json").read_text())
     assert report["quasi_martingale"]["n_paths"] == report["oscillation"]["n_paths"] == 100
+
+
+def test_portfolio_draws_each_path_once_through_the_driver(tmp_path, monkeypatch):
+    # the ledgers read the rows of affine_draws: one draw of driver increments
+    # per path, and no path from the path generators
+    from fhjm import fbm, hjm
+    from fhjm.cli import main
+
+    drawn, generate = [], fbm.BrownianDriver.generate.__func__
+
+    def counted(cls, grid, dims, n_paths, seed, path_offset=0):
+        drawn.extend(range(path_offset, path_offset + n_paths))
+        return generate(cls, grid, dims, n_paths, seed, path_offset)
+
+    monkeypatch.setattr(fbm.BrownianDriver, "generate", classmethod(counted))
+    monkeypatch.setattr(hjm, "_generate_paths", None)
+    config = REPO / "demos" / "configs" / "smoke.json"
+    assert SMOKE["strategies"]
+    assert main(["portfolio", str(config), "--out", str(tmp_path)]) == 0
+    assert drawn == list(range(SMOKE["mc"]["n_paths"]))
+    ledger = (tmp_path / "ledger_buyhold.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in ledger[1:]} == {str(p) for p in drawn}
 
 
 def test_portfolio_requires_strategies(tmp_path, tmp_config):

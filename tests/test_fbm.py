@@ -280,27 +280,22 @@ def _bits(a):
 @pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 600])
 def test_in_place_cholesky_batch_matches_the_whole_batch_formula(n_paths, dims):
     # normals drawn into the samples, product and cumulative sum a chunk of
-    # paths at a time, increments differenced in place: the oracle's bits on
-    # either side of every chunk boundary
-    from fhjm.hjm import _path_increments
-
+    # paths at a time: the oracle's bits on either side of every chunk boundary
     grid, hurst, offset = TimeGrid(2.0, 48), HurstParam(0.7), 37
     want = _cholesky_oracle(grid, dims, n_paths, hurst, 5, offset)
     have = generate_cholesky(grid, dims, n_paths, hurst, seed=5, path_offset=offset)
     assert np.array_equal(_bits(have.samples), _bits(want.samples))
-    dbeta = _path_increments("cholesky", grid, dims, n_paths, hurst, 5, offset)
-    assert dbeta.shape == (n_paths, dims, grid.n_steps)
-    assert np.array_equal(_bits(dbeta), _bits(want.increments()))
 
 
 @pytest.mark.parametrize("dims", [1, 2])
-def test_affine_rows_match_the_whole_batch_formula(dims):
+def test_affine_batches_match_the_whole_batch_formula(dims):
     # 600 paths in batches of 257 (offsets 0, 257, 514; chunks of 256 and 1)
-    # and in one batch, priced row by row from the in-place increments
+    # and in one batch, priced from the driver's increments through A b, against
+    # the exact sampler's increments in one whole-batch formula
     from fhjm.hjm import (
         InitialCurve,
+        affine_batches,
         affine_log_discount,
-        affine_rows,
         drift_for_simulation,
         simulation_grids,
     )
@@ -316,34 +311,14 @@ def test_affine_rows_match_the_whole_batch_formula(dims):
     log_z = np.zeros((600, tg.n_steps + 1, len(mats)))
     np.cumsum((dbeta[..., None] * g).sum(axis=1), axis=1, out=log_z[:, 1:])
     want = np.exp(log_z + c)
-    for batch_size in (257, 600):
-        have = np.concatenate([
-            np.stack(list(batch.rows()), axis=1)
-            for batch in affine_rows(spec, H75, drift, init, tg, xg, n_paths=600, seed=6,
-                                     maturities=mats, batch_size=batch_size)
+
+    def run(batch_size):
+        return np.concatenate([
+            batch.discounted
+            for batch in affine_batches(spec, H75, drift, init, tg, xg, n_paths=600, seed=6,
+                                        maturities=mats, batch_size=batch_size)
         ])
-        assert np.array_equal(_bits(have), _bits(want)), batch_size
 
-
-@pytest.mark.parametrize("dims", [1, 2])
-def test_one_batch_of_increments_holds_one_path_array_and_one_chunk(dims):
-    # drawing a 600-path batch and differencing it in place peaks at its one
-    # (paths, d, n + 1) array plus one chunk's product, not at the normals, the
-    # product, the samples and the increments side by side
-    import tracemalloc
-
-    from fhjm.fbm import CHUNK_PATHS
-    from fhjm.hjm import _path_increments
-
-    grid, n_paths = TimeGrid(8.0, 128), 600
-    _path_increments("cholesky", grid, dims, 2, H75, 3, 0)  # warm the cached factor
-    samples_bytes = n_paths * dims * (grid.n_steps + 1) * 8
-    chunk_bytes = CHUNK_PATHS * dims * grid.n_steps * 8
-    tracemalloc.start()
-    try:
-        dbeta = _path_increments("cholesky", grid, dims, n_paths, H75, 3, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert dbeta.base is not None and dbeta.base.nbytes == samples_bytes
-    assert peak < 1.3 * (samples_bytes + chunk_bytes), (peak, samples_bytes, chunk_bytes)
+    have = run(600)
+    np.testing.assert_allclose(have, want, rtol=1e-12, atol=0)
+    assert np.array_equal(_bits(run(257)), _bits(have))

@@ -363,8 +363,10 @@ def _affine_oracle(c, g, dbeta):
 @pytest.mark.parametrize("dims", [1, 2, 3])
 def test_affine_batches_match_the_factor_sum_oracle_bit_for_bit(dims):
     # the maturity-major buffer, filled factor by factor in place, gives the
-    # bits of the factor-axis sum; x_max < t_star leaves NaN cells
-    from fhjm.hjm import affine_batches, affine_log_discount
+    # bits of the factor-axis sum over dbeta = A b of the driver increments b;
+    # x_max < t_star leaves NaN cells
+    from fhjm.fbm import BrownianDriver
+    from fhjm.hjm import _driver_map, _generate_paths, affine_batches, affine_log_discount
     from fhjm.vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec
 
     table = TabulatedVol([0.0, 0.5, 1.0], [0.0, 0.5, 2.5],
@@ -376,15 +378,21 @@ def test_affine_batches_match_the_factor_sum_oracle_bit_for_bit(dims):
     drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=64)
     c, g = affine_log_discount(spec, H75, drift, init, tg, xg, mats)
     n_paths = 13
-    dbeta = generate_cholesky(tg, dims, n_paths, H75, seed=21).increments()
-    want = _affine_oracle(c, g, dbeta)
-    assert np.isnan(want).any() and not np.isnan(want).all()
-    for batch_size in (1, 7, n_paths):
-        batches = affine_batches(spec, H75, drift, init, tg, xg, n_paths=n_paths, seed=21,
-                                 maturities=mats, batch_size=batch_size)
-        have = np.concatenate([b.discounted for b in batches])
-        assert have.shape == want.shape
-        assert np.array_equal(have.view(np.uint64), want.view(np.uint64)), batch_size
+    b = BrownianDriver.generate(tg, dims, n_paths, seed=21).increments
+    for method in ("cholesky", "volterra"):
+        dbeta = b @ _driver_map(method, tg, H75).T
+        # the increments of the generator's own paths, to rounding
+        exact = _generate_paths(method, tg, dims, n_paths, H75, 21, 0).increments()
+        assert np.abs(dbeta - exact).max() <= 1e-14 * np.abs(exact).max(), method
+        want = _affine_oracle(c, g, dbeta)
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        for batch_size in (1, 7, n_paths):
+            batches = affine_batches(spec, H75, drift, init, tg, xg, n_paths=n_paths, seed=21,
+                                     maturities=mats, batch_size=batch_size, method=method)
+            have = np.concatenate([batch.discounted for batch in batches])
+            assert have.shape == want.shape
+            same = np.array_equal(have.view(np.uint64), want.view(np.uint64))
+            assert same, (method, batch_size)
 
 
 def test_affine_batch_is_a_maturity_major_view():
@@ -425,7 +433,7 @@ def test_quasi_martingale_holds_one_affine_batch_at_a_time(dims):
     batch = 600
     pairs = [(0.5, T) for T in mats]
     z_bytes = batch * len(mats) * (tg.n_steps + 1) * 8
-    generator_bytes = 2 * batch * dims * tg.n_steps * 8  # the samples and their increments
+    generator_bytes = 2 * batch * dims * tg.n_steps * 8  # the increments and a chunk's draw
     product_bytes = (dims > 1) * batch * len(mats) * tg.n_steps * 8
     batches = affine_batches(spec, H75, drift, init, tg, xg, n_paths=3 * batch, seed=4,
                              maturities=mats, batch_size=batch)

@@ -1,4 +1,5 @@
 import json
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fhjm.hjm import (
     BondSurface,
     InitialCurve,
     affine_batches,
-    affine_rows,
+    affine_draws,
     drift_for_simulation,
     simulation_grids,
 )
@@ -175,12 +176,13 @@ def test_estimators_name_an_off_grid_time_or_absent_maturity(estimate, message):
 def _stream_and_surface(dims, n_paths, seed=13):
     """An affine row stream's inputs and its whole-surface oracle on the probe's maturities.
 
-    The oracle prices Z as one (paths, n + 1, M) array: the product over
-    every factor, its sum over the factor axis, a cumulative sum down the
-    time axis, + c and exp.  x_max < t_star leaves unpriced NaN cells.
+    The oracle prices Z as one (paths, n + 1, M) array from the increments
+    dbeta = A b of the driver increments b: the product over every factor,
+    its sum over the factor axis, a cumulative sum down the time axis, + c
+    and exp.  x_max < t_star leaves unpriced NaN cells.
     """
-    from fhjm.fbm import generate_cholesky
-    from fhjm.hjm import affine_log_discount
+    from fhjm.fbm import BrownianDriver
+    from fhjm.hjm import _driver_map, affine_log_discount
     from fhjm.vol import ExpDecayVol, FlatVol, VolatilitySpec
 
     spec = VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 1.5))[:dims])
@@ -188,7 +190,8 @@ def _stream_and_surface(dims, n_paths, seed=13):
     fld = drift_for_simulation(spec, H70, tg, xg, theta_cells=32)
     init = InitialCurve.flat(0.03, tg.dt, 57)
     c, g = affine_log_discount(spec, H70, fld, init, tg, xg, tg.points)
-    dbeta = generate_cholesky(tg, dims, n_paths, H70, seed=seed).increments()
+    b = BrownianDriver.generate(tg, dims, n_paths, seed).increments
+    dbeta = b @ _driver_map("cholesky", tg, H70).T
     log_z = np.empty((n_paths, tg.n_steps + 1, tg.n_steps + 1))
     log_z[:, 0] = 0.0
     np.cumsum((dbeta[..., None] * g).sum(axis=1), axis=1, out=log_z[:, 1:])
@@ -197,8 +200,9 @@ def _stream_and_surface(dims, n_paths, seed=13):
     assert np.isnan(surface.discounted[:, 0]).any()  # T - t > x_max is unpriced
 
     def stream(batch_size):
-        return affine_rows(spec, H70, fld, init, tg, xg, n_paths=n_paths, seed=seed,
-                           maturities=tg.points, batch_size=batch_size)
+        draws = affine_draws(spec, H70, fld, init, tg, xg, n_paths=n_paths, seed=seed,
+                             row_maturities=tg.points, batch_size=batch_size)
+        return map(itemgetter(1), draws)  # a map keeps no batch once it is handed on
 
     return spec, surface, stream
 
@@ -300,8 +304,6 @@ def _normals_setup(dims):
 
 
 def _panel_from_normals(spec, tg, xg, drift, init, pairs, n_paths, batch_size, method):
-    from fhjm.hjm import affine_draws
-
     draws = affine_draws(spec, H70, drift, init, tg, xg, n_paths=n_paths, seed=11, pairs=pairs,
                          batch_size=batch_size, method=method)
     return [prices for prices, rows in draws if rows is None]
@@ -310,17 +312,14 @@ def _panel_from_normals(spec, tg, xg, drift, init, pairs, n_paths, batch_size, m
 @pytest.mark.parametrize("method", ["cholesky", "volterra"])
 @pytest.mark.parametrize("dims", [1, 2])
 def test_panel_from_the_normals_matches_the_row_stream(dims, method):
-    # the row stream is the oracle: the same paths, priced by the running sum
-    # of dbeta . g; the normals route prices them as c + b . h
+    # the row stream of the same draw is the oracle: the same paths, priced
+    # by the running sum of dbeta . g; the normals route prices them as c + b . h
     spec, tg, xg, drift, init, pairs = _normals_setup(dims)
-    mats = sorted({T for _, T in pairs})
-    want = check_quasi_martingale(
-        affine_rows(spec, H70, drift, init, tg, xg, n_paths=500, seed=11, maturities=mats,
-                    batch_size=200, method=method),
-        spec, H70, pairs)
-    have = check_quasi_martingale(
-        _panel_from_normals(spec, tg, xg, drift, init, pairs, 500, 200, method),
-        spec, H70, pairs)
+    draws = list(affine_draws(spec, H70, drift, init, tg, xg, n_paths=500, seed=11,
+                              pairs=pairs, row_maturities=sorted({T for _, T in pairs}),
+                              batch_size=200, method=method))
+    want = check_quasi_martingale([rows for _, rows in draws], spec, H70, pairs)
+    have = check_quasi_martingale([prices for prices, _ in draws], spec, H70, pairs)
     assert have.n_paths == want.n_paths == 500
     assert have.targets.tobytes() == want.targets.tobytes()
     live = want.std_errors > 0  # the (0, T) pair has no spread
@@ -349,16 +348,15 @@ def test_panel_from_the_normals_has_the_same_bits_in_any_batch(method):
 
 @pytest.mark.parametrize("method", ["cholesky", "volterra"])
 def test_probe_rows_from_the_normals_match_the_row_stream(method):
-    # the probe reads rows built from the same draw as the panel's prices
-    from fhjm.hjm import affine_draws
+    # the probe's rows, built from the same draw as the panel's prices, against
+    # the row stream of the surface route's discounted surfaces
+    from fhjm.hjm import simulate_batches
 
     spec, tg, xg, drift, init, pairs = _normals_setup(2)
-    mats = tg.points
-    want = np.concatenate([np.stack(list(b.rows())) for b in affine_rows(
-        spec, H70, drift, init, tg, xg, n_paths=9, seed=11, maturities=mats, batch_size=4,
-        method=method)], axis=1)
+    want = np.concatenate([np.stack(list(z.z_rows().rows())) for _, _, _, z in simulate_batches(
+        spec, H70, drift, init, tg, xg, n_paths=9, seed=11, batch_size=4, method=method)], axis=1)
     have = np.concatenate([np.stack(list(rows.rows())) for _, rows in affine_draws(
-        spec, H70, drift, init, tg, xg, n_paths=9, seed=11, row_maturities=mats, batch_size=4,
+        spec, H70, drift, init, tg, xg, n_paths=9, seed=11, row_maturities=tg.points, batch_size=4,
         method=method)], axis=1)
     assert np.array_equal(np.isnan(have), np.isnan(want))
     np.testing.assert_allclose(have, want, rtol=1e-12, atol=0)
@@ -372,8 +370,6 @@ def test_panel_from_the_normals_holds_no_batch_of_paths(dims):
     # the row route holds per batch
     import itertools
     import tracemalloc
-
-    from fhjm.hjm import affine_draws
 
     spec, _, _, _, _, _ = _normals_setup(dims)
     tg, xg = simulation_grids(4.0, 256, 1.0, 64)
