@@ -17,12 +17,16 @@ failure: exit 0 with a line on stdout, the pass flags in
 runs as failed.  Every command writes ``manifest.json`` capturing
 the resolved config, its hash, the seed and library versions; rerunning
 the same config byte-reproduces every output, whatever the batch size or
-the BLAS thread count.
+the BLAS thread count.  ``main`` freezes the garbage-collected heap when the
+interpreter exits, so a command ends without teardown walking and freeing
+every module's objects, about 10 ms of each run.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -351,6 +355,16 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
 
 
 def main(argv=None) -> int:
+    """Run one ``fhjm`` command; the exit status of the contract above.
+
+    ``gc.freeze`` is registered, once per process, to run at interpreter
+    exit: teardown's collections then skip every object alive at exit,
+    and the OS takes the memory back.  Every other exit handler still runs
+    and the streams are still flushed; each output file is closed before
+    ``main`` returns.  Nothing is frozen while the process lives on.
+    """
+    atexit.unregister(gc.freeze)  # once per process, however often main runs
+    atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(
         prog="fhjm",
         description="Forward-rate Monte Carlo engine for long-memory Gaussian term structures",

@@ -27,6 +27,7 @@ controlled path is not invariant).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,11 @@ PASS_TOLERANCE = 1e-6
 REFINE_BAND = 1e-3
 
 
+def _nan_as_inf(res: float) -> float:
+    """``res``, or infinity for a NaN, which every comparison would pass."""
+    return math.inf if math.isnan(res) else res
+
+
 @dataclass(frozen=True)
 class CurveFamily:
     """Smooth curve family F(x, y) with analytic parameter and x partials.
@@ -114,7 +120,7 @@ class CurveFamily:
             ym[i] -= h
             fd = (self.curve(xs, yp) - self.curve(xs, ym)) / (2.0 * h)
             scale = max(float(np.max(np.abs(basis[:, i]))), 1e-12)
-            worst = max(worst, float(np.max(np.abs(fd - basis[:, i])) / scale))
+            worst = max(worst, _nan_as_inf(float(np.max(np.abs(fd - basis[:, i])) / scale)))
         return worst
 
 
@@ -201,6 +207,9 @@ def tangent_residual(
     Returns (residual, rank):  min_c ||g - B c||_w / max(||g||_w, floor).
     Zero means g lies in the span; a rank below the parameter count
     signals a degenerate basis (the pseudo-inverse solution is used).
+    Both norms are taken on the vectors scaled by a power of two that
+    brings max |g|_w into [1/2, 1), so neither overflows, and the scale is
+    then undone; a power of two changes no bit of the ratio.
     """
     if xs is None or weights is None:
         xs, weights = default_membership_grid()
@@ -211,8 +220,10 @@ def tangent_residual(
     basis = family.tangent_basis(xs, y) * sw[:, None]
     target = g * sw
     coef, _, rank, _ = np.linalg.lstsq(basis, target, rcond=None)
-    num = float(np.linalg.norm(target - basis @ coef))
-    den = max(float(np.linalg.norm(target)), 1e-300)
+    # past 2**1021 the scale itself would overflow: subnormal targets scale less
+    scale = np.ldexp(1.0, min(-int(np.frexp(np.max(np.abs(target)))[1]), 1021))
+    num = float(np.linalg.norm((target - basis @ coef) * scale) / scale)
+    den = max(float(np.linalg.norm(target * scale) / scale), 1e-300)
     return num / den, int(rank)
 
 
@@ -224,7 +235,7 @@ def check_shift_condition(family: CurveFamily, y_samples, xs=None, weights=None)
     witnesses = []
     for y in y_samples:
         g = family.x_derivative(xs, np.asarray(y, dtype=float))
-        res, _ = tangent_residual(family, y, g, xs, weights)
+        res = _nan_as_inf(tangent_residual(family, y, g, xs, weights)[0])
         worst = max(worst, res)
         if res > PASS_TOLERANCE:
             witnesses.append(("shift dF/dx", 0.0, np.asarray(y, float), res))
@@ -309,7 +320,7 @@ def check_drift_and_vol_condition(
         for label, g in vol_curves:
             if not np.any(g):
                 continue
-            res, _ = tangent_residual(family, y, g, xs, weights)
+            res = _nan_as_inf(tangent_residual(family, y, g, xs, weights)[0])
             worst = max(worst, res)
             if res > PASS_TOLERANCE:
                 witnesses.append((label, 0.0, y, res))
@@ -317,7 +328,7 @@ def check_drift_and_vol_condition(
             for label, g in components:
                 if not np.any(g):
                     continue
-                res, _ = tangent_residual(family, y, g, xs, weights)
+                res = _nan_as_inf(tangent_residual(family, y, g, xs, weights)[0])
                 worst = max(worst, res)
                 if res > PASS_TOLERANCE:
                     witnesses.append((label, t, y, res))

@@ -600,6 +600,24 @@ def test_consistency_box_outside_the_family_domain_is_a_config_error(tmp_path, t
         assert report["verdict"] in ("consistent", "inconsistent")
 
 
+def test_consistency_on_huge_parameters_writes_a_finite_report(tmp_path, tmp_config):
+    # levels of 1e300 once overflowed the residual norms: numpy warned, the
+    # residual read nan, and the shift check passed it
+    cfg = copy.deepcopy(SMOKE)
+    cfg["consistency"]["y_box"] = [[-1e300, 1e300]] * 3 + [[0.3, 3.0]]
+    out = tmp_path / "huge"
+    r = run_cli("consistency", str(tmp_config(cfg)), "--out", str(out), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "overflow" not in r.stderr
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in consistency_report.json")
+
+    report = json.loads((out / "consistency_report.json").read_text(), parse_constant=reject)
+    assert report["verdict"] == "inconsistent"
+    assert any(w["component"] == "shift dF/dx" for w in report["detail"]["witnesses"])
+
+
 def test_portfolio_command(tmp_path, tmp_config):
     cfg = smoke_config(initial_curve={"type": "flat", "rate": 0.0})
     cfg["model"]["sigma"] = 1e-8  # effectively deterministic flat market
@@ -803,3 +821,58 @@ def test_check_exits_zero_when_a_verification_fails(tmp_path, tmp_config):
     assert r.returncode == 0, r.stderr
     assert "one or more verifications failed" in r.stdout
     assert (tmp_path / "c" / "manifest.json").exists()
+
+
+# counts the calls of gc.freeze, and prints them with the freeze count at exit
+FREEZE_PROBE = (
+    "import atexit, gc, sys; calls, freeze = [], gc.freeze; "
+    "gc.freeze = lambda: calls.append(freeze()); "
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, 'calls', len(calls))); "
+    "import fhjm, fhjm.cli; "
+)
+
+
+def test_importing_fhjm_freezes_nothing_at_exit(tmp_path):
+    # a library user keeps the interpreter's normal finalization
+    r = run_cli(cwd=tmp_path, entry=("-c", FREEZE_PROBE))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "frozen False calls 0"
+
+
+def test_a_command_freezes_the_heap_once_at_exit(tmp_path):
+    # handlers run last in, first out: main's freeze runs before the probe's
+    # print, once however often main ran, and config errors freeze too
+    config = REPO / "demos" / "configs" / "smoke.json"
+    probe = FREEZE_PROBE + "sys.exit([fhjm.cli.main(sys.argv[1:]) for _ in range(2)][-1])"
+    for path, status in ((config, 0), (tmp_path / "missing.json", 1)):
+        r = run_cli("drift", str(path), "--out", str(tmp_path), cwd=tmp_path,
+                    entry=("-c", probe))
+        assert r.returncode == status, r.stderr
+        assert r.stdout.splitlines()[-1] == "frozen True calls 1"
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
+    import gc
+
+    from fhjm.cli import main
+
+    config = str(REPO / "demos" / "configs" / "smoke.json")
+    assert main(["drift", config, "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_every_output_byte_survives_the_exit(tmp_path):
+    # the same bytes whether the command ends the interpreter or returns
+    from fhjm.cli import main
+
+    config = str(REPO / "demos" / "configs" / "smoke.json")
+    for command in ("simulate", "drift", "check", "consistency", "portfolio"):
+        fresh, in_process = tmp_path / command / "fresh", tmp_path / command / "in_process"
+        r = run_cli(command, config, "--out", str(fresh), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert main([command, config, "--out", str(in_process)]) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert "manifest.json" in names
+        assert names == sorted(p.name for p in in_process.iterdir())
+        for name in names:
+            assert (fresh / name).read_bytes() == (in_process / name).read_bytes(), name

@@ -266,3 +266,36 @@ def test_drift_curves_built_once_per_t_sample(monkeypatch):
     ts = np.linspace(0.25, 1.0, 4)
     check_drift_and_vol_condition(nelson_siegel_family(), spec, H70, ts, _samples(5))
     assert rows == list(ts)
+
+
+def test_huge_parameters_fail_the_shift_check_with_a_finite_residual():
+    # the weighted norms once overflowed here: the residual read nan, which
+    # every comparison passed, and the check reported max residual 0.0
+    fam = nelson_siegel_family()
+    xs, w = default_membership_grid()
+    y = np.array([5.9e299, 2.4e299, 2.6e299, 2.5])
+    with np.errstate(over="raise", invalid="raise"):
+        res, _ = tangent_residual(fam, y, fam.x_derivative(xs, y), xs, w)
+    assert np.isfinite(res) and res > 0.1
+    verdict = check_shift_condition(fam, [y], xs, w)
+    assert not verdict.passed
+    assert verdict.max_residual == res == verdict.witnesses[0][3]
+    # a subnormal dF/dx, here inside the span, scales by at most 2**1021
+    assert check_shift_condition(fam, [[0.0, 1e-320, 0.0, 2.5]], xs, w).passed
+
+
+def test_non_finite_residuals_fail_every_check(monkeypatch):
+    from fhjm import consistency
+
+    fam = nelson_siegel_family()
+    y = np.array([0.03, -0.01, 0.005, 1.5])
+    nan_curve = CurveFamily(
+        name="nan", n_params=4, curve=lambda x, y: np.full_like(x, np.nan),
+        tangent_basis=fam.tangent_basis, x_derivative=fam.x_derivative,
+    )
+    assert nan_curve.partials_self_check(y, np.linspace(0.1, 5.0, 9)) == np.inf
+    monkeypatch.setattr(consistency, "tangent_residual", lambda *args: (np.nan, 4))
+    for verdict in (check_shift_condition(fam, [y]),
+                    check_drift_and_vol_condition(fam, ho_lee(0.01), H70, [0.5], [y])):
+        assert not verdict.passed and verdict.max_residual == np.inf
+        assert verdict.witnesses
