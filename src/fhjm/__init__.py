@@ -62,7 +62,6 @@ from .drift import (
     solve_market_price_of_risk,
 )
 from .hjm import (
-    AffinePairs,
     BondSurface,
     ForwardSurface,
     InitialCurve,
@@ -70,7 +69,6 @@ from .hjm import (
     ZRows,
     affine_batches,
     affine_draws,
-    affine_pairs,
     bond_surface,
     closed_form_bond,
     discounted_surface,

@@ -200,7 +200,7 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
     if osc is not None:
         kept = []  # the panel's prices wait for it while the probe streams the rows
         probe = oscillation_probe(_probe_rows(draws, kept), osc["thresholds"], osc["taus"])
-        report["oscillation"] = json.loads(probe.to_json())
+        report["oscillation"] = probe.to_dict()
         draws = kept
     else:
         draws = (prices for prices, _ in draws)
@@ -216,7 +216,7 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
         ok = ok and report["drift_identity_pass"]
 
         qm = check_quasi_martingale(draws, cfg.model, cfg.hurst, pairs, drift=drift)
-        report["quasi_martingale"] = json.loads(qm.to_json())
+        report["quasi_martingale"] = qm.to_dict()
         report["quasi_martingale_pass"] = bool(
             np.all(np.isfinite(qm.z_scores))
             and qm.n_exceeding(CHECK_THRESHOLDS["z_level"]) <= CHECK_THRESHOLDS["z_exceedances_max"]
@@ -257,7 +257,7 @@ def cmd_consistency(cfg: ExperimentConfig, out: str) -> list:
         "family": family.name,
         "verdict": label,
         "stable_under_grid_doubling": bool(verdict.passed == verdict2.passed),
-        "detail": json.loads(verdict.to_json()),
+        "detail": verdict.to_dict(),
     }
     with open(os.path.join(out, "consistency_report.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -354,6 +354,11 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
     return outputs
 
 
+# set by the first ``main`` call; unregistering and registering again on each
+# call would leave an empty slot in atexit's callback array every time
+_freeze_registered = False
+
+
 def main(argv=None) -> int:
     """Run one ``fhjm`` command; the exit status of the contract above.
 
@@ -363,8 +368,10 @@ def main(argv=None) -> int:
     and the streams are still flushed; each output file is closed before
     ``main`` returns.  Nothing is frozen while the process lives on.
     """
-    atexit.unregister(gc.freeze)  # once per process, however often main runs
-    atexit.register(gc.freeze)
+    global _freeze_registered
+    if not _freeze_registered:  # once per process, however often main runs
+        atexit.register(gc.freeze)
+        _freeze_registered = True
     parser = argparse.ArgumentParser(
         prog="fhjm",
         description="Forward-rate Monte Carlo engine for long-memory Gaussian term structures",

@@ -26,7 +26,6 @@ controlled path is not invariant).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -68,15 +67,38 @@ def family_fit_distance(family: CurveFamily, xs, weights, target, y0) -> float:
     xs = np.asarray(xs, dtype=float)
     sw = np.sqrt(np.asarray(weights, dtype=float))
     target = np.asarray(target, dtype=float)
+    scale = _norm_scale(target * sw)
 
     def resid(y):
-        return (family.curve(xs, y) - target) * sw
+        # scaled, so that the fit's own sums of squares do not overflow
+        return (family.curve(xs, y) - target) * (sw * scale)
 
     sol = least_squares(resid, np.asarray(y0, dtype=float), method="lm", max_nfev=2000)
-    return float(np.linalg.norm(sol.fun) / max(np.linalg.norm(target * sw), 1e-300))
+    return _relative_norm(sol.fun / scale, target * sw)
 
 PASS_TOLERANCE = 1e-6
 REFINE_BAND = 1e-3
+
+
+def _norm_scale(reference: np.ndarray) -> float:
+    """The power of two that brings max |reference| into [1/2, 1), at most 2**1021.
+
+    A larger scale would itself overflow, so subnormal references scale less.
+    """
+    return float(np.ldexp(1.0, min(-int(np.frexp(np.max(np.abs(reference)))[1]), 1021)))
+
+
+def _relative_norm(residual: np.ndarray, reference: np.ndarray) -> float:
+    """||residual|| / max(||reference||, 1e-300), finite for entries near 1e300.
+
+    Both norms are taken on the vectors scaled by :func:`_norm_scale` of
+    ``reference``, so neither overflows, and the scale is then undone; a
+    power of two changes no bit of the ratio.
+    """
+    scale = _norm_scale(reference)
+    num = float(np.linalg.norm(residual * scale) / scale)
+    den = max(float(np.linalg.norm(reference * scale) / scale), 1e-300)
+    return num / den
 
 
 def _nan_as_inf(res: float) -> float:
@@ -171,21 +193,19 @@ class TangencyVerdict:
     witnesses: list = field(default_factory=list)  # (label, t, y, residual)
     indeterminate: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check,
-                "passed": self.passed,
-                "max_residual": self.max_residual,
-                "tolerance": self.tolerance,
-                "indeterminate": self.indeterminate,
-                "witnesses": [
-                    {"component": lab, "t": t, "y": list(map(float, y)), "residual": r}
-                    for (lab, t, y, r) in self.witnesses
-                ],
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        """The verdict as JSON-ready values, one entry per witness."""
+        return {
+            "check": self.check,
+            "passed": self.passed,
+            "max_residual": self.max_residual,
+            "tolerance": self.tolerance,
+            "indeterminate": self.indeterminate,
+            "witnesses": [
+                {"component": lab, "t": t, "y": list(map(float, y)), "residual": r}
+                for (lab, t, y, r) in self.witnesses
+            ],
+        }
 
 
 def default_membership_grid(n: int = 512):
@@ -207,9 +227,7 @@ def tangent_residual(
     Returns (residual, rank):  min_c ||g - B c||_w / max(||g||_w, floor).
     Zero means g lies in the span; a rank below the parameter count
     signals a degenerate basis (the pseudo-inverse solution is used).
-    Both norms are taken on the vectors scaled by a power of two that
-    brings max |g|_w into [1/2, 1), so neither overflows, and the scale is
-    then undone; a power of two changes no bit of the ratio.
+    The norms do not overflow at g near 1e300 (:func:`_relative_norm`).
     """
     if xs is None or weights is None:
         xs, weights = default_membership_grid()
@@ -220,11 +238,7 @@ def tangent_residual(
     basis = family.tangent_basis(xs, y) * sw[:, None]
     target = g * sw
     coef, _, rank, _ = np.linalg.lstsq(basis, target, rcond=None)
-    # past 2**1021 the scale itself would overflow: subnormal targets scale less
-    scale = np.ldexp(1.0, min(-int(np.frexp(np.max(np.abs(target)))[1]), 1021))
-    num = float(np.linalg.norm((target - basis @ coef) * scale) / scale)
-    den = max(float(np.linalg.norm(target * scale) / scale), 1e-300)
-    return num / den, int(rank)
+    return _relative_norm(target - basis @ coef, target), int(rank)
 
 
 def check_shift_condition(family: CurveFamily, y_samples, xs=None, weights=None) -> TangencyVerdict:

@@ -61,11 +61,11 @@ route agrees with the surface route to rounding.
 Every path generator is linear in its driver too: dbeta_j = A b_j for the
 Brownian increments b_j = sqrt(dt) * w_j of ``BrownianDriver.generate``.
 So on a fixed list of (t_i, T) cells, log Z = c(i, T) + sum_j b_j . h_j
-with h_j = A[:i]^T g_j[:i, T]: one (d * n, P) matrix, built once per run
-(``AffinePairs``), prices every path from its normals in O(d * n * P),
-without its path or its rows.  ``check``'s panel takes this route, and
-its probe and the ledger read the running-sum rows of dbeta = A b from the
-same draw (``affine_draws``, ``affine_batches``).  The oracles of both are
+with h_j = A[:i]^T g_j[:i, T]: one (d * n, P) matrix prices every path
+from its normals in O(d * n * P), without its path or its rows.
+``affine_draws`` builds ``(c, g)`` and A once per run, for h and for the
+running-sum rows of dbeta = A b that ``check``'s probe and the ledger
+(``affine_batches``) read from the same draw.  The oracles of both are
 the surface route (``simulate_batches``) and the whole-batch formula:
 log Z = c + cumsum(dbeta . g) over the exact sampler's increments.
 """
@@ -100,7 +100,6 @@ __all__ = [
     "BondSurface",
     "ZRows",
     "PairPrices",
-    "AffinePairs",
     "simulation_grids",
     "drift_for_simulation",
     "simulate_forward",
@@ -110,7 +109,6 @@ __all__ = [
     "simulate_batches",
     "affine_log_discount",
     "affine_batches",
-    "affine_pairs",
     "affine_draws",
     "closed_form_bond",
     "write_forward_csv",
@@ -242,8 +240,8 @@ class PairPrices(NamedTuple):
     """Discounted prices of one batch of paths on a fixed list of (t, T) cells.
 
     ``values[p, q]`` is Z(t_q, T_q) on path p, and ``targets[q]`` is
-    Z(0, T_q), which no path changes.  A named tuple, as
-    :class:`AffinePairs`: a dataclass costs ten times as much at import.
+    Z(0, T_q), which no path changes.  A named tuple: a dataclass costs
+    ten times as much at import.
     """
 
     pairs: tuple
@@ -253,35 +251,6 @@ class PairPrices(NamedTuple):
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
-
-
-class AffinePairs(NamedTuple):
-    """log Z on a list of (t, T) cells as one affine map of a path's driver increments.
-
-    Each generator is linear in its Brownian driver: factor j's increments
-    are dbeta_j = A b_j, where b_j = sqrt(dt) * w_j are the driver
-    increments of :meth:`~fhjm.fbm.BrownianDriver.generate` and A is
-    L / sqrt(dt) for ``cholesky`` (L the increment factor) or D K for
-    ``volterra`` (K the kernel matrix, D its row difference).  So at the
-    pair q = (t_i, T), with ``c`` and ``g`` of :func:`affine_log_discount`,
-
-        log Z = c(i, T) + sum_j b_j . h_jq,    h_jq = A[:i]^T g_j[:i, T],
-
-    and one (d * n, P) matrix ``h`` prices every path of a run.  A path's
-    prices are one (1, d * n) @ (d * n, P) product of their own, so their
-    bits do not depend on how many paths share a call.
-    """
-
-    pairs: tuple
-    c: np.ndarray  # (P,) c at the pair cells
-    h: np.ndarray  # (d * n, P)
-    targets: np.ndarray  # (P,) Z(0, T) of each pair
-
-    def prices(self, increments: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Z on the pairs, written to ``out`` (paths, P), of driver increments (paths, d, n)."""
-        np.matmul(increments.reshape(increments.shape[0], 1, -1), self.h, out=out[:, None])
-        out += self.c
-        return np.exp(out, out=out)
 
 
 def simulation_grids(t_star: float, n_steps: int, x_max: float, m_steps: int):
@@ -586,41 +555,17 @@ def affine_batches(
 
 
 def _driver_map(method: str, t_grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
-    """A (n, n) with dbeta = A b for one factor's driver increments b (see :class:`AffinePairs`)."""
+    """A (n, n) with dbeta = A b for one factor's driver increments b.
+
+    A is L / sqrt(dt) for ``cholesky`` (L the increment factor) and D K for
+    ``volterra`` (K the kernel matrix, D its row difference).
+    """
     if method == "cholesky":
         return _increment_factor(t_grid, hurst) / np.sqrt(t_grid.dt)
     if method == "volterra":
         kmat = _volterra_matrix(t_grid, hurst)
         return kmat[1:] - kmat[:-1]
     raise ValueError(f"unknown generation method {method!r}")
-
-
-def affine_pairs(
-    spec: VolatilitySpec,
-    hurst: HurstParam,
-    drift: DriftField,
-    init: InitialCurve,
-    t_grid: TimeGrid,
-    x_grid: MaturityGrid,
-    pairs,
-    method: str = "cholesky",
-) -> AffinePairs:
-    """The :class:`AffinePairs` map of ``pairs`` for paths from ``method``'s generator.
-
-    A pair off the grid, or past the maturities the surface route prices,
-    is a ``ValueError`` under the cell rule of :class:`BondSurface`; a pair
-    with t > T prices as NaN.
-    """
-    pairs = tuple((float(t), float(T)) for t, T in pairs)
-    mats = np.array(sorted({T for _, T in pairs}))
-    cells = BondSurface(t_grid=t_grid, maturities=mats)  # the cell rule only
-    rows = [cells.row(t, "panel time") for t, _ in pairs]
-    cols = [cells.column(T, "panel maturity") for _, T in pairs]
-    c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
-    reach = np.arange(t_grid.n_steps)[:, None] < np.array(rows)  # l < i for each pair
-    h = _driver_map(method, t_grid, hurst).T @ (g[:, :, cols] * reach)
-    return AffinePairs(pairs=pairs, c=c[rows, cols], h=h.reshape(-1, len(pairs)),
-                       targets=np.exp(c[0, cols]))
 
 
 def affine_draws(
@@ -641,42 +586,62 @@ def affine_draws(
 
     The same paths as :func:`simulate_batches`, drawn as driver increments
     b through :meth:`~fhjm.fbm.BrownianDriver.generate`, ``CHUNK_PATHS``
-    paths at a time.  With ``pairs``, each chunk is priced on them by the
-    :func:`affine_pairs` map into the batch's (paths, P) values, so no
-    (paths, d, n) array outlives its chunk.  With ``row_maturities``, the
-    batch's increments dbeta = A b (one stacked product per path) become a
-    :class:`ZRows` stream on those maturities: row i is exp(c[i] + S_i), S
-    the running sum of :func:`_z_rows`, NaN where the surface route prices
-    nothing.  A consumer that stops early leaves the later rows uncomputed,
-    and each pass starts the sum again.  A part not asked for is None.
-    Both agree with the surface route to rounding, and each path's values
-    are the same whatever the batch size.
+    paths at a time.  ``(c, g)`` of :func:`affine_log_discount` and the
+    driver map A (dbeta = A b) are built once per run, on the sorted union
+    of the pair and row maturities.  With ``pairs``, log Z at the pair
+    (t_i, T) is c(i, T) + b . h with h = A[:i]^T g[:i, T] (the module
+    docstring); each path's prices are one (1, d * n) @ (d * n, P) product
+    of their own, so their bits do not depend on how many paths share a
+    chunk, and no (paths, d, n) array outlives its chunk.  A pair off the
+    grid, or past the maturities the surface route prices, is a
+    ``ValueError`` under the cell rule of :class:`BondSurface`; a pair with
+    t > T prices as NaN.  With ``row_maturities``, the batch's increments
+    dbeta = A b (one stacked product per path) become a :class:`ZRows`
+    stream on those maturities, in their order: row i is exp(c[i] + S_i),
+    S the running sum of :func:`_z_rows`, NaN where the surface route
+    prices nothing.  A consumer that stops early leaves the later rows
+    uncomputed, and each pass starts the sum again.  A part not asked for
+    is None.  Both agree with the surface route to rounding, and each
+    path's values are the same whatever the batch size.
     """
-    panel = None
-    if pairs:
-        panel = affine_pairs(spec, hurst, drift, init, t_grid, x_grid, pairs, method=method)
-    if row_maturities is not None:
-        amap = _driver_map(method, t_grid, hurst)
-        mats = np.asarray(row_maturities, dtype=float)
-        c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
+    pairs = tuple((float(t), float(T)) for t, T in pairs)
+    row_mats = () if row_maturities is None else np.asarray(row_maturities, dtype=float)
+    # a sorted set, not np.union1d, which imports numpy.ma
+    mats = np.array(sorted({T for _, T in pairs}.union(row_mats)))
+    cells = BondSurface(t_grid=t_grid, maturities=mats)  # the cell rule only
+    i_pair = [cells.row(t, "panel time") for t, _ in pairs]
+    m_pair = [cells.column(T, "panel maturity") for _, T in pairs]
+    c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
+    amap = _driver_map(method, t_grid, hurst)
+    reach = np.arange(t_grid.n_steps)[:, None] < np.array(i_pair)  # l < i for each pair
+    h = (amap.T @ (g[:, :, m_pair] * reach)).reshape(spec.dims * t_grid.n_steps, len(pairs))
+    c_pairs, targets = c[i_pair, m_pair], np.exp(c[0, m_pair])
+    if row_maturities is None:
+        amap = None  # h holds all that the pairs need of A
+    else:
+        at_row = np.searchsorted(mats, row_mats)
+        c, g = c[:, at_row], g[:, :, at_row]
 
     def batch(offset: int):
         take = min(batch_size, n_paths - offset)
-        values = None if panel is None else np.empty((take, len(panel.pairs)))
+        values = np.empty((take, len(pairs))) if pairs else None
         dbeta = None if row_maturities is None else np.empty((take, spec.dims, t_grid.n_steps))
         for start in range(0, take, CHUNK_PATHS):
             stop = min(start + CHUNK_PATHS, take)
             b = BrownianDriver.generate(t_grid, spec.dims, stop - start, seed,
                                         path_offset=offset + start).increments
             if values is not None:
-                panel.prices(b, out=values[start:stop])
+                out = values[start:stop]
+                np.matmul(b.reshape(stop - start, 1, -1), h, out=out[:, None])
+                out += c_pairs
+                np.exp(out, out=out)
             if dbeta is not None:
                 # one stacked (d, n) @ (n, n) product per path, as the generators take
                 np.matmul(b, amap.T, out=dbeta[start:stop])
-        prices = None if panel is None else PairPrices(panel.pairs, panel.targets, values)
+        prices = None if values is None else PairPrices(pairs, targets, values)
         rows = None
         if dbeta is not None:
-            rows = ZRows(t_grid=t_grid, maturities=mats, n_paths=take,
+            rows = ZRows(t_grid=t_grid, maturities=row_mats, n_paths=take,
                          rows=partial(_z_rows, c, g, dbeta))
         return prices, rows
 

@@ -25,7 +25,7 @@ keeps Z_tau(tau) and one running max per tau.  The panel takes the same
 row batches, copies its pair cells and stops pulling rows after the last
 pair row, or takes :class:`~fhjm.hjm.PairPrices`, the pair cells already
 priced, which ``fhjm check`` reads off each path's normals
-(:class:`~fhjm.hjm.AffinePairs`).  Either way its means, standard errors
+(:func:`~fhjm.hjm.affine_draws`).  Either way its means, standard errors
 and z-scores come from one reduction.  Each batch is released before the
 next is pulled, and statistics accumulate in a fixed deterministic order,
 so results are identical run to run and do not depend on batch sizing.
@@ -33,7 +33,6 @@ so results are identical run to run and do not depend on batch sizing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,8 @@ class QuasiMartingaleReport:
     def n_exceeding(self, level: float = 3.0) -> int:
         return int(np.sum(np.abs(self.z_scores) > level))
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The report as JSON-ready values, one entry per pair under ``panel``."""
         rows = [
             {
                 "t": t, "T": T,
@@ -77,14 +77,7 @@ class QuasiMartingaleReport:
                 self.pairs, self.targets, self.means, self.std_errors, self.z_scores
             )
         ]
-        return json.dumps(
-            {
-                "n_paths": self.n_paths,
-                "identity_gap": self.identity_gap,
-                "panel": rows,
-            },
-            indent=2,
-        )
+        return {"n_paths": self.n_paths, "identity_gap": self.identity_gap, "panel": rows}
 
     def table(self) -> str:
         lines = [f"{'t':>8} {'T':>8} {'target':>12} {'mc_mean':>12} {'se':>10} {'z':>8}"]
@@ -104,16 +97,14 @@ class OscillationReport:
     frequencies: np.ndarray  # shape (len(taus), len(thresholds))
     n_paths: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_paths": self.n_paths,
-                "taus": self.taus.tolist(),
-                "thresholds": self.thresholds.tolist(),
-                "frequencies": self.frequencies.tolist(),
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        """The report as JSON-ready values."""
+        return {
+            "n_paths": self.n_paths,
+            "taus": self.taus.tolist(),
+            "thresholds": self.thresholds.tolist(),
+            "frequencies": self.frequencies.tolist(),
+        }
 
 
 def drift_identity_check(

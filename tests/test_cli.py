@@ -687,6 +687,30 @@ def test_check_draws_each_path_once_for_the_panel_and_the_probe(tmp_path, monkey
     assert report["quasi_martingale"]["n_paths"] == report["oscillation"]["n_paths"] == 100
 
 
+def test_check_builds_one_affine_map_for_the_panel_and_the_probe(tmp_path, monkeypatch):
+    # smoke.json has both pairs and a probe: (c, g) and the driver map A are
+    # built once, on the union of the pair and probe maturities
+    from fhjm import hjm
+    from fhjm.cli import main
+
+    calls = {"affine_log_discount": 0, "_driver_map": 0}
+
+    def counted(name):
+        fn = getattr(hjm, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hjm, name, counted(name))
+    config = REPO / "demos" / "configs" / "smoke.json"
+    assert SMOKE["check"]["pairs"] and SMOKE["check"]["oscillation"]
+    assert main(["check", str(config), "--out", str(tmp_path)]) == 0
+    assert calls == {"affine_log_discount": 1, "_driver_map": 1}
+
+
 def test_portfolio_draws_each_path_once_through_the_driver(tmp_path, monkeypatch):
     # the ledgers read the rows of affine_draws: one draw of driver increments
     # per path, and no path from the path generators
@@ -797,6 +821,12 @@ def test_csv_commands_leave_numpy_ma_unloaded(command, tmp_path):
     assert_numpy_ma_unloaded(command, tmp_path)
 
 
+@pytest.mark.parametrize("command", ["check", "consistency"])
+def test_report_commands_leave_numpy_ma_unloaded(command, tmp_path):
+    # check merges its pair and probe maturities with a set, not np.union1d
+    assert_numpy_ma_unloaded(command, tmp_path)
+
+
 def test_simulate_with_volterra_method(tmp_path, tmp_config):
     cfg = smoke_config()
     cfg["mc"] = {"n_paths": 20, "seed": 9, "method": "volterra", "batch_size": 8}
@@ -859,6 +889,22 @@ def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
     config = str(REPO / "demos" / "configs" / "smoke.json")
     assert main(["drift", config, "--out", str(tmp_path)]) == 0
     assert gc.get_freeze_count() == 0
+
+
+def test_repeated_in_process_main_calls_register_no_more_exit_handlers(tmp_path):
+    # an unregister and register per call would leave an empty slot each time
+    import atexit
+
+    from fhjm.cli import main
+
+    config = str(REPO / "demos" / "configs" / "smoke.json")
+    missing = str(tmp_path / "missing.json")
+    assert main(["drift", config, "--out", str(tmp_path)]) == 0
+    slots = atexit._ncallbacks()
+    for _ in range(3):
+        assert main(["drift", config, "--out", str(tmp_path)]) == 0
+        assert main(["drift", missing, "--out", str(tmp_path)]) == 1
+    assert atexit._ncallbacks() == slots
 
 
 def test_every_output_byte_survives_the_exit(tmp_path):

@@ -165,7 +165,7 @@ def test_zero_volatility_trivially_consistent():
         nelson_siegel_family(), None, H70, np.linspace(0.1, 1, 4), _samples(5)
     )
     assert verdict.passed
-    payload = json.loads(verdict.to_json())
+    payload = json.loads(json.dumps(verdict.to_dict()))
     assert payload["passed"]
 
 
@@ -282,6 +282,20 @@ def test_huge_parameters_fail_the_shift_check_with_a_finite_residual():
     assert verdict.max_residual == res == verdict.witnesses[0][3]
     # a subnormal dF/dx, here inside the span, scales by at most 2**1021
     assert check_shift_condition(fam, [[0.0, 1e-320, 0.0, 2.5]], xs, w).passed
+
+
+def test_huge_parameters_give_a_finite_fit_distance():
+    # the fit's sums of squares and both norms once overflowed here, and the
+    # distance read nan; 1.0001 times a family curve is itself in the family
+    import warnings
+
+    fam = nelson_siegel_family()
+    xs, w = default_membership_grid(n=64)
+    y = np.array([5.9e299, 2.4e299, 2.6e299, 2.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = family_fit_distance(fam, xs, w, 1.0001 * fam.curve(xs, y), y)
+    assert np.isfinite(d) and d < 1e-12
 
 
 def test_non_finite_residuals_fail_every_check(monkeypatch):

@@ -85,7 +85,7 @@ def test_quasi_martingale_panel_small_scale():
     assert report.z_scores[0] == 0.0
     assert report.n_exceeding(3.0) == 0
     assert report.identity_gap < 1e-3
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert len(payload["panel"]) == 4
     assert report.table().count("\n") == 4
 
@@ -121,7 +121,7 @@ def test_oscillation_probe_frequencies():
     assert np.all(np.diff(freq, axis=1) >= 0.0)
     # desk-scale positive-probability diagnostic at k = 0.05
     assert freq[0, 1] > 0.0
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload["n_paths"] == 2000
 
 
@@ -330,6 +330,40 @@ def test_panel_from_the_normals_matches_the_row_stream(dims, method):
     # is absolute, so the bound is relative to max(|z|, 1)
     dz = np.abs(have.z_scores[live] - want.z_scores[live])
     assert np.all(dz <= 1e-12 * np.maximum(np.abs(want.z_scores[live]), 1.0)), dz
+
+
+@pytest.mark.parametrize("method", ["cholesky", "volterra"])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_pairs_and_rows_from_one_map_have_the_bits_of_each_alone(dims, method):
+    # one (c, g) on the union of both maturity lists: the rows' list is
+    # unsorted, holds a duplicate and misses the pair maturity past t_star
+    from fhjm.vol import ExpDecayVol, FlatVol, VolatilitySpec
+
+    spec = VolatilitySpec((FlatVol(0.01), ExpDecayVol(0.02, 1.5))[:dims])
+    tg, xg = simulation_grids(2.0, 32, 4.0, 64)
+    drift = drift_for_simulation(spec, H70, tg, xg, theta_cells=32)
+    init = InitialCurve.flat(0.03, tg.dt, 97)
+    pairs = [(0.25, 1.0), (0.5, 2.0), (1.25, 1.5), (1.0, 3.0), (2.0, 2.0)]
+    row_maturities = [2.0, 0.5, 1.0, 2.0, 1.5]
+
+    def draws(**parts):
+        return list(affine_draws(spec, H70, drift, init, tg, xg, n_paths=9, seed=5,
+                                 batch_size=4, method=method, **parts))
+
+    both = draws(pairs=pairs, row_maturities=row_maturities)
+    pairs_only, rows_only = draws(pairs=pairs), draws(row_maturities=row_maturities)
+    assert len(both) == 3
+    for (prices, rows), (want, no_rows), (no_prices, want_rows) in zip(
+            both, pairs_only, rows_only, strict=True):
+        assert no_rows is None and no_prices is None
+        assert prices.pairs == want.pairs
+        assert np.all(np.isfinite(prices.values)) and np.all(np.isfinite(prices.targets))
+        assert prices.targets.tobytes() == want.targets.tobytes()
+        assert prices.values.tobytes() == want.values.tobytes()
+        assert rows.maturities.tolist() == row_maturities
+        have, expected = np.stack(list(rows.rows())), np.stack(list(want_rows.rows()))
+        assert have.tobytes() == expected.tobytes()
+        assert have[:, :, 0].tobytes() == have[:, :, 3].tobytes()  # the duplicate
 
 
 @pytest.mark.parametrize("method", ["cholesky", "volterra"])
