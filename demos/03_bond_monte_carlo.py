@@ -11,7 +11,7 @@ import numpy as np
 from fhjm import (
     HurstParam,
     InitialCurve,
-    affine_batches,
+    affine_draws,
     bond_surface,
     check_quasi_martingale,
     closed_form_bond,
@@ -39,20 +39,20 @@ print(f"pathwise relative deviation between routes: {dev:.2e}")
 
 print("\n== constant-expectation panel, 20000 paths ==")
 pairs = [(1.0, 3.0), (1.0, 4.0), (2.0, 3.0), (2.0, 4.0), (3.0, 4.0)]
-batches = affine_batches(
+draws = affine_draws(
     spec, hurst, field, init, tg, xg,
-    n_paths=20_000, seed=99, maturities=[3.0, 4.0], batch_size=2000,
+    n_paths=20_000, seed=99, pairs=pairs, batch_size=2000,
 )
-rep = check_quasi_martingale(batches, spec, hurst, pairs, drift=field)
+rep = check_quasi_martingale((p for p, _ in draws), spec, hurst, pairs, drift=field)
 print(rep.table())
 print(f"panel z-scores exceeding 3: {rep.n_exceeding(3.0)}")
 
 print("\n== negative control: drift removed ==")
-batches0 = affine_batches(
+draws0 = affine_draws(
     spec, hurst, field.zeroed(), init, tg, xg,
-    n_paths=20_000, seed=99, maturities=[3.0, 4.0], batch_size=2000,
+    n_paths=20_000, seed=99, pairs=pairs, batch_size=2000,
 )
-rep0 = check_quasi_martingale(batches0, spec, hurst, pairs)
+rep0 = check_quasi_martingale((p for p, _ in draws0), spec, hurst, pairs)
 print(rep0.table())
 print(
     "note the systematic positive shift: the z-scores grow like "

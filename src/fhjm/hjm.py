@@ -197,8 +197,8 @@ class BondSurface(_Cells):
     The surface route sets P, and Z once discounted; the affine route sets
     Z only.  Indexing is (path, t, T) either way, but the affine route's Z
     is a view of a maturity-major (path, T, t) buffer, so code that needs a
-    layout asks for it.  The estimators of :mod:`fhjm.noarb` read Z one
-    time row at a time, through :meth:`z_rows`.
+    layout asks for it.  The oscillation probe of :mod:`fhjm.noarb` reads Z
+    one time row at a time, through :meth:`z_rows`.
     """
 
     t_grid: TimeGrid
@@ -608,9 +608,13 @@ def affine_draws(
     row_mats = () if row_maturities is None else np.asarray(row_maturities, dtype=float)
     # a sorted set, not np.union1d, which imports numpy.ma
     mats = np.array(sorted({T for _, T in pairs}.union(row_mats)))
-    cells = BondSurface(t_grid=t_grid, maturities=mats)  # the cell rule only
+    # the cell rule over every maturity node the surface route prices
+    nodes = t_grid.dt * np.arange(t_grid.n_steps + x_grid.m_steps + 1)
+    cells = BondSurface(t_grid=t_grid, maturities=nodes)
     i_pair = [cells.row(t, "panel time") for t, _ in pairs]
-    m_pair = [cells.column(T, "panel maturity") for _, T in pairs]
+    for _, T in pairs:
+        cells.column(T, "panel maturity")
+    m_pair = np.searchsorted(mats, [T for _, T in pairs])
     c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
     amap = _driver_map(method, t_grid, hurst)
     reach = np.arange(t_grid.n_steps)[:, None] < np.array(i_pair)  # l < i for each pair

@@ -7,8 +7,8 @@ E Z_t(T) = P(0, T) for every pair t <= T.  Two independent verifications:
   integral of the drift must equal the expectation kernel e(t, T)
   pointwise in t.  Both sides come from independent quadratures.
 * :func:`check_quasi_martingale` -- Monte Carlo: panel z-scores of the
-  sample mean of Z_t(T) against the time-zero price extracted from the
-  simulated surfaces themselves.
+  sample mean of Z_t(T) against the time-zero price Z_0(T) = P(0, T) of
+  the same draw.
 
 The oscillation probe estimates, per deterministic restart time tau, how
 often the discounted surface stays within a relative band k of its value
@@ -17,18 +17,17 @@ counterpart of the positive-probability condition under which arbitrarily
 small proportional costs remove arbitrage.
 
 Prices reach both estimators one batch after another, either one batch or
-any iterable of them.  The probe reads time rows of Z:
+any iterable of them.  The panel reads :class:`~fhjm.hjm.PairPrices`, the
+pair cells that :func:`~fhjm.hjm.affine_draws` prices from each path's
+normals, as ``fhjm check`` does; one reduction gives its means, standard
+errors and z-scores.  The probe reads time rows of Z:
 :class:`~fhjm.hjm.ZRows` batches, such as :func:`~fhjm.hjm.affine_draws`
 streams from one running sum, or discounted :class:`~fhjm.hjm.BondSurface`
 objects, whose rows :meth:`~fhjm.hjm.BondSurface.z_rows` hands over; it
-keeps Z_tau(tau) and one running max per tau.  The panel takes the same
-row batches, copies its pair cells and stops pulling rows after the last
-pair row, or takes :class:`~fhjm.hjm.PairPrices`, the pair cells already
-priced, which ``fhjm check`` reads off each path's normals
-(:func:`~fhjm.hjm.affine_draws`).  Either way its means, standard errors
-and z-scores come from one reduction.  Each batch is released before the
-next is pulled, and statistics accumulate in a fixed deterministic order,
-so results are identical run to run and do not depend on batch sizing.
+keeps Z_tau(tau) and one running max per tau.  Each batch is released
+before the next is pulled, and statistics accumulate in a fixed
+deterministic order, so results are identical run to run and do not depend
+on batch sizing.
 """
 
 from __future__ import annotations
@@ -133,9 +132,8 @@ def drift_identity_check(
 
 
 def _row_batches(discounted):
-    """Each batch of ``discounted`` as :class:`ZRows` (or as it came, for
-    :class:`PairPrices`), holding none once yielded."""
-    if isinstance(discounted, (BondSurface, ZRows, PairPrices)):
+    """Each batch of ``discounted`` as :class:`ZRows`, holding none once yielded."""
+    if isinstance(discounted, (BondSurface, ZRows)):
         discounted = [discounted]
     # map keeps no reference to the previous batch while the next is built
     return map(lambda batch: batch.z_rows() if isinstance(batch, BondSurface) else batch,
@@ -143,38 +141,16 @@ def _row_batches(discounted):
 
 
 def _pair_values(discounted, pairs):
-    """``(targets, values)`` of each batch: Z(0, T) and the (paths, P) Z(t, T) of each pair.
-
-    A :class:`PairPrices` batch carries both; a row stream gives its pair
-    cells row by row, and no row after the last pair row is pulled.
-    """
+    """``(targets, values)`` of each :class:`PairPrices` batch: Z(0, T) and (paths, P) Z(t, T)."""
     pairs = tuple((float(t), float(T)) for t, T in pairs)
-    at_row = None
-    for batch in _row_batches(discounted):
-        if isinstance(batch, PairPrices):
-            if batch.pairs != pairs:
-                raise ValueError(f"prices for pairs {batch.pairs} given for the panel {pairs}")
-            yield batch.targets, batch.values
-            continue
-        if at_row is None:
-            pair_idx = [
-                (batch.row(t, "panel time"), batch.column(T, "panel maturity"))
-                for t, T in pairs
-            ]
-            at_row = {}  # row -> [(pair, column)]
-            for p, (i, m) in enumerate(pair_idx):
-                at_row.setdefault(i, []).append((p, m))
-            last = max(at_row)
-        vals = np.full((batch.n_paths, len(pair_idx)), np.nan)
-        for i, row in enumerate(batch.rows()):
-            if i == 0:
-                targets = np.array([row[0, m] for (_, m) in pair_idx])
-            for p, m in at_row.get(i, ()):
-                vals[:, p] = row[:, m]
-            if i == last:
-                break  # later rows are never pulled
-        del batch, row  # freed before the next batch is built
-        yield targets, vals
+    if isinstance(discounted, (PairPrices, BondSurface, ZRows)):
+        discounted = [discounted]
+    for batch in discounted:
+        if not isinstance(batch, PairPrices):
+            raise TypeError(f"the panel takes PairPrices batches, not {type(batch).__name__}")
+        if batch.pairs != pairs:
+            raise ValueError(f"prices for pairs {batch.pairs} given for the panel {pairs}")
+        yield batch.targets, batch.values
 
 
 def check_quasi_martingale(
@@ -187,12 +163,12 @@ def check_quasi_martingale(
     """Panel z-scores of mean discounted prices against their t = 0 values.
 
     ``discounted`` is the Monte Carlo set: one batch or an iterable of
-    batches, each a :class:`~fhjm.hjm.ZRows` stream, a discounted surface
-    or the :class:`~fhjm.hjm.PairPrices` of these ``pairs``.  Rows after
-    the last pair row are not pulled.  The target P(0, T) is the t = 0
-    price, which is path independent.  When ``drift`` is given, the
-    deterministic decomposition check (drift maturity integral vs
-    expectation kernel, integrated in t) is reported as ``identity_gap``.
+    batches, each the :class:`~fhjm.hjm.PairPrices` of these ``pairs``
+    that :func:`~fhjm.hjm.affine_draws` yields; another batch type is a
+    ``TypeError``.  The target P(0, T) is the t = 0 price, which is path
+    independent.  When ``drift`` is given, the deterministic decomposition
+    check (drift maturity integral vs expectation kernel, integrated in t)
+    is reported as ``identity_gap``.
     """
     panel = []
     for targets, vals in _pair_values(discounted, pairs):

@@ -56,7 +56,7 @@ from fhjm.ledger import (
     integration_by_parts_check,
     liquidation_value,
 )
-from fhjm.hjm import BondSurface, affine_batches, discounted_surface, money_account
+from fhjm.hjm import BondSurface, affine_draws, discounted_surface, money_account
 from fhjm.noarb import check_quasi_martingale, drift_identity_check
 from fhjm.vol import ho_lee, hull_white
 
@@ -125,12 +125,12 @@ def _qm_run(zero_drift: bool):
     if zero_drift:
         field = field.zeroed()
     init = InitialCurve.flat(0.03, tg.dt, 257)
-    maturities = sorted({T for _, T in QM_PANEL})
-    batches = affine_batches(
+    # the route of `fhjm check`: the pair prices of each path, from its normals
+    draws = affine_draws(
         spec, hurst, field, init, tg, xg,
-        n_paths=100_000, seed=20260808, maturities=maturities, batch_size=2000,
+        n_paths=100_000, seed=20260808, pairs=QM_PANEL, batch_size=2000,
     )
-    return check_quasi_martingale(batches, spec, hurst, QM_PANEL)
+    return check_quasi_martingale((p for p, _ in draws), spec, hurst, QM_PANEL)
 
 
 def test_criterion_3_quasi_martingale_panel():

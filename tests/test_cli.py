@@ -711,6 +711,29 @@ def test_check_builds_one_affine_map_for_the_panel_and_the_probe(tmp_path, monke
     assert calls == {"affine_log_discount": 1, "_driver_map": 1}
 
 
+def test_check_panel_is_the_call_of_criterion_3(tmp_path):
+    # criterion 3 prices its panel as `fhjm check` does: the pair prices that
+    # affine_draws yields; the report holds that call's values, one for one
+    from fhjm.cli import main
+    from fhjm.config import ExperimentConfig
+    from fhjm.hjm import affine_draws, drift_for_simulation
+    from fhjm.noarb import check_quasi_martingale
+
+    config = REPO / "demos" / "configs" / "smoke.json"
+    assert main(["check", str(config), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    cfg = ExperimentConfig.load(str(config))
+    drift = drift_for_simulation(cfg.model, cfg.hurst, cfg.t_grid, cfg.x_grid,
+                                 theta_cells=cfg.theta_cells)
+    draws = affine_draws(cfg.model, cfg.hurst, drift, cfg.initial_curve, cfg.t_grid, cfg.x_grid,
+                         n_paths=cfg.n_paths, seed=cfg.seed, pairs=cfg.pairs,
+                         batch_size=cfg.batch_size, method=cfg.method)
+    qm = check_quasi_martingale((p for p, _ in draws), cfg.model, cfg.hurst, cfg.pairs,
+                                drift=drift)
+    assert len(report["quasi_martingale"]["panel"]) == len(SMOKE["check"]["pairs"])
+    assert report["quasi_martingale"] == json.loads(json.dumps(qm.to_dict()))
+
+
 def test_portfolio_draws_each_path_once_through_the_driver(tmp_path, monkeypatch):
     # the ledgers read the rows of affine_draws: one draw of driver increments
     # per path, and no path from the path generators

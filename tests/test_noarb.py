@@ -9,6 +9,7 @@ from fhjm.fbm import TimeGrid
 from fhjm.hjm import (
     BondSurface,
     InitialCurve,
+    PairPrices,
     affine_batches,
     affine_draws,
     drift_for_simulation,
@@ -62,24 +63,24 @@ def test_drift_identity_refines_second_order():
     assert gaps[2] <= gaps[1] / 4 * 1.25
 
 
-def _small_mc(spec, hurst, n_paths, seed, drift=None, t_star=6.0, n=96):
+def _small_mc(spec, hurst, n_paths, seed, pairs, drift=None, t_star=6.0, n=96):
+    """The drift field and the panel's pair prices, batch by batch, as ``fhjm check`` draws them."""
     tg, xg = simulation_grids(t_star, n, t_star, n)
     fld = drift_for_simulation(spec, hurst, tg, xg, theta_cells=128)
     if drift == "zero":
         fld = fld.zeroed()
     init = InitialCurve.flat(0.03, tg.dt, 2 * n + 1)
-    mats = [5.0, 6.0]
-    batches = affine_batches(
+    draws = affine_draws(
         spec, hurst, fld, init, tg, xg, n_paths=n_paths, seed=seed,
-        maturities=mats, batch_size=max(n_paths // 4, 1),
+        pairs=pairs, batch_size=max(n_paths // 4, 1),
     )
-    return fld, batches
+    return fld, (prices for prices, _ in draws)
 
 
 def test_quasi_martingale_panel_small_scale():
     spec = ho_lee(0.01)
-    fld, batches = _small_mc(spec, H70, 10_000, seed=31)
     pairs = [(0.0, 6.0), (1.0, 5.0), (2.0, 6.0), (4.0, 6.0)]
+    fld, batches = _small_mc(spec, H70, 10_000, seed=31, pairs=pairs)
     report = check_quasi_martingale(batches, spec, H70, pairs, drift=fld)
     # t = 0 rows are exact: zero standard error, zero z
     assert report.z_scores[0] == 0.0
@@ -94,8 +95,8 @@ def test_quasi_martingale_negative_control():
     # with the drift zeroed the mean drifts like exp(V/2), so the z-score
     # grows like sqrt(paths * V)/2; the panel below sits near z ~ 5
     spec = ho_lee(0.01)
-    _, batches = _small_mc(spec, H70, 10_000, seed=31, drift="zero")
     pairs = [(3.0, 6.0), (4.0, 6.0)]
+    _, batches = _small_mc(spec, H70, 10_000, seed=31, pairs=pairs, drift="zero")
     report = check_quasi_martingale(batches, spec, H70, pairs)
     assert report.n_exceeding(3.0) == 2
 
@@ -144,12 +145,22 @@ def _leg_strategy(start, end, atom, gate=None):
     return Strategy(legs=(leg,), horizon=1.0)
 
 
+def _panel_on_the_grid(pairs):
+    """The panel of ``pairs`` priced as ``fhjm check`` prices it, on a grid of step 0.2."""
+    spec = ho_lee(0.01)
+    tg, xg = simulation_grids(1.0, 5, 1.0, 5)
+    fld = drift_for_simulation(spec, H70, tg, xg, theta_cells=16)
+    init = InitialCurve.flat(0.03, tg.dt, 11)
+    draws = affine_draws(spec, H70, fld, init, tg, xg, n_paths=2, seed=1, pairs=pairs)
+    return check_quasi_martingale((prices for prices, _ in draws), spec, H70, pairs)
+
+
 @pytest.mark.parametrize("estimate, message", [
-    (lambda s: check_quasi_martingale(s, ho_lee(0.01), H70, [(0.3, 1.0)]),
+    (lambda s: _panel_on_the_grid([(0.3, 1.0)]),
      "panel time 0.3 not on the surface time grid"),
-    (lambda s: check_quasi_martingale(s, ho_lee(0.01), H70, [(-0.25, 1.0)]),
+    (lambda s: _panel_on_the_grid([(-0.25, 1.0)]),
      "panel time -0.25 not on the surface time grid"),
-    (lambda s: check_quasi_martingale(s, ho_lee(0.01), H70, [(0.25, 0.75)]),
+    (lambda s: _panel_on_the_grid([(0.2, 0.75)]),
      "panel maturity 0.75 not among surface maturities"),
     (lambda s: oscillation_probe(s, [0.1], [0.3]),
      "oscillation time 0.3 not on the surface time grid"),
@@ -174,7 +185,7 @@ def test_estimators_name_an_off_grid_time_or_absent_maturity(estimate, message):
 
 
 def _stream_and_surface(dims, n_paths, seed=13):
-    """An affine row stream's inputs and its whole-surface oracle on the probe's maturities.
+    """An affine draw's inputs and its whole-surface oracle on the probe's maturities.
 
     The oracle prices Z as one (paths, n + 1, M) array from the increments
     dbeta = A b of the driver increments b: the product over every factor,
@@ -199,12 +210,32 @@ def _stream_and_surface(dims, n_paths, seed=13):
     surface = BondSurface(t_grid=tg, maturities=tg.points, discounted=np.exp(log_z))
     assert np.isnan(surface.discounted[:, 0]).any()  # T - t > x_max is unpriced
 
-    def stream(batch_size):
-        draws = affine_draws(spec, H70, fld, init, tg, xg, n_paths=n_paths, seed=seed,
-                             row_maturities=tg.points, batch_size=batch_size)
-        return map(itemgetter(1), draws)  # a map keeps no batch once it is handed on
+    def draws(batch_size, pairs=()):
+        return affine_draws(spec, H70, fld, init, tg, xg, n_paths=n_paths, seed=seed,
+                            pairs=pairs, row_maturities=tg.points, batch_size=batch_size)
 
-    return spec, surface, stream
+    return spec, surface, draws
+
+
+def _pair_cells(batch, pairs):
+    """The pair cells of one :class:`ZRows` or surface batch, gathered as :class:`PairPrices`."""
+    z = batch.discounted if isinstance(batch, BondSurface) else np.stack(list(batch.rows()), 1)
+    i = [batch.row(t, "panel time") for t, _ in pairs]
+    m = [batch.column(T, "panel maturity") for _, T in pairs]
+    return PairPrices(tuple((float(t), float(T)) for t, T in pairs), z[0, 0, m], z[:, i, m])
+
+
+def _assert_panels_agree(have, want):
+    """Reports equal to rounding: means and standard errors within 1e-12 relative."""
+    assert have.n_paths == want.n_paths
+    np.testing.assert_allclose(have.targets, want.targets, rtol=1e-12, atol=0)
+    live = want.std_errors > 0  # a (0, T) pair has no spread
+    np.testing.assert_allclose(have.means, want.means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(have.std_errors[live], want.std_errors[live], rtol=1e-12, atol=0)
+    # z is a mean difference over its standard error: near z = 0 its rounding
+    # is absolute, so the bound is relative to max(|z|, 1)
+    dz = np.abs(have.z_scores[live] - want.z_scores[live])
+    assert np.all(dz <= 1e-12 * np.maximum(np.abs(want.z_scores[live]), 1.0)), dz
 
 
 def _band_deviation_oracle(z, i_tau, m_tau):
@@ -216,8 +247,10 @@ def _band_deviation_oracle(z, i_tau, m_tau):
 
 @pytest.mark.parametrize("dims", [1, 2])
 def test_streamed_panel_and_probe_match_the_whole_surface_bit_for_bit(dims):
+    # the probe's rows give the surface's frequencies bit for bit; the panel's
+    # prices, c + b . h from the same draw, give its pair cells' statistics
     n_paths = 40
-    spec, surface, stream = _stream_and_surface(dims, n_paths)
+    spec, surface, draws = _stream_and_surface(dims, n_paths)
     z = surface.discounted
     pairs = [(0.0, 1.0), (0.25, 1.0), (0.5, 1.5), (1.0, 1.5), (0.5, 2.0)]
     taus = [0.0, 0.5, 1.0]
@@ -228,45 +261,29 @@ def test_streamed_panel_and_probe_match_the_whole_surface_bit_for_bit(dims):
     want_freq = np.array([[(d < k).mean() for k in ks] for d in devs])
     assert ((want_freq > 0) & (want_freq < 1)).any()
 
-    want_qm = check_quasi_martingale(surface, spec, H70, pairs)
+    want_qm = check_quasi_martingale(_pair_cells(surface, pairs), spec, H70, pairs)
     want_probe = oscillation_probe(surface, ks, taus)
     assert np.array_equal(want_probe.frequencies, want_freq)
     for batch_size in (1, 7, n_paths):
-        # one set of batches for both estimators: each pass reprices its rows
-        batches = list(stream(batch_size))
-        qm = check_quasi_martingale(batches, spec, H70, pairs)
-        for name in ("targets", "means", "std_errors", "z_scores"):
-            assert getattr(qm, name).tobytes() == getattr(want_qm, name).tobytes(), name
-        probe = oscillation_probe(batches, ks, taus)
+        # one draw for both estimators: the panel's prices and the probe's rows
+        batches = list(draws(batch_size, pairs))
+        qm = check_quasi_martingale([prices for prices, _ in batches], spec, H70, pairs)
+        _assert_panels_agree(qm, want_qm)
+        probe = oscillation_probe([rows for _, rows in batches], ks, taus)
         assert probe.frequencies.tobytes() == want_probe.frequencies.tobytes(), batch_size
         assert probe.n_paths == n_paths
 
 
-def test_panel_computes_no_row_after_its_last_pair_row():
-    import dataclasses
-    import inspect
-
-    spec, _, stream = _stream_and_surface(1, 12)
-    pairs = [(0.25, 1.0), (0.75, 1.5), (0.5, 2.0)]  # last pair row: t = 0.75, row 12
-    generators, pulled = [], []
-
-    def tally(rows):
-        for i, row in enumerate(rows):
-            pulled.append(i)
-            yield row
-
-    def watched(batches):
-        for batch in batches:
-            rows = batch.rows()
-            generators.append(rows)
-            yield dataclasses.replace(batch, rows=lambda rows=rows: tally(rows))
-
-    check_quasi_martingale(watched(stream(5)), spec, H70, pairs)
-    assert pulled == list(range(13)) * 3
-    for gen in generators:
-        # each batch's stream stopped at row 12, suspended with rows 13..32 unpriced
-        assert inspect.getgeneratorstate(gen) == inspect.GEN_SUSPENDED
-        assert inspect.getgeneratorlocals(gen)["i"] == 12
+def test_panel_names_a_batch_that_is_not_pair_prices():
+    # the panel reads PairPrices only; rows and surfaces are the probe's input
+    spec, surface, draws = _stream_and_surface(1, 4)
+    ((_, rows),) = draws(4)
+    pairs = [(0.25, 1.0)]
+    for batch in (rows, surface):
+        message = f"the panel takes PairPrices batches, not {type(batch).__name__}"
+        for given in (batch, [batch]):
+            with pytest.raises(TypeError, match=message):
+                check_quasi_martingale(given, spec, H70, pairs)
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -276,15 +293,19 @@ def test_oscillation_probe_holds_a_few_rows_of_one_batch(dims):
     # batch's (paths, n + 1, n + 1) surface and ratio arrays
     import tracemalloc
 
-    spec, _, stream = _stream_and_surface(dims, 600)
+    spec, _, draws = _stream_and_surface(dims, 600)
     n = 32
     batch = 200
     increment_bytes = batch * dims * n * 8
     row_bytes = batch * (n + 1) * 8
-    oscillation_probe(stream(batch), [0.01], [0.0])  # warm the increment factor
+
+    def stream():
+        return map(itemgetter(1), draws(batch))  # a map keeps no batch once it is handed on
+
+    oscillation_probe(stream(), [0.01], [0.0])  # warm the increment factor
     tracemalloc.start()
     try:
-        report = oscillation_probe(stream(batch), [0.001, 0.01], [0.0, 0.5, 1.0])
+        report = oscillation_probe(stream(), [0.001, 0.01], [0.0, 0.5, 1.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,23 +334,19 @@ def _panel_from_normals(spec, tg, xg, drift, init, pairs, n_paths, batch_size, m
 @pytest.mark.parametrize("dims", [1, 2])
 def test_panel_from_the_normals_matches_the_row_stream(dims, method):
     # the row stream of the same draw is the oracle: the same paths, priced
-    # by the running sum of dbeta . g; the normals route prices them as c + b . h
+    # by the running sum of dbeta . g, their pair cells gathered here; the
+    # normals route prices them as c + b . h
     spec, tg, xg, drift, init, pairs = _normals_setup(dims)
     draws = list(affine_draws(spec, H70, drift, init, tg, xg, n_paths=500, seed=11,
                               pairs=pairs, row_maturities=sorted({T for _, T in pairs}),
                               batch_size=200, method=method))
-    want = check_quasi_martingale([rows for _, rows in draws], spec, H70, pairs)
+    want = check_quasi_martingale([_pair_cells(rows, pairs) for _, rows in draws],
+                                  spec, H70, pairs)
     have = check_quasi_martingale([prices for prices, _ in draws], spec, H70, pairs)
     assert have.n_paths == want.n_paths == 500
     assert have.targets.tobytes() == want.targets.tobytes()
-    live = want.std_errors > 0  # the (0, T) pair has no spread
-    assert live.sum() == len(pairs) - 1
-    np.testing.assert_allclose(have.means, want.means, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(have.std_errors[live], want.std_errors[live], rtol=1e-12, atol=0)
-    # z is a mean difference over its standard error: near z = 0 its rounding
-    # is absolute, so the bound is relative to max(|z|, 1)
-    dz = np.abs(have.z_scores[live] - want.z_scores[live])
-    assert np.all(dz <= 1e-12 * np.maximum(np.abs(want.z_scores[live]), 1.0)), dz
+    assert np.sum(want.std_errors > 0) == len(pairs) - 1  # only the (0, T) pair has no spread
+    _assert_panels_agree(have, want)
 
 
 @pytest.mark.parametrize("method", ["cholesky", "volterra"])
