@@ -1,8 +1,8 @@
 """Trade bonds under proportional costs and inspect the liquidation ledger.
 
-Builds a simple rebalancing strategy, runs it against simulated
-discounted surfaces, and shows how the terminal liquidation value V^k
-decreases with the cost level.  The exact discrete pairing identity
+Builds a simple rebalancing strategy, runs it against the time rows of
+simulated discounted prices, and shows how the terminal liquidation value
+V^k decreases with the cost level.  The exact discrete pairing identity
 (holdings against prices) is checked along the way, and the oscillation
 probe reports how often the surface stays inside narrow bands -- the
 mechanism by which small frictions remove arbitrage from rough paths.
@@ -16,7 +16,7 @@ from fhjm import (
     InitialCurve,
     Strategy,
     StrategyLeg,
-    affine_batches,
+    affine_draws,
     drift_for_simulation,
     ho_lee,
     integration_by_parts_check,
@@ -32,14 +32,12 @@ tg, xg = simulation_grids(1.0, 32, 1.0, 32)
 field = drift_for_simulation(spec, hurst, tg, xg)
 init = InitialCurve.flat(0.03, tg.dt, 65)
 
-# every time-grid maturity: the probe reads Z_tau(tau) off the diagonal
-surfaces = list(
-    affine_batches(
-        spec, hurst, field, init, tg, xg, n_paths=500, seed=21, maturities=tg.points,
-        batch_size=500,
-    )
+# one batch of time rows on every time-grid maturity: the ledger reads the
+# strategy's columns, and the probe Z_tau(tau) off the diagonal
+((_, market),) = affine_draws(
+    spec, hurst, field, init, tg, xg, n_paths=500, seed=21, row_maturities=tg.points,
+    batch_size=500,
 )
-market = surfaces[0]
 
 strategy = Strategy(
     legs=(
@@ -59,7 +57,7 @@ for k in (0.0, 0.001, 0.005, 0.01):
           f"q05 {np.quantile(finals, 0.05):+.5f}   q95 {np.quantile(finals, 0.95):+.5f}")
 
 print("\nsmall-oscillation frequencies (per restart time tau):")
-probe = oscillation_probe(surfaces, thresholds=[0.01, 0.05, 0.2], taus=[0.0, 0.5])
+probe = oscillation_probe(market, thresholds=[0.01, 0.05, 0.2], taus=[0.0, 0.5])
 for a, tau in enumerate(probe.taus):
     row = ", ".join(
         f"k={k:g}: {probe.frequencies[a, b]:.3f}"

@@ -67,7 +67,6 @@ from .hjm import (
     InitialCurve,
     PairPrices,
     ZRows,
-    affine_batches,
     affine_draws,
     bond_surface,
     closed_form_bond,

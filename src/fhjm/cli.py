@@ -96,9 +96,8 @@ def _run(pipeline, cfg: ExperimentConfig, drift, **kwargs):
     """The config's Monte Carlo batches from ``pipeline``.
 
     ``pipeline`` is ``hjm.simulate_batches`` (whole surfaces, for
-    ``simulate``), ``hjm.affine_draws`` (pair prices and time rows of Z from
-    one draw, for ``check``'s panel and probe) or ``hjm.affine_batches``
-    (the same draw's rows gathered into whole Z surfaces, for the ledgers);
+    ``simulate``) or ``hjm.affine_draws`` (pair prices and time rows of Z
+    from one draw, for ``check``'s panel and probe and for the ledgers);
     ``kwargs`` pass through.
     """
     return pipeline(
@@ -298,7 +297,7 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
         total_variation,
         write_ledger_csv,
     )
-    from .hjm import affine_batches
+    from .hjm import affine_draws
 
     if not cfg.strategies:
         raise ConfigError("portfolio command needs a 'strategies' block")
@@ -314,15 +313,15 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
            if leg.gate.kind == "threshold"}
     )
     _require_sampler(cfg)
-    batches = _run(affine_batches, cfg, _build_drift(cfg), maturities=maturities)
+    draws = _run(affine_draws, cfg, _build_drift(cfg), row_maturities=maturities)
     offset = 0
     with ExitStack() as stack:
         files = [stack.enter_context(open(os.path.join(out, f), "w")) for f in outputs]
-        for surface in batches:
+        for _, rows in draws:
             for s_i, (strategy, fh) in enumerate(zip(strategies, files)):
-                # one holdings series and one ledger per strategy and batch;
-                # each cost level only reprices V
-                series = holdings(strategy, surface)
+                # one holdings series (one pass over the rows) and one ledger
+                # per strategy and batch; each cost level only reprices V
+                series = holdings(strategy, rows)
                 residuals[s_i].append(integration_by_parts_check(strategy, series))
                 ledger = liquidation_value(strategy, series, k=cfg.cost_levels[0])
                 del series  # freed before the ledger is repriced and written
@@ -331,8 +330,8 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
                     finals[s_i][f"{k:g}"].append(res.final_values())
                 floors[s_i].append(res.admissibility_floor())
                 write_ledger_csv(res, fh, offset=offset, header=offset == 0)
-            offset += surface.n_paths
-            del surface  # freed before the next batch is built
+            offset += rows.n_paths
+            del rows  # its increments are freed before the next batch is drawn
     summary = {}
     for s_i, name in enumerate(names):
         values = {k: np.concatenate(v) for k, v in finals[s_i].items()}

@@ -65,8 +65,8 @@ with h_j = A[:i]^T g_j[:i, T]: one (d * n, P) matrix prices every path
 from its normals in O(d * n * P), without its path or its rows.
 ``affine_draws`` builds ``(c, g)`` and A once per run, for h and for the
 running-sum rows of dbeta = A b that ``check``'s probe and the ledger
-(``affine_batches``) read from the same draw.  The oracles of both are
-the surface route (``simulate_batches``) and the whole-batch formula:
+read from the same draw.  The oracles of both are the surface route
+(``simulate_batches``) and the whole-batch formula:
 log Z = c + cumsum(dbeta . g) over the exact sampler's increments.
 """
 
@@ -108,7 +108,6 @@ __all__ = [
     "discounted_surface",
     "simulate_batches",
     "affine_log_discount",
-    "affine_batches",
     "affine_draws",
     "closed_form_bond",
     "write_forward_csv",
@@ -194,11 +193,10 @@ class BondSurface(_Cells):
     """Per-path prices on (t_i, T_m) cells, NaN where t_i > T_m.
 
     ``prices`` is P[p, i, m] = P(t_i, T_m) and ``discounted`` Z = P / S0.
-    The surface route sets P, and Z once discounted; the affine route sets
-    Z only.  Indexing is (path, t, T) either way, but the affine route's Z
-    is a view of a maturity-major (path, T, t) buffer, so code that needs a
-    layout asks for it.  The oscillation probe of :mod:`fhjm.noarb` reads Z
-    one time row at a time, through :meth:`z_rows`.
+    The surface route sets P, and Z once discounted; a surface built by
+    hand may carry Z alone.  The oscillation probe of :mod:`fhjm.noarb` and
+    the ledger of :mod:`fhjm.ledger` read Z one time row at a time, through
+    :meth:`z_rows`.
     """
 
     t_grid: TimeGrid
@@ -517,43 +515,6 @@ def _z_rows(c: np.ndarray, g: np.ndarray, dbeta: np.ndarray):
         yield z
 
 
-def affine_batches(
-    spec: VolatilitySpec,
-    hurst: HurstParam,
-    drift: DriftField,
-    init: InitialCurve,
-    t_grid: TimeGrid,
-    x_grid: MaturityGrid,
-    n_paths: int,
-    seed: int,
-    maturities,
-    batch_size: int = 1000,
-    method: str = "cholesky",
-):
-    """Generator of discounted :class:`BondSurface` batches on ``maturities`` only.
-
-    The rows of :func:`affine_draws`, gathered into one whole surface per
-    batch, for code that reads Z along t (the ledger).  Each batch carries
-    Z only (``prices`` is None); cells the surface route leaves unpriced
-    are NaN.  Its rows fill one maturity-major (paths, M, n + 1) buffer, and
-    ``discounted`` is that buffer's (path, t, T) view, so each maturity's
-    time series is contiguous.
-    """
-
-    def fill(draw) -> BondSurface:
-        _, batch = draw
-        buf = np.empty((batch.n_paths, batch.maturities.size, t_grid.n_steps + 1))
-        for i, row in enumerate(batch.rows()):
-            buf[:, :, i] = row
-        return BondSurface(t_grid=t_grid, maturities=batch.maturities,
-                           discounted=buf.transpose(0, 2, 1))
-
-    # map holds no batch once filled: a ZRows keeps its increments for replays
-    yield from map(fill, affine_draws(spec, hurst, drift, init, t_grid, x_grid, n_paths, seed,
-                                      row_maturities=maturities, batch_size=batch_size,
-                                      method=method))
-
-
 def _driver_map(method: str, t_grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
     """A (n, n) with dbeta = A b for one factor's driver increments b.
 
@@ -592,10 +553,10 @@ def affine_draws(
     (t_i, T) is c(i, T) + b . h with h = A[:i]^T g[:i, T] (the module
     docstring); each path's prices are one (1, d * n) @ (d * n, P) product
     of their own, so their bits do not depend on how many paths share a
-    chunk, and no (paths, d, n) array outlives its chunk.  A pair off the
-    grid, or past the maturities the surface route prices, is a
-    ``ValueError`` under the cell rule of :class:`BondSurface`; a pair with
-    t > T prices as NaN.  With ``row_maturities``, the batch's increments
+    chunk, and no (paths, d, n) array outlives its chunk.  A pair or a row
+    maturity off the grid, or past the maturities the surface route prices,
+    is a ``ValueError`` under the cell rule of :class:`BondSurface`; a pair
+    with t > T prices as NaN.  With ``row_maturities``, the batch's increments
     dbeta = A b (one stacked product per path) become a :class:`ZRows`
     stream on those maturities, in their order: row i is exp(c[i] + S_i),
     S the running sum of :func:`_z_rows`, NaN where the surface route
@@ -614,6 +575,8 @@ def affine_draws(
     i_pair = [cells.row(t, "panel time") for t, _ in pairs]
     for _, T in pairs:
         cells.column(T, "panel maturity")
+    for T in row_mats:
+        cells.column(T, "row maturity")
     m_pair = np.searchsorted(mats, [T for _, T in pairs])
     c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
     amap = _driver_map(method, t_grid, hurst)

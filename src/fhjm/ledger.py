@@ -14,11 +14,11 @@ interval's holdings conditional on information available at its start;
 they are declarative (always-on or a threshold on an observed discounted
 price), so lookahead is impossible by construction.
 
-Every function takes the whole surface and computes the same sums on all
-its paths at once, over the maturity columns the strategy's atoms use.
-:func:`holdings` gathers those columns and the gated positions once, and
-the ledger and the pairing check both accept its result in place of the
-surface.
+Every function takes a ``ZRows`` stream or a discounted surface, and
+computes the same sums on all its paths at once, over the maturity
+columns the strategy's atoms use.  :func:`holdings` gathers those columns
+and the gated positions in one pass over the time rows, and the ledger
+and the pairing check both accept its result in place of the stream.
 
 ``integration_by_parts_check`` verifies the discrete pairing identity
 
@@ -200,12 +200,12 @@ def total_variation(strategy: Strategy) -> float:
 
 
 class Holdings(NamedTuple):
-    """A strategy's gated holdings against one surface, over its atoms' maturity columns.
+    """A strategy's gated holdings against one batch of Z, over its atoms' maturity columns.
 
-    ``held`` and ``z`` are (n_paths, n + 1, C) over the C surface columns
-    that the strategy's atoms use, in surface order: ``held[p, i]`` is the
-    position carried into t_i on path p (held over (t_{i-1}, t_i], zero at
-    t_0), and ``z`` the discounted prices with NaN read as 0.
+    ``held`` and ``z`` are (n_paths, n + 1, C) over the C maturity columns
+    that the strategy's atoms use, in the batch's order: ``held[p, i]`` is
+    the position carried into t_i on path p (held over (t_{i-1}, t_i], zero
+    at t_0), and ``z`` the discounted prices with NaN read as 0.
     """
 
     times: np.ndarray
@@ -213,42 +213,47 @@ class Holdings(NamedTuple):
     z: np.ndarray
 
 
-def holdings(strategy: Strategy, surface: BondSurface) -> Holdings:
-    """The :class:`Holdings` of ``strategy`` on a discounted surface.
+def holdings(strategy: Strategy, surface) -> Holdings:
+    """The :class:`Holdings` of ``strategy`` on a ``ZRows`` stream or a discounted surface.
 
-    A threshold gate is one mask over paths, read off the discounted price
-    at its leg's start.  :func:`liquidation_value` and
+    One pass over the rows (a surface's through
+    :meth:`~fhjm.hjm.BondSurface.z_rows`) copies the atom columns of each
+    row, and a threshold gate is one mask over paths, read off its gate
+    column in the row at its leg's start.  :func:`liquidation_value` and
     :func:`integration_by_parts_check` take the result in place of the
-    surface, so one series serves both.
+    stream, so one series serves both.
     """
-    if surface.discounted is None:
-        raise ValueError("the ledger needs a discounted surface")
-    maturities = [T for leg in strategy.legs for T, _ in leg.measure.atoms]
-    cols = sorted({surface.column(T, "atom maturity") for T in maturities})
-    held = np.zeros((surface.n_paths, surface.t_grid.n_steps + 1, len(cols)))
-    for leg in strategy.legs:
-        i0 = surface.row(leg.start, "leg boundary")
-        i1 = surface.row(leg.end, "leg boundary")
-        weights = np.zeros(len(cols))
-        for T, w in leg.measure.atoms:
-            weights[cols.index(surface.column(T, "atom maturity"))] += w
-        gate = leg.gate
-        active = slice(None)
-        if gate.kind == "threshold":
-            z = surface.discounted[:, i0, surface.column(gate.maturity, "gate maturity")]
-            if np.isnan(z).any():
-                raise ValueError("gate maturity already expired at the rebalance time")
-            active = z <= gate.level if gate.op == "<=" else z >= gate.level
-        held[active, i0 + 1 : i1 + 1] = weights
+    rows = surface.z_rows() if isinstance(surface, BondSurface) else surface
+    legs = strategy.legs
+    cols = sorted({rows.column(T, "atom maturity") for leg in legs for T, _ in leg.measure.atoms})
+    spans = [(rows.row(leg.start, "leg boundary"), rows.row(leg.end, "leg boundary"))
+             for leg in legs]
+    # the (row, column) cell each threshold gate reads, by leg
+    gates = {k: (spans[k][0], rows.column(leg.gate.maturity, "gate maturity"))
+             for k, leg in enumerate(legs) if leg.gate.kind == "threshold"}
     # the price columns in a column-major (C, paths, n + 1) buffer, the strides
     # of numpy's own gather z[:, :, cols]: with eight or more columns a BLAS
     # dot's summation order follows the strides, so the layout is stated here
-    # rather than left to the gather
-    z = np.empty((len(cols), surface.n_paths, surface.t_grid.n_steps + 1))
-    for c, col in enumerate(cols):
-        z[c] = surface.discounted[:, :, col]
+    # rather than left to the source of the rows
+    z = np.empty((len(cols), rows.n_paths, rows.t_grid.n_steps + 1))
+    observed = {}
+    for i, row in enumerate(rows.rows()):
+        z[:, :, i] = row[:, cols].T
+        observed.update((k, row[:, col]) for k, (r, col) in gates.items() if r == i)
     np.nan_to_num(z, copy=False, nan=0.0)
-    return Holdings(times=surface.t_grid.points, held=held, z=z.transpose(1, 2, 0))
+    held = np.zeros(z.shape[1:] + (len(cols),))
+    for k, (leg, (i0, i1)) in enumerate(zip(legs, spans)):
+        weights = np.zeros(len(cols))
+        for T, w in leg.measure.atoms:
+            weights[cols.index(rows.column(T, "atom maturity"))] += w
+        active = slice(None)
+        if k in observed:
+            zg, gate = observed[k], leg.gate
+            if np.isnan(zg).any():
+                raise ValueError("gate maturity already expired at the rebalance time")
+            active = zg <= gate.level if gate.op == "<=" else zg >= gate.level
+        held[active, i0 + 1 : i1 + 1] = weights
+    return Holdings(times=rows.t_grid.points, held=held, z=z.transpose(1, 2, 0))
 
 
 def _series(strategy: Strategy, surface) -> Holdings:
@@ -275,9 +280,9 @@ def liquidation_value(strategy: Strategy, surface, k: float) -> LedgerResult:
     so V_0 = 0 and the opening trade is charged from the first step on.
     The sums over l are one cumulative sum over [0, step_0, step_1, ...];
     every array of the result is (n_paths, n + 1).  For other cost levels
-    on the same surface, take :meth:`LedgerResult.at` of the result.
-    ``surface`` is a discounted surface or the strategy's :class:`Holdings`
-    on one.
+    on the same prices, take :meth:`LedgerResult.at` of the result.
+    ``surface`` is a ``ZRows`` stream, a discounted surface, or the
+    strategy's :class:`Holdings` on one.
     """
     if k < 0:
         raise ValueError("transaction cost k must be nonnegative")
@@ -302,8 +307,9 @@ def integration_by_parts_check(strategy: Strategy, surface) -> np.ndarray:
     sum_i G_{t_{i+1}} (mu_{i+1} - mu_i) + sum_i mu_i (G_{t_{i+1}} - G_{t_i})
     - [G_N mu_N - G_0 mu_0] is an exact telescoping zero for
     piecewise-constant mu.  Returns its absolute value, summed over the
-    atoms' maturity columns in surface order.  ``surface`` is a discounted
-    surface or the strategy's :class:`Holdings` on one.
+    atoms' maturity columns in the batch's order.  ``surface`` is a
+    ``ZRows`` stream, a discounted surface, or the strategy's
+    :class:`Holdings` on one.
     """
     series = _series(strategy, surface)
     mu = np.ascontiguousarray(series.held.transpose(0, 2, 1))  # (n_paths, C, n + 1)

@@ -288,13 +288,13 @@ def test_in_place_cholesky_batch_matches_the_whole_batch_formula(n_paths, dims):
 
 
 @pytest.mark.parametrize("dims", [1, 2])
-def test_affine_batches_match_the_whole_batch_formula(dims):
+def test_affine_rows_match_the_whole_batch_formula(dims):
     # 600 paths in batches of 257 (offsets 0, 257, 514; chunks of 256 and 1)
     # and in one batch, priced from the driver's increments through A b, against
     # the exact sampler's increments in one whole-batch formula
     from fhjm.hjm import (
         InitialCurve,
-        affine_batches,
+        affine_draws,
         affine_log_discount,
         drift_for_simulation,
         simulation_grids,
@@ -314,9 +314,9 @@ def test_affine_batches_match_the_whole_batch_formula(dims):
 
     def run(batch_size):
         return np.concatenate([
-            batch.discounted
-            for batch in affine_batches(spec, H75, drift, init, tg, xg, n_paths=600, seed=6,
-                                        maturities=mats, batch_size=batch_size)
+            np.stack(list(rows.rows()), axis=1)
+            for _, rows in affine_draws(spec, H75, drift, init, tg, xg, n_paths=600, seed=6,
+                                        row_maturities=mats, batch_size=batch_size)
         ])
 
     have = run(600)

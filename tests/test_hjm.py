@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import kurtosis, skew
 
@@ -7,6 +8,7 @@ from fhjm.drift import DriftField, ho_lee_drift
 from fhjm.fbm import FbmPathSet, TimeGrid, generate_cholesky
 from fhjm.hjm import (
     InitialCurve,
+    affine_draws,
     bond_surface,
     closed_form_bond,
     discounted_surface,
@@ -31,6 +33,12 @@ def _zero_paths(grid, dims=1, n_paths=1):
 
 def _zero_drift(tg, n_ext):
     return DriftField(tg.points, np.arange(n_ext) * tg.dt, np.zeros((tg.n_steps + 1, n_ext)))
+
+
+def _stacked_rows(spec, drift, init, tg, xg, hurst=H75, **kwargs):
+    """Each batch of ``affine_draws``' rows stacked along t: (paths, n + 1, M) arrays."""
+    return [np.stack(list(rows.rows()), axis=1)
+            for _, rows in affine_draws(spec, hurst, drift, init, tg, xg, **kwargs)]
 
 
 def test_grid_alignment_enforced():
@@ -253,7 +261,6 @@ def test_vol_cube_equals_per_step_evaluations():
 def test_affine_route_matches_surface_route(method):
     # log Z = c + cumsum(dbeta . g) prices the same cells as the forward and
     # bond surfaces, to rounding; x_max < t_star leaves unpriced cells NaN
-    from fhjm.hjm import affine_batches
     from fhjm.vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec
 
     table = TabulatedVol([0.0, 0.5, 1.0], [0.0, 0.5, 2.5],
@@ -270,12 +277,12 @@ def test_affine_route_matches_surface_route(method):
         drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=64)
         surface = simulate_batches(spec, H75, drift, init, tg, xg, n_paths=9, seed=5,
                                    batch_size=4, method=method)
-        affine = affine_batches(spec, H75, drift, init, tg, xg, n_paths=9, seed=5,
-                                maturities=mats, batch_size=4, method=method)
-        for (_, _, _, ref), got in zip(surface, affine, strict=True):
-            assert np.array_equal(got.maturities, mats)
-            assert got.prices is None  # the affine route carries Z only
-            want, have = ref.discounted[:, :, cols], got.discounted
+        affine = affine_draws(spec, H75, drift, init, tg, xg, n_paths=9, seed=5,
+                              row_maturities=mats, batch_size=4, method=method)
+        for (_, _, _, ref), (prices, rows) in zip(surface, affine, strict=True):
+            assert prices is None  # no pairs asked for
+            assert np.array_equal(rows.maturities, mats)
+            want, have = ref.discounted[:, :, cols], np.stack(list(rows.rows()), axis=1)
             priced = ~np.isnan(want)
             assert np.array_equal(priced, ~np.isnan(have))
             assert not priced.all()  # T - t > x_max is unpriced
@@ -283,19 +290,15 @@ def test_affine_route_matches_surface_route(method):
 
 
 def test_affine_route_rows_do_not_depend_on_batch_size():
-    from fhjm.hjm import affine_batches
-
     tg, xg = simulation_grids(1.0, 16, 1.0, 16)
     spec = ho_lee(0.01)
     drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
     init = InitialCurve.flat(0.03, tg.dt, 33)
 
     def run(batch_size, method):
-        batches = list(affine_batches(spec, H75, drift, init, tg, xg, n_paths=20, seed=8,
-                                      maturities=[0.5, 1.0], batch_size=batch_size,
-                                      method=method))
-        assert all(b.prices is None for b in batches)
-        return np.concatenate([b.discounted for b in batches])
+        return np.concatenate(_stacked_rows(spec, drift, init, tg, xg, n_paths=20, seed=8,
+                                            row_maturities=[0.5, 1.0], batch_size=batch_size,
+                                            method=method))
 
     # a flat product over a batch rounds each row by the row count; the
     # generators' per-path products do not
@@ -307,7 +310,6 @@ def test_affine_route_rows_do_not_depend_on_batch_size():
 
 def test_three_batch_run_builds_the_increment_gram_once(monkeypatch):
     from fhjm import fbm
-    from fhjm.hjm import affine_batches
 
     builds = []
 
@@ -321,15 +323,14 @@ def test_three_batch_run_builds_the_increment_gram_once(monkeypatch):
     spec = ho_lee(0.01)
     drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
     init = InitialCurve.flat(0.03, tg.dt, 33)
-    batches = list(affine_batches(spec, H75, drift, init, tg, xg, n_paths=9, seed=8,
-                                  maturities=[0.5, 1.0], batch_size=3))
+    batches = _stacked_rows(spec, drift, init, tg, xg, n_paths=9, seed=8,
+                            row_maturities=[0.5, 1.0], batch_size=3)
     assert len(batches) == 3
     assert len(builds) == 1
 
 
 def test_three_volterra_batches_build_the_kernel_matrix_once(monkeypatch):
     from fhjm import fbm
-    from fhjm.hjm import affine_batches
 
     build, builds = fbm._kernel_matrix, []
 
@@ -343,8 +344,8 @@ def test_three_volterra_batches_build_the_kernel_matrix_once(monkeypatch):
     spec = ho_lee(0.01)
     drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
     init = InitialCurve.flat(0.03, tg.dt, 33)
-    batches = list(affine_batches(spec, H75, drift, init, tg, xg, n_paths=9, seed=8,
-                                  maturities=[0.5, 1.0], batch_size=3, method="volterra"))
+    batches = _stacked_rows(spec, drift, init, tg, xg, n_paths=9, seed=8,
+                            row_maturities=[0.5, 1.0], batch_size=3, method="volterra")
     assert len(batches) == 3
     assert len(builds) == 1
 
@@ -361,12 +362,12 @@ def _affine_oracle(c, g, dbeta):
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
-def test_affine_batches_match_the_factor_sum_oracle_bit_for_bit(dims):
-    # the maturity-major buffer, filled factor by factor in place, gives the
-    # bits of the factor-axis sum over dbeta = A b of the driver increments b;
-    # x_max < t_star leaves NaN cells
+def test_affine_rows_match_the_factor_sum_oracle_bit_for_bit(dims):
+    # the rows' running sum, stepped factor by factor, gives the bits of the
+    # factor-axis sum over dbeta = A b of the driver increments b; x_max <
+    # t_star leaves NaN cells
     from fhjm.fbm import BrownianDriver
-    from fhjm.hjm import _driver_map, _generate_paths, affine_batches, affine_log_discount
+    from fhjm.hjm import _driver_map, _generate_paths, affine_log_discount
     from fhjm.vol import ExpDecayVol, FlatVol, TabulatedVol, VolatilitySpec
 
     table = TabulatedVol([0.0, 0.5, 1.0], [0.0, 0.5, 2.5],
@@ -387,42 +388,24 @@ def test_affine_batches_match_the_factor_sum_oracle_bit_for_bit(dims):
         want = _affine_oracle(c, g, dbeta)
         assert np.isnan(want).any() and not np.isnan(want).all()
         for batch_size in (1, 7, n_paths):
-            batches = affine_batches(spec, H75, drift, init, tg, xg, n_paths=n_paths, seed=21,
-                                     maturities=mats, batch_size=batch_size, method=method)
-            have = np.concatenate([batch.discounted for batch in batches])
+            have = np.concatenate(_stacked_rows(
+                spec, drift, init, tg, xg, n_paths=n_paths, seed=21, row_maturities=mats,
+                batch_size=batch_size, method=method))
             assert have.shape == want.shape
             same = np.array_equal(have.view(np.uint64), want.view(np.uint64))
             assert same, (method, batch_size)
 
 
-def test_affine_batch_is_a_maturity_major_view():
-    # (path, t, T) indexing over a (path, T, t) buffer: each maturity's time
-    # series is contiguous
-    from fhjm.hjm import affine_batches
-
-    tg, xg = simulation_grids(1.0, 16, 1.0, 16)
-    spec = ho_lee(0.01)
-    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
-    init = InitialCurve.flat(0.03, tg.dt, 33)
-    (batch,) = affine_batches(spec, H75, drift, init, tg, xg, n_paths=5, seed=2,
-                              maturities=[0.5, 1.0], batch_size=5)
-    z = batch.discounted
-    assert z.shape == (5, 17, 2)
-    assert z.strides == (2 * 17 * 8, 8, 17 * 8)
-    assert batch.row(0.5, "t") == 8 and batch.column(1.0, "T") == 1
-    assert np.isfinite(z[:, 8, 0]).all() and np.isnan(z[:, 9, 0]).all()  # t > T unpriced
-
-
 @pytest.mark.parametrize("dims", [1, 2])
-def test_affine_batches_hold_one_batch_at_a_time(dims):
-    # peak traced memory over three batches: one batch's Z plus the
-    # generator's (paths, d, n) buffers, and a later factor's (paths, M, n)
-    # product, not the previous batch's Z on top of a product, a factor sum
-    # and a cumulative sum
+def test_affine_rows_through_the_ledger_hold_one_batch_at_a_time(dims):
+    # three batches' rows drained through `holdings`, as `fhjm portfolio` does:
+    # the peak traced memory holds one batch's increments dbeta and, either
+    # a chunk's draw, or the holdings' price buffer z and positions held;
+    # never the previous batch's dbeta, z or held on top
     import tracemalloc
-    from operator import attrgetter
 
-    from fhjm.hjm import affine_batches
+    from fhjm.fbm import CHUNK_PATHS
+    from fhjm.ledger import DiscreteMeasure, Strategy, StrategyLeg, holdings
     from fhjm.vol import ExpDecayVol, FlatVol, VolatilitySpec
 
     tg, xg = simulation_grids(2.0, 32, 2.0, 32)
@@ -430,16 +413,21 @@ def test_affine_batches_hold_one_batch_at_a_time(dims):
     drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=32)
     init = InitialCurve.flat(0.03, tg.dt, 65)
     mats = [1.0, 1.5, 1.75, 2.0]
+    strategy = Strategy(legs=(StrategyLeg(0.0, 1.0, DiscreteMeasure([(T, 1.0) for T in mats])),),
+                        horizon=1.0)
     batch = 600
-    z_bytes = batch * len(mats) * (tg.n_steps + 1) * 8
-    generator_bytes = 2 * batch * dims * tg.n_steps * 8  # the increments and a chunk's draw
-    product_bytes = (dims > 1) * batch * len(mats) * tg.n_steps * 8
+    dbeta_bytes = batch * dims * tg.n_steps * 8
+    chunk_bytes = 2 * CHUNK_PATHS * dims * tg.n_steps * 8  # the normals and their scaled copy
+    z_bytes = held_bytes = batch * (tg.n_steps + 1) * len(mats) * 8
 
     def drained(n_paths):
-        # a map holds no batch once counted, as `fhjm portfolio` drops each one
-        return sum(map(attrgetter("n_paths"), affine_batches(
-            spec, H75, drift, init, tg, xg, n_paths=n_paths, seed=4, maturities=mats,
-            batch_size=batch)))
+        count = 0
+        for _, rows in affine_draws(spec, H75, drift, init, tg, xg, n_paths=n_paths, seed=4,
+                                    row_maturities=mats, batch_size=batch):
+            series = holdings(strategy, rows)
+            count += series.held.shape[0]
+            del rows, series  # freed before the next batch is drawn
+        return count
 
     drained(2)  # warm the increment factor, off the traced run
     tracemalloc.start()
@@ -449,4 +437,82 @@ def test_affine_batches_hold_one_batch_at_a_time(dims):
     finally:
         tracemalloc.stop()
     assert n_paths == 3 * batch
-    assert peak < 1.5 * z_bytes + generator_bytes + product_bytes, (peak, z_bytes)
+    assert peak < dbeta_bytes + chunk_bytes + z_bytes + held_bytes, (peak, z_bytes)
+
+
+@pytest.mark.parametrize("maturity", [0.3, 5.0, -0.125])
+def test_row_maturities_are_held_to_the_cell_rule(maturity):
+    # off the grid, past t_star + x_max, or before 0: each is named with its role
+    import re
+
+    tg, xg = simulation_grids(1.0, 8, 1.0, 8)
+    spec = ho_lee(0.01)
+    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=16)
+    init = InitialCurve.flat(0.03, tg.dt, 17)
+    draws = affine_draws(spec, H75, drift, init, tg, xg, n_paths=2, seed=1,
+                         row_maturities=[0.5, maturity])
+    with pytest.raises(ValueError, match=re.escape(f"row maturity {maturity} not among")):
+        next(draws)
+
+
+@st.composite
+def _factors(draw):
+    """One volatility factor: flat, exponentially damped, or a 3 x 3 table (zeros allowed)."""
+    from fhjm.vol import ExpDecayVol, FlatVol, TabulatedVol
+
+    kind = draw(st.sampled_from(["flat", "damped", "table"]))
+    level = st.floats(0.001, 0.05)
+    if kind == "flat":
+        return FlatVol(draw(level))
+    if kind == "damped":
+        return ExpDecayVol(draw(level), draw(st.floats(0.1, 3.0)))
+    knots = [np.cumsum([0.0] + draw(st.lists(st.floats(0.1, 4.0), min_size=2, max_size=2)))
+             for _ in range(2)]
+    values = draw(st.lists(st.sampled_from([0.0]) | level, min_size=9, max_size=9))
+    return TabulatedVol(knots[0], knots[1], np.reshape(values, (3, 3)))
+
+
+@pytest.mark.filterwarnings("ignore:tabulated volatility extrapolated")
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_affine_draws_match_the_surface_route_on_random_models(data):
+    # pairs and rows of affine_draws against simulate_batches' forward surface,
+    # priced on every maturity node by bond_surface and discounted: 1e-12
+    # relative and the same NaN pattern, on random specs, grids and cells
+    from fhjm.vol import VolatilitySpec
+
+    draw = data.draw
+    spec = VolatilitySpec(tuple(draw(st.lists(_factors(), min_size=1, max_size=3))))
+    hurst = HurstParam(draw(st.floats(0.55, 0.95)))
+    method = draw(st.sampled_from(["cholesky", "volterra"]))
+    n, m = draw(st.integers(2, 24)), draw(st.integers(1, 24))
+    t_star = draw(st.sampled_from([0.5, 1.0, 2.0, 8.0]))
+    tg, xg = simulation_grids(t_star, n, t_star / n * m, m)
+    init = InitialCurve.from_table([0.0, tg.t_star + xg.x_max],
+                                   [draw(st.floats(0.0, 0.05)), draw(st.floats(0.0, 0.05))],
+                                   tg.dt, n + m + 1)
+    nodes = tg.dt * np.arange(n + m + 1)
+    cells = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n + m)), max_size=4))
+    pairs = [(tg.points[i], nodes[k]) for i, k in cells]
+    row_cols = draw(st.lists(st.integers(0, n + m), min_size=1, max_size=4))
+    n_paths, batch_size = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    drift = drift_for_simulation(spec, hurst, tg, xg, theta_cells=16)
+    run = dict(n_paths=n_paths, seed=draw(st.integers(0, 2**31 - 1)), batch_size=batch_size,
+               method=method)
+
+    want = []
+    for _, _, surface, _ in simulate_batches(spec, hurst, drift, init, tg, xg, **run):
+        bonds = bond_surface(surface, nodes)
+        want.append(discounted_surface(bonds, money_account(surface)).discounted)
+    want = np.concatenate(want)
+    prices, rows = zip(*affine_draws(spec, hurst, drift, init, tg, xg, pairs=pairs,
+                                     row_maturities=nodes[row_cols], **run))
+    checks = [(np.concatenate([np.stack(list(r.rows()), axis=1) for r in rows]),
+               want[:, :, row_cols])]
+    if pairs:
+        checks.append((np.concatenate([p.values for p in prices]),
+                       want[:, [i for i, _ in cells], [k for _, k in cells]]))
+    for have, expected in checks:
+        priced = ~np.isnan(expected)
+        assert np.array_equal(priced, ~np.isnan(have))
+        np.testing.assert_allclose(have[priced], expected[priced], rtol=1e-12, atol=0)

@@ -7,6 +7,7 @@ from fhjm.fbm import FbmPathSet, generate_cholesky
 from fhjm.hjm import (
     BondSurface,
     InitialCurve,
+    affine_draws,
     bond_surface,
     discounted_surface,
     drift_for_simulation,
@@ -48,6 +49,30 @@ def _noisy_market(n=16, n_paths=3, seed=77):
     paths = generate_cholesky(tg, 1, n_paths, H75, seed=seed)
     surf = simulate_forward(spec, H75, drift, init, paths, xg)
     return discounted_surface(bond_surface(surf), money_account(surf))
+
+
+def _affine_rows(n=16, n_paths=6, seed=9, maturities=None):
+    """One batch of ``affine_draws``' rows on the noisy market's model, every grid maturity by default."""
+    tg, xg = simulation_grids(1.0, n, 1.0, n)
+    spec = ho_lee(0.02)
+    drift = drift_for_simulation(spec, H75, tg, xg, theta_cells=64)
+    init = InitialCurve.flat(0.03, tg.dt, 2 * n + 1)
+    ((_, rows),) = affine_draws(spec, H75, drift, init, tg, xg, n_paths=n_paths, seed=seed,
+                                row_maturities=tg.points if maturities is None else maturities,
+                                batch_size=n_paths)
+    return rows
+
+
+def _stacked(rows):
+    """The discounted surface of a row stream: its rows stacked along t."""
+    return BondSurface(t_grid=rows.t_grid, maturities=rows.maturities,
+                       discounted=np.stack(list(rows.rows()), axis=1))
+
+
+def _maturity_major(surface):
+    """The same surface, its Z a (path, t, T) view of a (path, T, t) buffer."""
+    z = np.ascontiguousarray(surface.discounted.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return BondSurface(t_grid=surface.t_grid, maturities=surface.maturities, discounted=z)
 
 
 def buy_hold(weight=1.0, T=1.0, horizon=1.0):
@@ -295,37 +320,37 @@ def test_array_ledger_matches_per_path_reference():
 
 
 def test_gate_on_expired_maturity_rejected():
-    market = _noisy_market()
     expired = Gate(kind="threshold", maturity=0.25, op="<=", level=1.0)
     strat = Strategy(
         legs=(StrategyLeg(0.5, 1.0, DiscreteMeasure(((1.0, 1.0),)), gate=expired),),
         horizon=1.0,
     )
-    with pytest.raises(ValueError, match="expired"):
-        liquidation_value(strat, market, k=0.01)
+    for market in (_noisy_market(), _affine_rows(maturities=[0.25, 1.0])):
+        with pytest.raises(ValueError, match="expired"):
+            liquidation_value(strat, market, k=0.01)
 
 
 def test_ledger_bits_do_not_follow_the_surface_layout():
-    # affine batches hold Z as a maturity-major view.  With eight or more atom
-    # columns a BLAS dot sums in an order set by the operands' strides, but the
-    # ledger's column gather lays its copy out the same way from either layout
+    # the ledger copies its price columns into one layout, from a surface of
+    # either layout or from a row stream.  With eight or more atom columns a
+    # BLAS dot sums in an order set by the operands' strides
     market = _noisy_market(n=16, n_paths=6, seed=9)
-    z = market.discounted
-    view = BondSurface(t_grid=market.t_grid, maturities=market.maturities,
-                       discounted=np.ascontiguousarray(z.transpose(0, 2, 1)).transpose(0, 2, 1))
-    assert not view.discounted.flags.c_contiguous
+    rows = _affine_rows()
+    stacked = _stacked(rows)
+    assert not _maturity_major(market).discounted.flags.c_contiguous
     atoms = tuple((T, 0.3 + 0.1 * a) for a, T in enumerate(np.linspace(0.5, 1.0, 9)))
     strat = Strategy(
         legs=(StrategyLeg(0.0, 0.25, DiscreteMeasure(atoms)),
               StrategyLeg(0.25, 0.5, DiscreteMeasure(atoms[::-1]))),
         horizon=0.5,
     )
-    for k in (0.0, 0.01):
-        want, have = liquidation_value(strat, market, k), liquidation_value(strat, view, k)
-        for name in ("gains", "costs", "liquidation", "value"):
-            assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), (k, name)
-    assert (integration_by_parts_check(strat, view).tobytes()
-            == integration_by_parts_check(strat, market).tobytes())
+    for ref, other in ((market, _maturity_major(market)), (stacked, rows)):
+        for k in (0.0, 0.01):
+            want, have = liquidation_value(strat, ref, k), liquidation_value(strat, other, k)
+            for name in ("gains", "costs", "liquidation", "value"):
+                assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+        assert (integration_by_parts_check(strat, other).tobytes()
+                == integration_by_parts_check(strat, ref).tobytes())
 
 
 def test_ledger_price_columns_have_the_gather_strides():
@@ -334,18 +359,47 @@ def test_ledger_price_columns_have_the_gather_strides():
     from fhjm.ledger import holdings
 
     market = _noisy_market(n=16, n_paths=6, seed=9)
-    z = market.discounted
-    view = BondSurface(t_grid=market.t_grid, maturities=market.maturities,
-                       discounted=np.ascontiguousarray(z.transpose(0, 2, 1)).transpose(0, 2, 1))
+    rows = _affine_rows()
     atoms = tuple((T, 1.0) for T in np.linspace(0.5, 1.0, 9))
     strat = Strategy(legs=(StrategyLeg(0.0, 0.5, DiscreteMeasure(atoms)),), horizon=0.5)
     cols = [market.column(T, "atom") for T, _ in atoms]
-    for surface in (market, view):
+    assert cols == [rows.column(T, "atom") for T, _ in atoms]
+    for surface, z in ((market, market.discounted), (_maturity_major(market), market.discounted),
+                       (rows, _stacked(rows).discounted)):
         have = holdings(strat, surface).z
         assert have.shape == (6, 17, 9)
         assert have.strides == (17 * 8, 8, 6 * 17 * 8)
-        assert have.strides == surface.discounted[:, :, cols].strides
+        assert have.strides == z[:, :, cols].strides
         assert have.tobytes() == np.nan_to_num(z[:, :, cols], nan=0.0).tobytes()
+
+
+def test_row_ledger_reads_a_gate_column_that_no_atom_uses():
+    # as `fhjm portfolio` streams them: the rows carry a threshold gate's
+    # maturity beside the atoms'.  The gate column is read at its leg's start
+    # and not held, and the ledger and the pairing residual have the bits of
+    # the stacked surface's
+    from fhjm.ledger import holdings
+
+    rows = _affine_rows(n_paths=8, maturities=[0.75, 0.875, 1.0])
+    stacked = _stacked(rows)
+    z_gate = stacked.discounted[:, 4, 1]  # Z(0.25, 0.875)
+    gate = Gate(kind="threshold", maturity=0.875, op="<=", level=float(np.median(z_gate)))
+    strat = Strategy(
+        legs=(StrategyLeg(0.0, 0.25, DiscreteMeasure(((1.0, 1.0),))),
+              StrategyLeg(0.25, 0.75, DiscreteMeasure(((0.75, 2.0), (1.0, -1.0))), gate=gate)),
+        horizon=1.0,
+    )
+    on = z_gate <= gate.level
+    assert on.any() and not on.all()
+    series = holdings(strat, rows)
+    assert series.z.shape == (8, 17, 2)
+    assert np.all(series.held[on, 5:13] != 0.0) and np.all(series.held[~on, 5:] == 0.0)
+    for k in (0.0, 0.01):
+        want, have = liquidation_value(strat, stacked, k), liquidation_value(strat, rows, k)
+        for name in ("times", "gains", "costs", "liquidation", "value"):
+            assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+    assert (integration_by_parts_check(strat, rows).tobytes()
+            == integration_by_parts_check(strat, stacked).tobytes())
 
 
 def test_one_holdings_series_serves_the_ledger_and_the_pairing_check():

@@ -10,7 +10,6 @@ from fhjm.hjm import (
     BondSurface,
     InitialCurve,
     PairPrices,
-    affine_batches,
     affine_draws,
     drift_for_simulation,
     simulation_grids,
@@ -106,12 +105,10 @@ def test_oscillation_probe_frequencies():
     tg, xg = simulation_grids(1.0, 32, 1.0, 32)
     fld = drift_for_simulation(spec, H70, tg, xg, theta_cells=64)
     init = InitialCurve.flat(0.03, tg.dt, 65)
-    batches = list(
-        affine_batches(
-            spec, H70, fld, init, tg, xg, n_paths=2000, seed=67,
-            maturities=tg.points, batch_size=500,
-        )
-    )
+    batches = [rows for _, rows in affine_draws(
+        spec, H70, fld, init, tg, xg, n_paths=2000, seed=67, row_maturities=tg.points,
+        batch_size=500,
+    )]
     ks = [1e-5, 0.05, 10.0]
     report = oscillation_probe(batches, ks, taus=[0.0, 0.5])
     freq = report.frequencies
@@ -131,11 +128,9 @@ def test_oscillation_probe_rejects_bad_threshold():
     tg, xg = simulation_grids(1.0, 8, 1.0, 8)
     fld = drift_for_simulation(spec, H70, tg, xg, theta_cells=32)
     init = InitialCurve.flat(0.03, tg.dt, 17)
-    surf = list(
-        affine_batches(
-            spec, H70, fld, init, tg, xg, n_paths=4, seed=1, maturities=tg.points, batch_size=4
-        )
-    )
+    surf = [rows for _, rows in affine_draws(
+        spec, H70, fld, init, tg, xg, n_paths=4, seed=1, row_maturities=tg.points, batch_size=4
+    )]
     with pytest.raises(ValueError):
         oscillation_probe(surf, [-0.1], taus=[0.0])
 
