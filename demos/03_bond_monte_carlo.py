@@ -43,7 +43,7 @@ draws = affine_draws(
     spec, hurst, field, init, tg, xg,
     n_paths=20_000, seed=99, pairs=pairs, batch_size=2000,
 )
-rep = check_quasi_martingale((p for p, _ in draws), spec, hurst, pairs, drift=field)
+rep = check_quasi_martingale((p for p, _ in draws), pairs)
 print(rep.table())
 print(f"panel z-scores exceeding 3: {rep.n_exceeding(3.0)}")
 
@@ -52,7 +52,7 @@ draws0 = affine_draws(
     spec, hurst, field.zeroed(), init, tg, xg,
     n_paths=20_000, seed=99, pairs=pairs, batch_size=2000,
 )
-rep0 = check_quasi_martingale((p for p, _ in draws0), spec, hurst, pairs)
+rep0 = check_quasi_martingale((p for p, _ in draws0), pairs)
 print(rep0.table())
 print(
     "note the systematic positive shift: the z-scores grow like "

@@ -1,8 +1,8 @@
 """Trade bonds under proportional costs and inspect the liquidation ledger.
 
-Builds a simple rebalancing strategy, runs it against the time rows of
-simulated discounted prices, and shows how the terminal liquidation value
-V^k decreases with the cost level.  The exact discrete pairing identity
+Builds a simple rebalancing strategy, reads its holdings once off the time
+rows of simulated discounted prices, and shows how the terminal
+liquidation value V^k decreases with the cost level.  The exact discrete pairing identity
 (holdings against prices) is checked along the way, and the oscillation
 probe reports how often the surface stays inside narrow bands -- the
 mechanism by which small frictions remove arbitrage from rough paths.
@@ -19,6 +19,7 @@ from fhjm import (
     affine_draws,
     drift_for_simulation,
     ho_lee,
+    holdings,
     integration_by_parts_check,
     liquidation_value,
     oscillation_probe,
@@ -47,17 +48,18 @@ strategy = Strategy(
     horizon=1.0,
 )
 print(f"strategy total variation: {total_variation(strategy)}")
-resid = integration_by_parts_check(strategy, market)
+series = holdings(strategy, market)  # one holdings series serves every ledger call
+resid = integration_by_parts_check(series)
 print(f"pairing-identity residual over {resid.size} paths: {resid.max():.2e}")
 
 print(f"\nterminal V^k by cost level (mean / 5% / 95% over {market.n_paths} paths):")
 for k in (0.0, 0.001, 0.005, 0.01):
-    finals = liquidation_value(strategy, market, k=k).final_values()
+    finals = liquidation_value(series, k=k).final_values()
     print(f"  k={k:<6} mean {finals.mean():+.5f}   "
           f"q05 {np.quantile(finals, 0.05):+.5f}   q95 {np.quantile(finals, 0.95):+.5f}")
 
 print("\nsmall-oscillation frequencies (per restart time tau):")
-probe = oscillation_probe(market, thresholds=[0.01, 0.05, 0.2], taus=[0.0, 0.5])
+probe = oscillation_probe([market], thresholds=[0.01, 0.05, 0.2], taus=[0.0, 0.5])
 for a, tau in enumerate(probe.taus):
     row = ", ".join(
         f"k={k:g}: {probe.frequencies[a, b]:.3f}"

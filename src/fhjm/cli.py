@@ -180,7 +180,12 @@ def _probe_rows(draws, kept: list):
 
 def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
     from .hjm import affine_draws
-    from .noarb import check_quasi_martingale, drift_identity_check, oscillation_probe
+    from .noarb import (
+        check_quasi_martingale,
+        drift_identity_check,
+        integrated_identity_gap,
+        oscillation_probe,
+    )
 
     report: dict = {}
     ok = True
@@ -214,8 +219,11 @@ def cmd_check(cfg: ExperimentConfig, out: str) -> tuple[list, bool]:
         report["drift_identity_pass"] = bool(gap <= CHECK_THRESHOLDS["drift_identity_max_gap"])
         ok = ok and report["drift_identity_pass"]
 
-        qm = check_quasi_martingale(draws, cfg.model, cfg.hurst, pairs, drift=drift)
+        qm = check_quasi_martingale(draws, pairs)
         report["quasi_martingale"] = qm.to_dict()
+        report["quasi_martingale"]["identity_gap"] = integrated_identity_gap(
+            cfg.model, cfg.hurst, drift, pairs
+        )
         report["quasi_martingale_pass"] = bool(
             np.all(np.isfinite(qm.z_scores))
             and qm.n_exceeding(CHECK_THRESHOLDS["z_level"]) <= CHECK_THRESHOLDS["z_exceedances_max"]
@@ -322,8 +330,8 @@ def cmd_portfolio(cfg: ExperimentConfig, out: str) -> list:
                 # one holdings series (one pass over the rows) and one ledger
                 # per strategy and batch; each cost level only reprices V
                 series = holdings(strategy, rows)
-                residuals[s_i].append(integration_by_parts_check(strategy, series))
-                ledger = liquidation_value(strategy, series, k=cfg.cost_levels[0])
+                residuals[s_i].append(integration_by_parts_check(series))
+                ledger = liquidation_value(series, k=cfg.cost_levels[0])
                 del series  # freed before the ledger is repriced and written
                 for k in cfg.cost_levels:
                     res = ledger.at(k)

@@ -61,6 +61,14 @@ def family_fit_distance(family: CurveFamily, xs, weights, target, y0) -> float:
     Nonlinear least squares over the parameters, seeded at ``y0``.  Used
     to demonstrate manifold escape: along a controlled trajectory that
     leaves the family, this distance becomes strictly positive.
+
+    The distance does not depend on the target's overall scale while its
+    weighted norm lies between 1e-300, the floor of the relative norm,
+    and about 1e286.  Measured with the Nelson-Siegel family on the
+    64-node membership grid, y0 = (5.9 s, 2.4 s, 2.6 s, 2.5) and the
+    target 1.0001 F(x, y0) + s sin(x): 0.0722638493 to 2e-10 relative for
+    s from 5e-302 to 7e284.  Below, the floor shrinks it; above, the fit
+    tries a y at which the curve overflows and settles at 0.0616.
     """
     from scipy.optimize import least_squares
 

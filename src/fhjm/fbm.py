@@ -205,8 +205,12 @@ def _increment_factor(grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
     The increments are stationary, so the Gram is Toeplitz: its first row,
     the same ``cov_cell_integral`` entries as the dense Gram's, is all the
     Schur algorithm needs.  If a rotation breaks down, the factor is
-    rebuilt with diagonal jitter 1e-12 and a warning.
+    rebuilt with diagonal jitter 1e-12 and a warning.  A grid of more than
+    ``MAX_CHOLESKY_STEPS`` steps is a ``ValueError`` before anything is
+    built: the factor is a dense n x n array.
     """
+    if grid.n_steps > MAX_CHOLESKY_STEPS:
+        raise ValueError(f"n_steps > {MAX_CHOLESKY_STEPS} exceeds the factorization budget")
     pts = grid.points
     row = cov_cell_integral(pts[0], pts[1], pts[:-1], pts[1:], hurst)
     lower = _schur_factor(row)
@@ -249,8 +253,6 @@ def generate_cholesky(
     ``CHUNK_PATHS`` paths is turned into its cumulative sum of
     ``z @ lower.T`` in place, so the only temporary is one chunk's product.
     """
-    if grid.n_steps > MAX_CHOLESKY_STEPS:
-        raise ValueError(f"n_steps > {MAX_CHOLESKY_STEPS} exceeds the factorization budget")
     lower = _increment_factor(grid, hurst)
     n = grid.n_steps
     samples = np.empty((n_paths, dims, n + 1))

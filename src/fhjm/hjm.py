@@ -195,8 +195,8 @@ class BondSurface(_Cells):
     ``prices`` is P[p, i, m] = P(t_i, T_m) and ``discounted`` Z = P / S0.
     The surface route sets P, and Z once discounted; a surface built by
     hand may carry Z alone.  The oscillation probe of :mod:`fhjm.noarb` and
-    the ledger of :mod:`fhjm.ledger` read Z one time row at a time, through
-    :meth:`z_rows`.
+    :func:`fhjm.ledger.holdings` take only :class:`ZRows`; :meth:`z_rows`
+    hands a surface's Z to them one time row at a time.
     """
 
     t_grid: TimeGrid
@@ -378,8 +378,6 @@ def bond_surface(
         # rows with both t_i <= T_m and T_m - t_i <= x_max
         first = max(0, mat_idx - m)
         last = min(mat_idx, tg.n_steps)
-        if first > tg.n_steps:
-            raise ValueError("maturity beyond the maturity grid")
         rows = np.arange(first, last + 1)
         spans = mat_idx - rows
         vals = np.zeros((n_paths, rows.size))
@@ -578,8 +576,8 @@ def affine_draws(
     for T in row_mats:
         cells.column(T, "row maturity")
     m_pair = np.searchsorted(mats, [T for _, T in pairs])
+    amap = _driver_map(method, t_grid, hurst)  # refuses a grid past the Cholesky budget first
     c, g = affine_log_discount(spec, hurst, drift, init, t_grid, x_grid, mats)
-    amap = _driver_map(method, t_grid, hurst)
     reach = np.arange(t_grid.n_steps)[:, None] < np.array(i_pair)  # l < i for each pair
     h = (amap.T @ (g[:, :, m_pair] * reach)).reshape(spec.dims * t_grid.n_steps, len(pairs))
     c_pairs, targets = c[i_pair, m_pair], np.exp(c[0, m_pair])

@@ -14,11 +14,13 @@ interval's holdings conditional on information available at its start;
 they are declarative (always-on or a threshold on an observed discounted
 price), so lookahead is impossible by construction.
 
-Every function takes a ``ZRows`` stream or a discounted surface, and
-computes the same sums on all its paths at once, over the maturity
-columns the strategy's atoms use.  :func:`holdings` gathers those columns
-and the gated positions in one pass over the time rows, and the ledger
-and the pairing check both accept its result in place of the stream.
+:func:`holdings` reads one batch of Z as a ``ZRows`` stream, the rows
+that :func:`~fhjm.hjm.affine_draws` yields (a surface hands over its own
+through :meth:`~fhjm.hjm.BondSurface.z_rows`), and gathers the maturity
+columns the strategy's atoms use and the gated positions in one pass over
+the time rows.  The ledger and the pairing check take its
+:class:`Holdings`, so one series serves both, and compute their sums on
+all its paths at once.
 
 ``integration_by_parts_check`` verifies the discrete pairing identity
 
@@ -38,7 +40,6 @@ import numpy as np
 
 from ._table import write_rows
 from .drift import _row_dots
-from .hjm import BondSurface
 
 __all__ = [
     "DiscreteMeasure",
@@ -213,17 +214,14 @@ class Holdings(NamedTuple):
     z: np.ndarray
 
 
-def holdings(strategy: Strategy, surface) -> Holdings:
-    """The :class:`Holdings` of ``strategy`` on a ``ZRows`` stream or a discounted surface.
+def holdings(strategy: Strategy, rows) -> Holdings:
+    """The :class:`Holdings` of ``strategy`` on one :class:`~fhjm.hjm.ZRows` batch.
 
-    One pass over the rows (a surface's through
-    :meth:`~fhjm.hjm.BondSurface.z_rows`) copies the atom columns of each
-    row, and a threshold gate is one mask over paths, read off its gate
-    column in the row at its leg's start.  :func:`liquidation_value` and
-    :func:`integration_by_parts_check` take the result in place of the
-    stream, so one series serves both.
+    One pass over the rows copies the atom columns of each row, and a
+    threshold gate is one mask over paths, read off its gate column in the
+    row at its leg's start.  :func:`liquidation_value` and
+    :func:`integration_by_parts_check` both take the result.
     """
-    rows = surface.z_rows() if isinstance(surface, BondSurface) else surface
     legs = strategy.legs
     cols = sorted({rows.column(T, "atom maturity") for leg in legs for T, _ in leg.measure.atoms})
     spans = [(rows.row(leg.start, "leg boundary"), rows.row(leg.end, "leg boundary"))
@@ -256,18 +254,13 @@ def holdings(strategy: Strategy, surface) -> Holdings:
     return Holdings(times=rows.t_grid.points, held=held, z=z.transpose(1, 2, 0))
 
 
-def _series(strategy: Strategy, surface) -> Holdings:
-    """``surface`` if it is already a :class:`Holdings`, else the strategy's holdings on it."""
-    return surface if isinstance(surface, Holdings) else holdings(strategy, surface)
-
-
 def _value(gains: np.ndarray, costs: np.ndarray, liq: np.ndarray, k: float) -> np.ndarray:
     """V = gains - k * costs - k * liq, the one expression every cost level takes."""
     return gains - k * costs - k * liq
 
 
-def liquidation_value(strategy: Strategy, surface, k: float) -> LedgerResult:
-    """Ledger of V_t^k on every discounted path, evaluated at every grid node.
+def liquidation_value(series: Holdings, k: float) -> LedgerResult:
+    """Ledger of V_t^k on every path of ``series``, evaluated at every grid node.
 
     At node t_j (holdings over (t_i, t_{i+1}] are hold[i], so the position
     inherited into t_j is hold[j-1]):
@@ -281,12 +274,10 @@ def liquidation_value(strategy: Strategy, surface, k: float) -> LedgerResult:
     The sums over l are one cumulative sum over [0, step_0, step_1, ...];
     every array of the result is (n_paths, n + 1).  For other cost levels
     on the same prices, take :meth:`LedgerResult.at` of the result.
-    ``surface`` is a ``ZRows`` stream, a discounted surface, or the
-    strategy's :class:`Holdings` on one.
+    ``series`` is a strategy's :func:`holdings` on one batch.
     """
     if k < 0:
         raise ValueError("transaction cost k must be nonnegative")
-    series = _series(strategy, surface)
     held, z = series.held, series.z
     steps = np.zeros((2,) + held.shape[:2])
     steps[0, :, 1:] = _row_dots(held[:, 1:], np.diff(z, axis=1))
@@ -299,7 +290,7 @@ def liquidation_value(strategy: Strategy, surface, k: float) -> LedgerResult:
     )
 
 
-def integration_by_parts_check(strategy: Strategy, surface) -> np.ndarray:
+def integration_by_parts_check(series: Holdings) -> np.ndarray:
     """Per-path residual of the discrete pairing identity, shape (n_paths,).
 
     With mu the (gated) holdings on one maturity T, mu_i the position held
@@ -307,11 +298,9 @@ def integration_by_parts_check(strategy: Strategy, surface) -> np.ndarray:
     sum_i G_{t_{i+1}} (mu_{i+1} - mu_i) + sum_i mu_i (G_{t_{i+1}} - G_{t_i})
     - [G_N mu_N - G_0 mu_0] is an exact telescoping zero for
     piecewise-constant mu.  Returns its absolute value, summed over the
-    atoms' maturity columns in the batch's order.  ``surface`` is a
-    ``ZRows`` stream, a discounted surface, or the strategy's
-    :class:`Holdings` on one.
+    atoms' maturity columns in the batch's order.  ``series`` is a
+    strategy's :func:`holdings` on one batch.
     """
-    series = _series(strategy, surface)
     mu = np.ascontiguousarray(series.held.transpose(0, 2, 1))  # (n_paths, C, n + 1)
     g = np.ascontiguousarray(series.z.transpose(0, 2, 1))
     pairing = _row_dots(g[..., 1:], np.diff(mu)) + _row_dots(mu[..., :-1], np.diff(g))

@@ -16,18 +16,18 @@ at (tau, tau); a strictly positive frequency at small k is the desk-scale
 counterpart of the positive-probability condition under which arbitrarily
 small proportional costs remove arbitrage.
 
-Prices reach both estimators one batch after another, either one batch or
-any iterable of them.  The panel reads :class:`~fhjm.hjm.PairPrices`, the
-pair cells that :func:`~fhjm.hjm.affine_draws` prices from each path's
-normals, as ``fhjm check`` does; one reduction gives its means, standard
-errors and z-scores.  The probe reads time rows of Z:
-:class:`~fhjm.hjm.ZRows` batches, such as :func:`~fhjm.hjm.affine_draws`
-streams from one running sum, or discounted :class:`~fhjm.hjm.BondSurface`
-objects, whose rows :meth:`~fhjm.hjm.BondSurface.z_rows` hands over; it
-keeps Z_tau(tau) and one running max per tau.  Each batch is released
-before the next is pulled, and statistics accumulate in a fixed
-deterministic order, so results are identical run to run and do not depend
-on batch sizing.
+Each estimator reads one input form, the one ``fhjm check`` feeds it: an
+iterable of batches, pulled one after another.  The panel reads
+:class:`~fhjm.hjm.PairPrices`, the pair cells that
+:func:`~fhjm.hjm.affine_draws` prices from each path's normals; one
+reduction gives its means, standard errors and z-scores.  The probe reads
+:class:`~fhjm.hjm.ZRows`, the time rows of Z that
+:func:`~fhjm.hjm.affine_draws` streams from one running sum (a surface
+hands over its own through :meth:`~fhjm.hjm.BondSurface.z_rows`); it
+keeps Z_tau(tau) and one running max per tau.  Statistics accumulate in a
+fixed deterministic order, so results are identical run to run and do not
+depend on batch sizing.  :func:`integrated_identity_gap` is the panel's
+deterministic companion, which ``fhjm check`` reports ungated.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import DriftField, expectation_kernel, log_expectation
-from .hjm import BondSurface, PairPrices, ZRows
+from .hjm import PairPrices, ZRows
 from .kernels import HurstParam
 from .vol import VolatilitySpec
 
@@ -45,6 +45,7 @@ __all__ = [
     "QuasiMartingaleReport",
     "OscillationReport",
     "drift_identity_check",
+    "integrated_identity_gap",
     "check_quasi_martingale",
     "oscillation_probe",
 ]
@@ -60,7 +61,6 @@ class QuasiMartingaleReport:
     std_errors: np.ndarray
     z_scores: np.ndarray
     n_paths: int
-    identity_gap: float | None = None
 
     def n_exceeding(self, level: float = 3.0) -> int:
         return int(np.sum(np.abs(self.z_scores) > level))
@@ -76,7 +76,7 @@ class QuasiMartingaleReport:
                 self.pairs, self.targets, self.means, self.std_errors, self.z_scores
             )
         ]
-        return {"n_paths": self.n_paths, "identity_gap": self.identity_gap, "panel": rows}
+        return {"n_paths": self.n_paths, "panel": rows}
 
     def table(self) -> str:
         lines = [f"{'t':>8} {'T':>8} {'target':>12} {'mc_mean':>12} {'se':>10} {'z':>8}"]
@@ -131,48 +131,49 @@ def drift_identity_check(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _row_batches(discounted):
-    """Each batch of ``discounted`` as :class:`ZRows`, holding none once yielded."""
-    if isinstance(discounted, (BondSurface, ZRows)):
-        discounted = [discounted]
-    # map keeps no reference to the previous batch while the next is built
-    return map(lambda batch: batch.z_rows() if isinstance(batch, BondSurface) else batch,
-               discounted)
+def integrated_identity_gap(
+    spec: VolatilitySpec, hurst: HurstParam, drift: DriftField, pairs
+) -> float:
+    """max over ``pairs`` (t, T) of |int_0^t A(s, T) ds - int_0^t e(s, T) ds|.
+
+    A(s, T) is the drift's maturity integral over [0, T - s], integrated
+    in s by trapezoid over the drift's time rows up to t.  The right side
+    is :func:`~fhjm.drift.log_expectation` on 256 cells, one cell-moment
+    set per distinct t, shared by its maturities.  ``fhjm check`` reports
+    it, ungated, as ``quasi_martingale.identity_gap``.
+    """
+    rhs = {}
+    for t in {float(t) for t, _ in pairs}:
+        mats = sorted({float(T) for s, T in pairs if float(s) == t})
+        values = log_expectation(spec, hurst, t, mats, n_cells=256)
+        rhs.update(((t, T), v) for T, v in zip(mats, values))
+    gaps = []
+    for t, maturity in pairs:
+        i = int(round(t / drift.dt))
+        rows = drift.maturity_integral(np.arange(i + 1), maturity - drift.t_points[: i + 1])
+        lhs = float(np.trapezoid(rows, dx=drift.dt))
+        gaps.append(abs(lhs - rhs[float(t), float(maturity)]))
+    return float(max(gaps))
 
 
-def _pair_values(discounted, pairs):
-    """``(targets, values)`` of each :class:`PairPrices` batch: Z(0, T) and (paths, P) Z(t, T)."""
-    pairs = tuple((float(t), float(T)) for t, T in pairs)
-    if isinstance(discounted, (PairPrices, BondSurface, ZRows)):
-        discounted = [discounted]
-    for batch in discounted:
-        if not isinstance(batch, PairPrices):
-            raise TypeError(f"the panel takes PairPrices batches, not {type(batch).__name__}")
-        if batch.pairs != pairs:
-            raise ValueError(f"prices for pairs {batch.pairs} given for the panel {pairs}")
-        yield batch.targets, batch.values
-
-
-def check_quasi_martingale(
-    discounted,
-    spec: VolatilitySpec,
-    hurst: HurstParam,
-    pairs,
-    drift: DriftField | None = None,
-) -> QuasiMartingaleReport:
+def check_quasi_martingale(prices, pairs) -> QuasiMartingaleReport:
     """Panel z-scores of mean discounted prices against their t = 0 values.
 
-    ``discounted`` is the Monte Carlo set: one batch or an iterable of
-    batches, each the :class:`~fhjm.hjm.PairPrices` of these ``pairs``
-    that :func:`~fhjm.hjm.affine_draws` yields; another batch type is a
+    ``prices`` is the Monte Carlo set, an iterable of batches, each the
+    :class:`~fhjm.hjm.PairPrices` of these ``pairs`` that
+    :func:`~fhjm.hjm.affine_draws` yields; another batch type is a
     ``TypeError``.  The target P(0, T) is the t = 0 price, which is path
-    independent.  When ``drift`` is given, the deterministic decomposition
-    check (drift maturity integral vs expectation kernel, integrated in t)
-    is reported as ``identity_gap``.
+    independent.
     """
+    key = tuple((float(t), float(T)) for t, T in pairs)
     panel = []
-    for targets, vals in _pair_values(discounted, pairs):
-        panel.append(vals)
+    for batch in prices:
+        if not isinstance(batch, PairPrices):
+            raise TypeError(f"the panel takes PairPrices batches, not {type(batch).__name__}")
+        if batch.pairs != key:
+            raise ValueError(f"prices for pairs {batch.pairs} given for the panel {key}")
+        targets = batch.targets
+        panel.append(batch.values)
     if not panel:
         raise ValueError("no surfaces supplied")
     # one reduction over every path in path order, so the sums do not depend
@@ -180,7 +181,7 @@ def check_quasi_martingale(
     # catastrophic cancellation a raw sum-of-squares would suffer at tiny
     # variances.  The deviations and their squares share one array.
     dev = np.concatenate(panel)
-    del panel, vals
+    del panel, batch
     if np.any(np.isnan(dev)):
         raise ValueError("panel pairs must satisfy t <= T on the surface")
     dev -= targets
@@ -192,25 +193,9 @@ def check_quasi_martingale(
     variances = (np.square(dev, out=dev).sum(axis=0) - count * mean_dev**2) / (count - 1)
     std_errors = np.sqrt(np.maximum(variances, 0.0) / count)
     z = mean_dev / np.where(std_errors > 0, std_errors, np.inf)
-
-    identity_gap = None
-    if drift is not None:
-        # one cell-moment set per distinct t, shared by its maturities
-        rhs = {}
-        for t in {float(t) for t, _ in pairs}:
-            mats = sorted({float(T) for s, T in pairs if float(s) == t})
-            values = log_expectation(spec, hurst, t, mats, n_cells=256)
-            rhs.update(((t, T), v) for T, v in zip(mats, values))
-        gaps = []
-        for t, maturity in pairs:
-            i = int(round(t / drift.dt))
-            rows = drift.maturity_integral(np.arange(i + 1), maturity - drift.t_points[: i + 1])
-            lhs = float(np.trapezoid(rows, dx=drift.dt))
-            gaps.append(abs(lhs - rhs[float(t), float(maturity)]))
-        identity_gap = float(max(gaps))
     return QuasiMartingaleReport(
         pairs=list(pairs), targets=targets, means=means, std_errors=std_errors,
-        z_scores=z, n_paths=count, identity_gap=identity_gap,
+        z_scores=z, n_paths=count,
     )
 
 
@@ -242,12 +227,12 @@ def _band_maxima(batch: ZRows, starts) -> np.ndarray:
     return worst
 
 
-def oscillation_probe(discounted, thresholds, taus) -> OscillationReport:
+def oscillation_probe(rows, thresholds, taus) -> OscillationReport:
     """Frequency of { sup_{tau <= t <= T} |Z_tau(tau)/Z_t(T) - 1| < k } per path.
 
-    ``discounted`` is one batch or an iterable of batches, each a
-    :class:`~fhjm.hjm.ZRows` stream or a discounted surface.  ``taus``
-    must sit on the time grid and the surface maturities must include
+    ``rows`` is an iterable of :class:`~fhjm.hjm.ZRows` batches; a caller
+    with a discounted surface passes ``[surface.z_rows()]``.  ``taus``
+    must sit on the time grid and the row maturities must include
     them (Z_tau(tau) is read off the diagonal).  Unpriced (NaN)
     cells do not count.  Frequencies are nonincreasing as k decreases and
     equal 1 for large k on bounded surfaces.
@@ -259,7 +244,7 @@ def oscillation_probe(discounted, thresholds, taus) -> OscillationReport:
     counts = np.zeros((taus.size, thresholds.size), dtype=np.int64)
     total = 0
     starts = None
-    for batch in _row_batches(discounted):
+    for batch in rows:
         if starts is None:
             starts = [
                 (batch.row(tau, "oscillation time"), batch.column(tau, "oscillation time"))

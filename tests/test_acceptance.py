@@ -53,6 +53,7 @@ from fhjm.ledger import (
     DiscreteMeasure,
     Strategy,
     StrategyLeg,
+    holdings,
     integration_by_parts_check,
     liquidation_value,
 )
@@ -130,7 +131,7 @@ def _qm_run(zero_drift: bool):
         spec, hurst, field, init, tg, xg,
         n_paths=100_000, seed=20260808, pairs=QM_PANEL, batch_size=2000,
     )
-    return check_quasi_martingale((p for p, _ in draws), spec, hurst, QM_PANEL)
+    return check_quasi_martingale((p for p, _ in draws), QM_PANEL)
 
 
 def test_criterion_3_quasi_martingale_panel():
@@ -306,7 +307,7 @@ def test_criterion_7_integration_by_parts_and_flat_ledger():
     worst = 0.0
     for seed in range(100):
         strategy, surface = _random_strategy_and_surface(seed)
-        worst = max(worst, integration_by_parts_check(strategy, surface)[0])
+        worst = max(worst, integration_by_parts_check(holdings(strategy, surface.z_rows()))[0])
 
     # flat unit market: buy and hold costs exactly twice the friction
     n = 16
@@ -318,8 +319,9 @@ def test_criterion_7_integration_by_parts_and_flat_ledger():
     strat = Strategy(
         legs=(StrategyLeg(0.0, 1.0, DiscreteMeasure(((1.0, 1.0),))),), horizon=1.0
     )
+    series = holdings(strat, market.z_rows())
     exact = all(
-        liquidation_value(strat, market, k=k).final_values()[0] == -2 * k
+        liquidation_value(series, k=k).final_values()[0] == -2 * k
         for k in (0.001, 0.01, 0.25)
     )
     report(

@@ -713,11 +713,12 @@ def test_check_builds_one_affine_map_for_the_panel_and_the_probe(tmp_path, monke
 
 def test_check_panel_is_the_call_of_criterion_3(tmp_path):
     # criterion 3 prices its panel as `fhjm check` does: the pair prices that
-    # affine_draws yields; the report holds that call's values, one for one
+    # affine_draws yields; the report holds that call's values, one for one,
+    # beside the integrated identity gap on the config's pairs, bit for bit
     from fhjm.cli import main
     from fhjm.config import ExperimentConfig
     from fhjm.hjm import affine_draws, drift_for_simulation
-    from fhjm.noarb import check_quasi_martingale
+    from fhjm.noarb import check_quasi_martingale, integrated_identity_gap
 
     config = REPO / "demos" / "configs" / "smoke.json"
     assert main(["check", str(config), "--out", str(tmp_path)]) == 0
@@ -728,10 +729,32 @@ def test_check_panel_is_the_call_of_criterion_3(tmp_path):
     draws = affine_draws(cfg.model, cfg.hurst, drift, cfg.initial_curve, cfg.t_grid, cfg.x_grid,
                          n_paths=cfg.n_paths, seed=cfg.seed, pairs=cfg.pairs,
                          batch_size=cfg.batch_size, method=cfg.method)
-    qm = check_quasi_martingale((p for p, _ in draws), cfg.model, cfg.hurst, cfg.pairs,
-                                drift=drift)
-    assert len(report["quasi_martingale"]["panel"]) == len(SMOKE["check"]["pairs"])
-    assert report["quasi_martingale"] == json.loads(json.dumps(qm.to_dict()))
+    qm = check_quasi_martingale((p for p, _ in draws), cfg.pairs)
+    gap = integrated_identity_gap(cfg.model, cfg.hurst, drift, cfg.pairs)
+    reported = report["quasi_martingale"]
+    assert len(reported["panel"]) == len(SMOKE["check"]["pairs"])
+    assert reported.pop("identity_gap").hex() == gap.hex()
+    assert reported == json.loads(json.dumps(qm.to_dict()))
+
+
+@pytest.mark.parametrize("command, spans", [
+    ("check", {"noarb.estimator", "drift.identity"}),
+    ("portfolio", {"ledger.liquidation", "ledger.ibp"}),
+])
+def test_traced_benchmark_launch_records_the_estimator_spans(tmp_path, command, spans):
+    # perfbench/launch.py wraps fhjm functions by name from outside the
+    # package: a rename or a changed signature would otherwise show only in
+    # the benchmark's traced runs
+    import numpy as np
+
+    marks = tmp_path / "marks.json"
+    result = run_cli(str(marks), "1", "--", command, str(REPO / "demos" / "configs" / "smoke.json"),
+                     "--out", str(tmp_path / "out"), cwd=tmp_path,
+                     entry=(str(REPO / "perfbench" / "launch.py"),))
+    assert result.returncode == 0, result.stderr
+    names = json.loads(marks.read_text())["names"]
+    recorded = {names[int(i)] for i in np.load(f"{marks}.npy")[:, 0]}
+    assert spans <= recorded, sorted(recorded)
 
 
 def test_portfolio_draws_each_path_once_through_the_driver(tmp_path, monkeypatch):

@@ -286,7 +286,9 @@ def test_huge_parameters_fail_the_shift_check_with_a_finite_residual():
 
 def test_huge_parameters_give_a_finite_fit_distance():
     # the fit's sums of squares and both norms once overflowed here, and the
-    # distance read nan; 1.0001 times a family curve is itself in the family
+    # distance read nan; 1.0001 times a family curve is itself in the family.
+    # Off the family, the distance does not depend on the scale s inside the
+    # range the docstring states
     import warnings
 
     fam = nelson_siegel_family()
@@ -295,7 +297,14 @@ def test_huge_parameters_give_a_finite_fit_distance():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d = family_fit_distance(fam, xs, w, 1.0001 * fam.curve(xs, y), y)
+        off = []
+        for s in (1e-300, 1.0, 1e280):
+            y = np.array([5.9 * s, 2.4 * s, 2.6 * s, 2.5])
+            target = 1.0001 * fam.curve(xs, y) + s * np.sin(xs)
+            off.append(family_fit_distance(fam, xs, w, target, y))
     assert np.isfinite(d) and d < 1e-12
+    assert off[1] == pytest.approx(0.0722638493, rel=1e-9)
+    np.testing.assert_allclose(off, off[1], rtol=1e-9, atol=0)
 
 
 def test_non_finite_residuals_fail_every_check(monkeypatch):

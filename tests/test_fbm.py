@@ -104,8 +104,32 @@ def test_cholesky_determinism_and_substreams():
 
 
 def test_cholesky_step_budget():
+    # the cap sits in the increment factor: the sampler, the affine route's
+    # driver map and affine_draws, before its (c, g), refuse a grid one step
+    # past it alike, before any n x n array is built
+    import time
+
+    from fhjm.fbm import MAX_CHOLESKY_STEPS
+    from fhjm.hjm import _driver_map, affine_draws
+    from fhjm.vol import MaturityGrid, ho_lee
+
     with pytest.raises(ValueError):
         generate_cholesky(TimeGrid(1.0, 8192), 1, 1, H75, seed=0)
+    n = MAX_CHOLESKY_STEPS + 1
+    grid = TimeGrid(1.0, n)
+    refusals = (
+        lambda: generate_cholesky(grid, 1, 1, H75, seed=0),
+        lambda: _driver_map("cholesky", grid, H75),
+        # no drift or initial curve: the refusal comes before either is read
+        lambda: next(affine_draws(ho_lee(0.01), H75, None, None, grid, MaturityGrid(1.0, n),
+                                  n_paths=1, seed=0, pairs=[(0.0, 1.0)])),
+    )
+    for refuse in refusals:
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert time.perf_counter() - start < 0.5
+        assert str(err.value) == f"n_steps > {MAX_CHOLESKY_STEPS} exceeds the factorization budget"
 
 
 def test_stationary_increments():

@@ -21,6 +21,7 @@ from fhjm.ledger import (
     Gate,
     Strategy,
     StrategyLeg,
+    holdings,
     integration_by_parts_check,
     liquidation_value,
     total_variation,
@@ -75,6 +76,16 @@ def _maturity_major(surface):
     return BondSurface(t_grid=surface.t_grid, maturities=surface.maturities, discounted=z)
 
 
+def _ledger(strategy, surface, k):
+    """The ledger of ``strategy`` on a surface's rows, at cost level ``k``."""
+    return liquidation_value(holdings(strategy, surface.z_rows()), k)
+
+
+def _residual(strategy, surface):
+    """The pairing residual of ``strategy`` on a surface's rows."""
+    return integration_by_parts_check(holdings(strategy, surface.z_rows()))
+
+
 def buy_hold(weight=1.0, T=1.0, horizon=1.0):
     return Strategy(
         legs=(StrategyLeg(0.0, horizon, DiscreteMeasure(((T, weight),))),),
@@ -104,16 +115,16 @@ def test_flat_market_buy_hold_costs_twice():
     market = _flat_unit_market()
     assert np.nanmax(np.abs(market.discounted - 1.0)) == 0.0
     for k in (0.001, 0.01, 0.5):
-        res = liquidation_value(buy_hold(), market, k=k)
+        res = _ledger(buy_hold(), market, k)
         assert res.final_values()[0] == pytest.approx(-2 * k, abs=1e-15)
-    res0 = liquidation_value(buy_hold(), market, k=0.0)
+    res0 = _ledger(buy_hold(), market, 0.0)
     assert np.all(res0.value == 0.0)
 
 
 def test_value_scales_linearly_in_weights():
     market = _noisy_market()
-    a = liquidation_value(buy_hold(1.0), market, k=0.01)
-    b = liquidation_value(buy_hold(2.0), market, k=0.01)
+    a = _ledger(buy_hold(1.0), market, 0.01)
+    b = _ledger(buy_hold(2.0), market, 0.01)
     assert b.final_values()[1] == pytest.approx(2 * a.final_values()[1], rel=1e-12)
     assert np.allclose(b.gains[1], 2 * a.gains[1])
     assert np.allclose(b.costs[1], 2 * a.costs[1])
@@ -129,7 +140,7 @@ def test_value_nonincreasing_in_k():
         horizon=1.0,
     )
     values = [
-        liquidation_value(strat, market, k=k).value[2] for k in (0.0, 0.01, 0.05)
+        _ledger(strat, market, k).value[2] for k in (0.0, 0.01, 0.05)
     ]
     assert np.all(values[1] <= values[0] + 1e-15)
     assert np.all(values[2] <= values[1] + 1e-15)
@@ -138,7 +149,7 @@ def test_value_nonincreasing_in_k():
 def test_zero_cost_value_telescopes():
     market = _noisy_market()
     strat = buy_hold()
-    res = liquidation_value(strat, market, k=0.0)
+    res = _ledger(strat, market, 0.0)
     z = market.discounted[0, :, -1]
     # V_t^0 is the telescoped left-point sum of holdings against increments
     expected = np.concatenate([[0.0], np.cumsum(np.diff(z))])
@@ -147,7 +158,7 @@ def test_zero_cost_value_telescopes():
 
 def test_admissibility_floor_reported():
     market = _noisy_market()
-    res = liquidation_value(buy_hold(), market, k=0.01)
+    res = _ledger(buy_hold(), market, 0.01)
     floor = res.admissibility_floor()[0]
     assert floor <= 0.0
     assert floor >= -10.0  # default bound is configuration, sanity here
@@ -166,9 +177,9 @@ def test_gate_threshold_uses_information_at_start():
         legs=(StrategyLeg(0.0, 1.0, DiscreteMeasure(((1.0, 1.0),)), gate=inactive),),
         horizon=1.0,
     )
-    plain = liquidation_value(buy_hold(), market, k=0.01)
-    gated_on = liquidation_value(on, market, k=0.01)
-    gated_off = liquidation_value(off, market, k=0.01)
+    plain = _ledger(buy_hold(), market, 0.01)
+    gated_on = _ledger(on, market, 0.01)
+    gated_off = _ledger(off, market, 0.01)
     assert np.allclose(gated_on.value[0], plain.value[0])
     assert np.all(gated_off.value[0] == 0.0)
 
@@ -207,11 +218,11 @@ def test_integration_by_parts_exact_on_grid():
         ),
         horizon=1.0,
     )
-    resid = integration_by_parts_check(strat, market)
+    resid = _residual(strat, market)
     for p in range(market.n_paths):
         assert resid[p] < 1e-12
     empty = Strategy(legs=(), horizon=1.0)
-    assert integration_by_parts_check(empty, market)[0] == 0.0
+    assert _residual(empty, market)[0] == 0.0
 
 
 @given(data=st.data())
@@ -241,7 +252,7 @@ def test_integration_by_parts_randomized(data):
         w = float(rng.uniform(-3, 3))
         legs.append(StrategyLeg(tg.points[a], t_end, DiscreteMeasure(((T, w),))))
     strategy = Strategy(legs=tuple(legs), horizon=1.0)
-    assert integration_by_parts_check(strategy, surface)[0] <= 1e-10
+    assert _residual(strategy, surface)[0] <= 1e-10
 
 
 def _reference_ledger(strategy, surface, k):
@@ -303,14 +314,14 @@ def test_array_ledger_matches_per_path_reference():
     on = z_gate <= gate.level
     assert on.any() and not on.all()
     for k in (0.0, 0.01):
-        res = liquidation_value(strat, market, k=k)
+        res = _ledger(strat, market, k)
         gains, costs, liq, value, resid = _reference_ledger(strat, market, k)
         assert res.value.shape == (8, 17)
         np.testing.assert_allclose(res.gains, gains, rtol=0, atol=1e-14)
         np.testing.assert_allclose(res.costs, costs, rtol=0, atol=1e-14)
         np.testing.assert_allclose(res.liquidation, liq, rtol=0, atol=1e-14)
         np.testing.assert_allclose(res.value, value, rtol=0, atol=1e-14)
-    array_resid = integration_by_parts_check(strat, market)
+    array_resid = _residual(strat, market)
     assert array_resid.shape == (8,)
     np.testing.assert_allclose(array_resid, resid, rtol=0, atol=1e-14)
     # paths whose gate is off hold nothing after 0.5
@@ -325,9 +336,9 @@ def test_gate_on_expired_maturity_rejected():
         legs=(StrategyLeg(0.5, 1.0, DiscreteMeasure(((1.0, 1.0),)), gate=expired),),
         horizon=1.0,
     )
-    for market in (_noisy_market(), _affine_rows(maturities=[0.25, 1.0])):
+    for rows in (_noisy_market().z_rows(), _affine_rows(maturities=[0.25, 1.0])):
         with pytest.raises(ValueError, match="expired"):
-            liquidation_value(strat, market, k=0.01)
+            holdings(strat, rows)
 
 
 def test_ledger_bits_do_not_follow_the_surface_layout():
@@ -344,29 +355,30 @@ def test_ledger_bits_do_not_follow_the_surface_layout():
               StrategyLeg(0.25, 0.5, DiscreteMeasure(atoms[::-1]))),
         horizon=0.5,
     )
-    for ref, other in ((market, _maturity_major(market)), (stacked, rows)):
+    for ref, other in ((market.z_rows(), _maturity_major(market).z_rows()),
+                       (stacked.z_rows(), rows)):
+        want_series, have_series = holdings(strat, ref), holdings(strat, other)
         for k in (0.0, 0.01):
-            want, have = liquidation_value(strat, ref, k), liquidation_value(strat, other, k)
+            want, have = liquidation_value(want_series, k), liquidation_value(have_series, k)
             for name in ("gains", "costs", "liquidation", "value"):
                 assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), (k, name)
-        assert (integration_by_parts_check(strat, other).tobytes()
-                == integration_by_parts_check(strat, ref).tobytes())
+        assert (integration_by_parts_check(have_series).tobytes()
+                == integration_by_parts_check(want_series).tobytes())
 
 
 def test_ledger_price_columns_have_the_gather_strides():
     # (paths, n + 1, C) over a column-major (C, paths, n + 1) buffer, the
     # layout numpy gives z[:, :, cols]; the ledger's dot products follow it
-    from fhjm.ledger import holdings
-
     market = _noisy_market(n=16, n_paths=6, seed=9)
     rows = _affine_rows()
     atoms = tuple((T, 1.0) for T in np.linspace(0.5, 1.0, 9))
     strat = Strategy(legs=(StrategyLeg(0.0, 0.5, DiscreteMeasure(atoms)),), horizon=0.5)
     cols = [market.column(T, "atom") for T, _ in atoms]
     assert cols == [rows.column(T, "atom") for T, _ in atoms]
-    for surface, z in ((market, market.discounted), (_maturity_major(market), market.discounted),
-                       (rows, _stacked(rows).discounted)):
-        have = holdings(strat, surface).z
+    for given, z in ((market.z_rows(), market.discounted),
+                     (_maturity_major(market).z_rows(), market.discounted),
+                     (rows, _stacked(rows).discounted)):
+        have = holdings(strat, given).z
         assert have.shape == (6, 17, 9)
         assert have.strides == (17 * 8, 8, 6 * 17 * 8)
         assert have.strides == z[:, :, cols].strides
@@ -378,8 +390,6 @@ def test_row_ledger_reads_a_gate_column_that_no_atom_uses():
     # maturity beside the atoms'.  The gate column is read at its leg's start
     # and not held, and the ledger and the pairing residual have the bits of
     # the stacked surface's
-    from fhjm.ledger import holdings
-
     rows = _affine_rows(n_paths=8, maturities=[0.75, 0.875, 1.0])
     stacked = _stacked(rows)
     z_gate = stacked.discounted[:, 4, 1]  # Z(0.25, 0.875)
@@ -395,17 +405,15 @@ def test_row_ledger_reads_a_gate_column_that_no_atom_uses():
     assert series.z.shape == (8, 17, 2)
     assert np.all(series.held[on, 5:13] != 0.0) and np.all(series.held[~on, 5:] == 0.0)
     for k in (0.0, 0.01):
-        want, have = liquidation_value(strat, stacked, k), liquidation_value(strat, rows, k)
+        want, have = _ledger(strat, stacked, k), liquidation_value(series, k)
         for name in ("times", "gains", "costs", "liquidation", "value"):
             assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), (k, name)
-    assert (integration_by_parts_check(strat, rows).tobytes()
-            == integration_by_parts_check(strat, stacked).tobytes())
+    assert integration_by_parts_check(series).tobytes() == _residual(strat, stacked).tobytes()
 
 
 def test_one_holdings_series_serves_the_ledger_and_the_pairing_check():
-    # a prebuilt series in place of the surface gives the bits of a surface call
-    from fhjm.ledger import holdings
-
+    # as `fhjm portfolio` uses it: the pairing check, then the ledger, on one
+    # series; neither call changes it, so each has the bits of a fresh series
     market = _noisy_market(n=16, n_paths=6, seed=9)
     strat = Strategy(
         legs=(StrategyLeg(0.0, 0.5, DiscreteMeasure(((0.75, 1.0), (1.0, -0.5))),
@@ -413,12 +421,15 @@ def test_one_holdings_series_serves_the_ledger_and_the_pairing_check():
               StrategyLeg(0.5, 1.0, DiscreteMeasure(((1.0, 2.0),)))),
         horizon=1.0,
     )
-    series = holdings(strat, market)
-    want, have = liquidation_value(strat, market, 0.01), liquidation_value(strat, series, 0.01)
+    series = holdings(strat, market.z_rows())
+    copies = [a.copy() for a in series]
+    residual = integration_by_parts_check(series)
+    have = liquidation_value(series, 0.01)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(series, copies, strict=True))
+    want = _ledger(strat, market, 0.01)
     for name in ("times", "gains", "costs", "liquidation", "value"):
         assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), name
-    assert (integration_by_parts_check(strat, series).tobytes()
-            == integration_by_parts_check(strat, market).tobytes())
+    assert residual.tobytes() == _residual(strat, market).tobytes()
 
 
 def test_one_ledger_serves_every_cost_level_bit_for_bit():
@@ -430,9 +441,10 @@ def test_one_ledger_serves_every_cost_level_bit_for_bit():
               StrategyLeg(0.5, 1.0, DiscreteMeasure(((1.0, 2.0),)))),
         horizon=1.0,
     )
-    ledger = liquidation_value(strat, market, k=0.0)
+    series = holdings(strat, market.z_rows())
+    ledger = liquidation_value(series, k=0.0)
     for k in (0.0, 0.005, 0.01, 0.05):
-        want, have = liquidation_value(strat, market, k), ledger.at(k)
+        want, have = liquidation_value(series, k), ledger.at(k)
         assert have.k == want.k == k
         for name in ("times", "gains", "costs", "liquidation", "value"):
             assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), (k, name)

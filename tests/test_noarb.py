@@ -15,8 +15,13 @@ from fhjm.hjm import (
     simulation_grids,
 )
 from fhjm.kernels import HurstParam
-from fhjm.ledger import DiscreteMeasure, Gate, Strategy, StrategyLeg, liquidation_value
-from fhjm.noarb import check_quasi_martingale, drift_identity_check, oscillation_probe
+from fhjm.ledger import DiscreteMeasure, Gate, Strategy, StrategyLeg, holdings
+from fhjm.noarb import (
+    check_quasi_martingale,
+    drift_identity_check,
+    integrated_identity_gap,
+    oscillation_probe,
+)
 from fhjm.vol import ho_lee, hull_white
 
 H75 = HurstParam(0.75)
@@ -80,11 +85,11 @@ def test_quasi_martingale_panel_small_scale():
     spec = ho_lee(0.01)
     pairs = [(0.0, 6.0), (1.0, 5.0), (2.0, 6.0), (4.0, 6.0)]
     fld, batches = _small_mc(spec, H70, 10_000, seed=31, pairs=pairs)
-    report = check_quasi_martingale(batches, spec, H70, pairs, drift=fld)
+    report = check_quasi_martingale(batches, pairs)
     # t = 0 rows are exact: zero standard error, zero z
     assert report.z_scores[0] == 0.0
     assert report.n_exceeding(3.0) == 0
-    assert report.identity_gap < 1e-3
+    assert integrated_identity_gap(spec, H70, fld, pairs) < 1e-3
     payload = json.loads(json.dumps(report.to_dict()))
     assert len(payload["panel"]) == 4
     assert report.table().count("\n") == 4
@@ -96,7 +101,7 @@ def test_quasi_martingale_negative_control():
     spec = ho_lee(0.01)
     pairs = [(3.0, 6.0), (4.0, 6.0)]
     _, batches = _small_mc(spec, H70, 10_000, seed=31, pairs=pairs, drift="zero")
-    report = check_quasi_martingale(batches, spec, H70, pairs)
+    report = check_quasi_martingale(batches, pairs)
     assert report.n_exceeding(3.0) == 2
 
 
@@ -147,7 +152,7 @@ def _panel_on_the_grid(pairs):
     fld = drift_for_simulation(spec, H70, tg, xg, theta_cells=16)
     init = InitialCurve.flat(0.03, tg.dt, 11)
     draws = affine_draws(spec, H70, fld, init, tg, xg, n_paths=2, seed=1, pairs=pairs)
-    return check_quasi_martingale((prices for prices, _ in draws), spec, H70, pairs)
+    return check_quasi_martingale((prices for prices, _ in draws), pairs)
 
 
 @pytest.mark.parametrize("estimate, message", [
@@ -157,16 +162,15 @@ def _panel_on_the_grid(pairs):
      "panel time -0.25 not on the surface time grid"),
     (lambda s: _panel_on_the_grid([(0.2, 0.75)]),
      "panel maturity 0.75 not among surface maturities"),
-    (lambda s: oscillation_probe(s, [0.1], [0.3]),
+    (lambda s: oscillation_probe([s], [0.1], [0.3]),
      "oscillation time 0.3 not on the surface time grid"),
-    (lambda s: oscillation_probe(s, [0.1], [0.75]),
+    (lambda s: oscillation_probe([s], [0.1], [0.75]),
      "oscillation time 0.75 not among surface maturities"),
-    (lambda s: liquidation_value(_leg_strategy(0.3, 0.5, 1.0), s, 0.01),
+    (lambda s: holdings(_leg_strategy(0.3, 0.5, 1.0), s),
      "leg boundary 0.3 not on the surface time grid"),
-    (lambda s: liquidation_value(_leg_strategy(0.25, 0.5, 0.75), s, 0.01),
+    (lambda s: holdings(_leg_strategy(0.25, 0.5, 0.75), s),
      "atom maturity 0.75 not among surface maturities"),
-    (lambda s: liquidation_value(
-        _leg_strategy(0.25, 0.5, 1.0, Gate("threshold", 0.75, "<=", 1.0)), s, 0.01),
+    (lambda s: holdings(_leg_strategy(0.25, 0.5, 1.0, Gate("threshold", 0.75, "<=", 1.0)), s),
      "gate maturity 0.75 not among surface maturities"),
 ])
 def test_estimators_name_an_off_grid_time_or_absent_maturity(estimate, message):
@@ -176,7 +180,7 @@ def test_estimators_name_an_off_grid_time_or_absent_maturity(estimate, message):
     z = np.full((2, 9, 2), 0.98)
     z[:, tg.points[:, None] > mats[None, :] + 1e-12] = np.nan
     with pytest.raises(ValueError, match=message):
-        estimate(BondSurface(t_grid=tg, maturities=mats, discounted=z))
+        estimate(BondSurface(t_grid=tg, maturities=mats, discounted=z).z_rows())
 
 
 def _stream_and_surface(dims, n_paths, seed=13):
@@ -213,8 +217,8 @@ def _stream_and_surface(dims, n_paths, seed=13):
 
 
 def _pair_cells(batch, pairs):
-    """The pair cells of one :class:`ZRows` or surface batch, gathered as :class:`PairPrices`."""
-    z = batch.discounted if isinstance(batch, BondSurface) else np.stack(list(batch.rows()), 1)
+    """The pair cells of one :class:`ZRows` batch, gathered as :class:`PairPrices`."""
+    z = np.stack(list(batch.rows()), 1)
     i = [batch.row(t, "panel time") for t, _ in pairs]
     m = [batch.column(T, "panel maturity") for _, T in pairs]
     return PairPrices(tuple((float(t), float(T)) for t, T in pairs), z[0, 0, m], z[:, i, m])
@@ -245,7 +249,7 @@ def test_streamed_panel_and_probe_match_the_whole_surface_bit_for_bit(dims):
     # the probe's rows give the surface's frequencies bit for bit; the panel's
     # prices, c + b . h from the same draw, give its pair cells' statistics
     n_paths = 40
-    spec, surface, draws = _stream_and_surface(dims, n_paths)
+    _, surface, draws = _stream_and_surface(dims, n_paths)
     z = surface.discounted
     pairs = [(0.0, 1.0), (0.25, 1.0), (0.5, 1.5), (1.0, 1.5), (0.5, 2.0)]
     taus = [0.0, 0.5, 1.0]
@@ -256,13 +260,13 @@ def test_streamed_panel_and_probe_match_the_whole_surface_bit_for_bit(dims):
     want_freq = np.array([[(d < k).mean() for k in ks] for d in devs])
     assert ((want_freq > 0) & (want_freq < 1)).any()
 
-    want_qm = check_quasi_martingale(_pair_cells(surface, pairs), spec, H70, pairs)
-    want_probe = oscillation_probe(surface, ks, taus)
+    want_qm = check_quasi_martingale([_pair_cells(surface.z_rows(), pairs)], pairs)
+    want_probe = oscillation_probe([surface.z_rows()], ks, taus)
     assert np.array_equal(want_probe.frequencies, want_freq)
     for batch_size in (1, 7, n_paths):
         # one draw for both estimators: the panel's prices and the probe's rows
         batches = list(draws(batch_size, pairs))
-        qm = check_quasi_martingale([prices for prices, _ in batches], spec, H70, pairs)
+        qm = check_quasi_martingale([prices for prices, _ in batches], pairs)
         _assert_panels_agree(qm, want_qm)
         probe = oscillation_probe([rows for _, rows in batches], ks, taus)
         assert probe.frequencies.tobytes() == want_probe.frequencies.tobytes(), batch_size
@@ -271,14 +275,13 @@ def test_streamed_panel_and_probe_match_the_whole_surface_bit_for_bit(dims):
 
 def test_panel_names_a_batch_that_is_not_pair_prices():
     # the panel reads PairPrices only; rows and surfaces are the probe's input
-    spec, surface, draws = _stream_and_surface(1, 4)
+    _, surface, draws = _stream_and_surface(1, 4)
     ((_, rows),) = draws(4)
     pairs = [(0.25, 1.0)]
     for batch in (rows, surface):
         message = f"the panel takes PairPrices batches, not {type(batch).__name__}"
-        for given in (batch, [batch]):
-            with pytest.raises(TypeError, match=message):
-                check_quasi_martingale(given, spec, H70, pairs)
+        with pytest.raises(TypeError, match=message):
+            check_quasi_martingale([batch], pairs)
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -335,9 +338,8 @@ def test_panel_from_the_normals_matches_the_row_stream(dims, method):
     draws = list(affine_draws(spec, H70, drift, init, tg, xg, n_paths=500, seed=11,
                               pairs=pairs, row_maturities=sorted({T for _, T in pairs}),
                               batch_size=200, method=method))
-    want = check_quasi_martingale([_pair_cells(rows, pairs) for _, rows in draws],
-                                  spec, H70, pairs)
-    have = check_quasi_martingale([prices for prices, _ in draws], spec, H70, pairs)
+    want = check_quasi_martingale([_pair_cells(rows, pairs) for _, rows in draws], pairs)
+    have = check_quasi_martingale([prices for prices, _ in draws], pairs)
     assert have.n_paths == want.n_paths == 500
     assert have.targets.tobytes() == want.targets.tobytes()
     assert np.sum(want.std_errors > 0) == len(pairs) - 1  # only the (0, T) pair has no spread
@@ -430,7 +432,7 @@ def test_panel_from_the_normals_holds_no_batch_of_paths(dims):
     tracemalloc.start()
     try:
         report = check_quasi_martingale(
-            itertools.chain([first], (prices for prices, _ in draws)), spec, H70, pairs)
+            itertools.chain([first], (prices for prices, _ in draws)), pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
