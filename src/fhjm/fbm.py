@@ -18,10 +18,11 @@ Per-path randomness comes from counter-keyed substreams: path ``p`` draws
 from ``default_rng(SeedSequence((seed, p)))``, so a given path is identical
 no matter how many paths are requested, in what order, or how work is
 batched.  The draws come from :func:`fhjm._substreams.path_normals`, which
-seeds every path of a batch in one array pass (numpy's ``SeedSequence``
-hashing over all path indices at once, then each path's ``PCG64`` state set
-on one reused generator) and is bitwise equal to building
-``SeedSequence((seed, p))`` per path.
+seeds every path of a batch in array passes (numpy's ``SeedSequence``
+hashing and the ``PCG64`` seeding steps over all path indices at once),
+writes each path's four state words straight into one reused generator
+behind a layout check made on every call, and is bitwise equal to
+building ``SeedSequence((seed, p))`` per path.
 
 The Cholesky sampler's increment Gram is Toeplitz, so its factor comes from
 the Gram's first row by the Schur algorithm, once per (grid, H), using

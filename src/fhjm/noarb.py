@@ -161,10 +161,13 @@ def check_quasi_martingale(prices, pairs) -> QuasiMartingaleReport:
 
     ``prices`` is the Monte Carlo set, an iterable of batches, each the
     :class:`~fhjm.hjm.PairPrices` of these ``pairs`` that
-    :func:`~fhjm.hjm.affine_draws` yields; another batch type is a
-    ``TypeError``.  The target P(0, T) is the t = 0 price, which is path
+    :func:`~fhjm.hjm.affine_draws` yields; a lone batch or another batch
+    type is a ``TypeError``.  The target P(0, T) is the t = 0 price, which is path
     independent.
     """
+    if isinstance(prices, PairPrices):
+        raise TypeError("the panel takes an iterable of PairPrices batches, e.g. [prices], "
+                        "not one PairPrices")
     key = tuple((float(t), float(T)) for t, T in pairs)
     panel = []
     for batch in prices:
@@ -231,7 +234,8 @@ def oscillation_probe(rows, thresholds, taus) -> OscillationReport:
     """Frequency of { sup_{tau <= t <= T} |Z_tau(tau)/Z_t(T) - 1| < k } per path.
 
     ``rows`` is an iterable of :class:`~fhjm.hjm.ZRows` batches; a caller
-    with a discounted surface passes ``[surface.z_rows()]``.  ``taus``
+    with a discounted surface passes ``[surface.z_rows()]``, and a lone
+    batch or another batch type is a ``TypeError``.  ``taus``
     must sit on the time grid and the row maturities must include
     them (Z_tau(tau) is read off the diagonal).  Unpriced (NaN)
     cells do not count.  Frequencies are nonincreasing as k decreases and
@@ -244,7 +248,13 @@ def oscillation_probe(rows, thresholds, taus) -> OscillationReport:
     counts = np.zeros((taus.size, thresholds.size), dtype=np.int64)
     total = 0
     starts = None
+    if isinstance(rows, ZRows):
+        raise TypeError("the probe takes an iterable of ZRows batches, e.g. [surface.z_rows()], "
+                        "not one ZRows")
     for batch in rows:
+        if not isinstance(batch, ZRows):
+            raise TypeError("the probe takes ZRows batches, e.g. [surface.z_rows()], "
+                            f"not {type(batch).__name__}")
         if starts is None:
             starts = [
                 (batch.row(tau, "oscillation time"), batch.column(tau, "oscillation time"))

@@ -272,8 +272,31 @@ def _default_rng_draws(seed, path_index, shape):
 @example(seed=2**64 + 7, offset=0, n_paths=3, dims=2, n_steps=4)
 def test_bulk_seeder_matches_default_rng_per_path(seed, offset, n_paths, dims, n_steps):
     got = path_normals(seed, offset, n_paths, (dims, n_steps))
+    # drawn into samples[:, :, 1:] of a wider buffer, as the Cholesky sampler
+    # does: a path's block is not contiguous when dims = 2
+    wide = np.zeros((n_paths, dims, n_steps + 1))
+    assert path_normals(seed, offset, n_paths, (dims, n_steps), out=wide[:, :, 1:]).base is wide
+    assert not wide[:, :, 0].any()
     for p in range(n_paths):
-        assert got[p].tobytes() == _default_rng_draws(seed, offset + p, (dims, n_steps)).tobytes()
+        want = _default_rng_draws(seed, offset + p, (dims, n_steps)).tobytes()
+        assert got[p].tobytes() == want
+        assert wide[p, :, 1:].tobytes() == want
+
+
+def test_state_word_order_accepts_only_the_layouts_of_pcg64_h():
+    from fhjm._substreams import _PROBE, _word_order
+
+    s_hi, s_lo, i_hi, i_lo = _PROBE
+    assert _word_order([s_lo, s_hi, i_lo, i_hi]) == (1, 0, 3, 2)  # native little-endian
+    assert _word_order(np.array([s_hi, s_lo, i_hi, i_lo], dtype=np.uint64)) == (0, 1, 2, 3)
+    for words in ([s_lo, s_hi, i_hi, i_lo],  # permuted
+                  [i_lo, i_hi, s_lo, s_hi],
+                  [s_hi, i_hi, s_lo, i_lo],
+                  [s_lo, s_hi, i_lo, i_hi ^ 1],  # corrupted
+                  [s_lo, s_hi, i_lo, 0],
+                  [0, 0, 0, 0]):
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            _word_order(words)
 
 
 def test_generators_draw_from_the_documented_substreams():
@@ -284,6 +307,23 @@ def test_generators_draw_from_the_documented_substreams():
         assert driver.increments[p].tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         path_normals(-1, 0, 1, (1, 8))
+    # numpy integers are integers; a non-integer is refused, as SeedSequence refuses it
+    got = path_normals(np.uint64(21), np.int32(4), np.int64(3), (2, 8))
+    assert got[2].tobytes() == _default_rng_draws(21, 6, (2, 8)).tobytes()
+    with pytest.raises(TypeError):
+        np.random.SeedSequence((7.9, 0))
+    for args, name in (((7.9, 0, 2), "seed"), ((7, 0.5, 2), "path_offset"),
+                       ((7, 0, 2.0), "n_paths")):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            path_normals(*args, (3,))
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        BrownianDriver.generate(grid, 1, 2, seed=3.7)
+    with pytest.raises(TypeError, match="path_offset must be an integer"):
+        BrownianDriver.generate(grid, 1, 2, seed=3, path_offset=1.5)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        generate_cholesky(grid, 1, 2, H75, seed=3.7)
+    with pytest.raises(TypeError, match="path_offset must be an integer"):
+        generate_cholesky(grid, 1, 2, H75, seed=3, path_offset=2.5)
 
 
 def _cholesky_oracle(grid, dims, n_paths, hurst, seed, path_offset):

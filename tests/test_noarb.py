@@ -282,6 +282,20 @@ def test_panel_names_a_batch_that_is_not_pair_prices():
         message = f"the panel takes PairPrices batches, not {type(batch).__name__}"
         with pytest.raises(TypeError, match=message):
             check_quasi_martingale([batch], pairs)
+    # a lone batch, not an iterable of them: a named tuple would iterate its fields
+    ((prices, _),) = draws(4, pairs)
+    with pytest.raises(TypeError, match=r"an iterable of PairPrices batches, e\.g\. \[prices\]"):
+        check_quasi_martingale(prices, pairs)
+
+
+def test_probe_names_a_batch_that_is_not_an_iterable_of_z_rows():
+    _, surface, draws = _stream_and_surface(1, 3)
+    ((_, rows),) = draws(3)
+    form = r"e\.g\. \[surface\.z_rows\(\)\]"
+    with pytest.raises(TypeError, match=f"an iterable of ZRows batches, {form}, not one ZRows"):
+        oscillation_probe(rows, [0.1], [0.5])
+    with pytest.raises(TypeError, match=f"takes ZRows batches, {form}, not BondSurface"):
+        oscillation_probe([surface], [0.1], [0.5])
 
 
 @pytest.mark.parametrize("dims", [1, 2])
