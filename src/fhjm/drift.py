@@ -12,10 +12,12 @@ IV_j(s, T) = integral_0^{T-s} sigma_j(s, x) dx.  The theta-integrals are
 evaluated by product integration: the smooth factor is interpolated
 piecewise-linearly and the singular density is integrated exactly per cell
 (zeroth and first moments m0, m1 in closed form).  The moments are folded
-into hat-function node weights once per time slice: a cell [a, b] of width
-h adds (b*m0 - m1)/h to its left node and (m1 - a*m0)/h to its right node,
-so every theta-integral is the sum ``w @ curve`` of the weights times
-the factor curve sampled at the nodes.  The rule is therefore exact
+into hat-function node weights: a cell [a, b] of width h adds
+(b*m0 - m1)/h to its left node and (m1 - a*m0)/h to its right node, so
+every theta-integral is the sum ``w @ curve`` of the weights times the
+factor curve sampled at the nodes.  As phi is homogeneous, the weights
+are built once on the unit slice and scaled to each time slice t: nodes
+t*u_k, weights t^(2H-1)*w_k(1).  The rule is therefore exact
 for the flat-volatility model, whose drift has the closed form
 
     sigma^2 * (2*x*H*t^(2H-1) + (H - 1/2)*t^(2H)),
@@ -140,17 +142,25 @@ def _hat_weights(t, hurst: HurstParam, n_cells: int):
     integral_0^t f(theta) phi(t - theta) d theta of the piecewise-linear
     interpolant of f on ``n_cells`` uniform cells equals ``w @ f(nodes)``:
     each cell's exact moments m0, m1 are split between its two nodes.  An
-    array of positive times gives one row of nodes and weights per time.
+    array of positive times gives one C-ordered row of nodes and weights
+    per time.  The moments are taken once, on the unit row t = 1: phi is
+    homogeneous, phi(t*v) = t^(2H-2) * phi(v), so substituting
+    theta = t*u gives the nodes t*u_k and the weights t^(2H-1) * w_k(1).
+    The scale is one array power over the rows, so a row has the same
+    bits whether it comes alone or in a block.
     """
     t = np.asarray(t, dtype=float)
-    nodes = np.linspace(0.0, t, n_cells + 1, axis=-1)
-    a, b = nodes[..., :-1], nodes[..., 1:]
-    m0 = cov_segment_integral(a, b, t[..., None], hurst)
-    m1 = cov_segment_moment(a, b, t[..., None], hurst)
-    weights = np.zeros_like(nodes)
-    weights[..., :-1] = (b * m0 - m1) / (b - a)
-    weights[..., 1:] += (m1 - a * m0) / (b - a)
-    return nodes, weights
+    rows = t.reshape(-1, 1)
+    unit = np.linspace(0.0, 1.0, n_cells + 1)
+    a, b = unit[:-1], unit[1:]
+    m0 = cov_segment_integral(a, b, 1.0, hurst)
+    m1 = cov_segment_moment(a, b, 1.0, hurst)
+    w = np.zeros(n_cells + 1)
+    w[:-1] = (b * m0 - m1) / (b - a)
+    w[1:] += (m1 - a * m0) / (b - a)
+    nodes = rows * unit
+    weights = rows ** (2.0 * hurst.h - 1.0) * w
+    return nodes.reshape(t.shape + unit.shape), weights.reshape(t.shape + unit.shape)
 
 
 def _warn_if_table_read_flat(spec: VolatilitySpec, reach: float) -> None:
@@ -256,10 +266,10 @@ def _drift_rows(
     Each factor adds sigma(t, x) * (w @ IV) + IV(t, t + x) * (w @ sigma);
     ``_theta_sums`` reduces both theta-integrals to three sums for the
     built-ins and keeps the dense (theta, x) product for tables only.  The
-    weights are taken row-major, so each row's sums run in the order of
-    a one-row call.
+    weights come row-major, so each row's sums run in the order of a
+    one-row call.
     """
-    thetas, w = (np.ascontiguousarray(a) for a in _hat_weights(ts, hurst, theta_cells))
+    thetas, w = _hat_weights(ts, hurst, theta_cells)
     t = ts[:, None]
     rows = np.zeros((ts.size, x_points.size))
     for j, factor in enumerate(spec.factors, start=1):
@@ -350,9 +360,8 @@ def expectation_kernel(
         maturities, which = np.unique(mats, return_inverse=True)
         for m, T in enumerate(maturities):
             pick = np.flatnonzero(which == m)
-            # Fortran order, as _hat_weights returns its rows, keeps numpy's
-            # summation order: the same bits as a call with this T alone
-            th, wt = np.asfortranarray(thetas[row[pick]]), np.asfortranarray(w[row[pick]])
+            # each row summed on its own: the same bits as a call with this T alone
+            th, wt = thetas[row[pick]], w[row[pick]]
             for j in range(1, spec.dims + 1):
                 inner = (wt * integrated_vol(spec, j, th, T)).sum(axis=-1)
                 values[pick] += integrated_vol(spec, j, times[pick], T) * inner

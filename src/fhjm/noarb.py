@@ -162,8 +162,8 @@ def check_quasi_martingale(prices, pairs) -> QuasiMartingaleReport:
     ``prices`` is the Monte Carlo set, an iterable of batches, each the
     :class:`~fhjm.hjm.PairPrices` of these ``pairs`` that
     :func:`~fhjm.hjm.affine_draws` yields; a lone batch or another batch
-    type is a ``TypeError``.  The target P(0, T) is the t = 0 price, which is path
-    independent.
+    type is a ``TypeError``.  The target P(0, T) is the t = 0 price, which
+    is path independent.
     """
     if isinstance(prices, PairPrices):
         raise TypeError("the panel takes an iterable of PairPrices batches, e.g. [prices], "

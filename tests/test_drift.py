@@ -516,6 +516,60 @@ def test_maturity_integral_over_arrays_matches_trapezoid():
             field.maturity_integral(np.array([1, 2]), np.array([0.5, bad]))
 
 
+def _per_row_hat_weights(t, hurst, n_cells, dtype=float):
+    """The hat weights from each row's own cell moments, as they were built
+    before the unit row was scaled; in ``np.longdouble`` at the exact nodes."""
+    h = dtype(hurst.h)
+    q, p = 2 * h - 1, 2 * h
+    t = dtype(t)
+    nodes = np.linspace(0.0, t, n_cells + 1) if dtype is float else (
+        t * np.arange(n_cells + 1, dtype=dtype) / dtype(n_cells))
+    a, b = nodes[:-1], nodes[1:]
+    m0 = h * ((t - a) ** q - (t - b) ** q)
+    m1 = t * m0 - 0.5 * (p - 1) * ((t - a) ** p - (t - b) ** p)
+    w = np.zeros(n_cells + 1, dtype=dtype)
+    w[:-1] = (b * m0 - m1) / (b - a)
+    w[1:] += (m1 - a * m0) / (b - a)
+    return nodes, w
+
+
+# largest deviation of the scaled weights from the per-row ones, relative to
+# max|w|, measured over the 128 rows at 512 cells: 4.7e-13 (H = 0.55),
+# 4.8e-12 (0.7) and 7.7e-11 (0.95); the bounds are about four times that
+_HAT_BOUND = {0.55: 2e-12, 0.7: 2e-11, 0.95: 3e-10}
+
+
+@pytest.mark.parametrize("cells", [64, 512])
+@pytest.mark.parametrize("h", sorted(_HAT_BOUND))
+def test_scaled_hat_weights_match_the_per_row_moments(h, cells):
+    # t^(2H-1) * w(1) at nodes t * u against each row's own moments, on the
+    # panel's 128-row time grid.  Against a long-double evaluation at the
+    # exact nodes, the scaled weights were the closer ones, relative to
+    # max|w| (scaled, per row): (1.4e-13, 4.0e-13) at H = 0.55,
+    # (1.4e-12, 3.6e-12) at 0.7 and (2.8e-11, 6.6e-11) at 0.95, all at 512 cells
+    from fhjm.drift import _hat_weights
+
+    hurst = HurstParam(h)
+    ts = np.arange(1, 129) * (8.0 / 128)
+    nodes, w = _hat_weights(ts, hurst, cells)
+    assert nodes.shape == w.shape == (ts.size, cells + 1)
+    exact = np.finfo(np.longdouble).eps < np.finfo(float).eps
+    worst = {"scaled": 0.0, "per row": 0.0}
+    for i, t in enumerate(ts):
+        ref_nodes, ref = _per_row_hat_weights(t, hurst, cells)
+        size = np.max(np.abs(ref))
+        assert np.max(np.abs(nodes[i] - ref_nodes)) <= 2 * np.spacing(t)
+        assert np.max(np.abs(w[i] - ref)) <= _HAT_BOUND[h] * size, t
+        # one row alone has the bits it has in the block
+        alone = _hat_weights(t, hurst, cells)
+        assert alone[0].tobytes() == nodes[i].tobytes() and alone[1].tobytes() == w[i].tobytes()
+        if exact:
+            _, long_w = _per_row_hat_weights(t, hurst, cells, np.longdouble)
+            worst["scaled"] = max(worst["scaled"], float(np.max(np.abs(w[i] - long_w)) / size))
+            worst["per row"] = max(worst["per row"], float(np.max(np.abs(ref - long_w)) / size))
+    assert worst["scaled"] <= worst["per row"], worst
+
+
 def _drift_one_row_at_a_time(spec, hurst, t_points, x, theta_cells):
     """The drift field built the way it was before rows came in blocks: one
     hat-weight call, three sums and one row per grid time."""
